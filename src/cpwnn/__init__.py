@@ -18,12 +18,9 @@ from .backtest import (
     run_backtest,
 )
 from .conformal import (
-    PairedDataset,
     PredictionRegion,
     ScoreMatrix,
     conformal_region,
-    make_pairs,
-    nonconformity_scores,
     p_value,
     rank_for,
     score_matrix,
@@ -54,7 +51,6 @@ from .wnn import (
     TuneResult,
     Weighting,
     fpto_tune,
-    point_forecast,
     wnn_forecast,
 )
 
@@ -67,7 +63,6 @@ __all__ = [
     "ForecasterKind",
     "ForecasterSpec",
     "HorizonConfig",
-    "PairedDataset",
     "PredictionRegion",
     "ScoreMatrix",
     "SplitSpec",
@@ -83,12 +78,9 @@ __all__ = [
     "default_seasonal",
     "ets_forecast_variance",
     "fpto_tune",
-    "make_pairs",
     "mape",
     "min_calibration_count",
-    "nonconformity_scores",
     "p_value",
-    "point_forecast",
     "rank_for",
     "run_backtest",
     "score_matrix",

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import rank_for
+from .conformal import kth_largest, rank_for, score_rows
 from .errors import ForecastError, InfeasibleDeltaError, InvalidParamsError, SeriesTooShortError
 from .series import HorizonConfig, SplitSpec, TimeSeries, mape, min_calibration_count
 from .wnn import ForecasterKind, ForecasterSpec, Weighting, forecaster_fn
@@ -92,8 +92,7 @@ def backtest_matrices(
         s = rank_for(delta, i1 + i)
         if s < 1:
             raise InfeasibleDeltaError(delta, min_calibration_count(delta))
-        descending = np.sort(pool[: i1 + i], axis=0)[::-1]
-        half[i] = descending[s - 1]
+        half[i] = kth_largest(pool[: i1 + i], s)
         pool[i1 + i] = test[i]
     hits = (test <= half).astype(np.uint8)
     return half, hits
@@ -124,8 +123,7 @@ def run_backtest(
         )
     forecast = forecaster_fn(spec, n)
     t_values = [start + j * n for j in range(i1 + i2)]
-    predicted = np.stack([forecast(values[:t]) for t in t_values])
-    actual = np.stack([values[t : t + n] for t in t_values])
+    predicted, actual = score_rows(values, forecast, t_values, n)
     scores = np.abs(actual - predicted)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)
     test_mape = mape(actual[i1:].ravel(), predicted[i1:].ravel())

@@ -1,9 +1,13 @@
 """Command-line front end: CSV in, tuned forecasts / regions / backtests out.
 
-Subcommands: tune | forecast | check | simulate | compare. User-facing flags
+Subcommands: tune | forecast | check | compare | simulate. User-facing flags
 take confidence levels (e.g. 0.95); internally the significance level is
 delta = 1 - confidence. Exit codes: 0 success, 2 usage error, 3 data error,
 4 infeasible configuration.
+
+Each of tune, forecast, check and compare computes one result model, the
+(config, results) pair that the JSON report holds; the text and CSV
+renderers read only that pair.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -28,11 +31,10 @@ from .errors import (
     ConfigError,
     CsvParseError,
     DataError,
-    InvalidParamsError,
 )
 from .etssim import EtsKind, aada_params, ana_params, simulate_ets
 from .series import HorizonConfig, TimeSeries, split_sizes, validate_series
-from .wnn import ForecasterSpec, TuneResult, Weighting, fpto_tune
+from .wnn import ForecasterSpec, Weighting, fpto_tune
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,47 +42,7 @@ EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
 DEFAULT_GRID = tuple(range(1, 13))
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of everything one CLI invocation needs."""
-
-    command: str
-    input_path: str | None = None
-    column: str = "value"
-    period: int = 12
-    n: int = 1
-    confidences: tuple[float, ...] = (0.95,)
-    p: int | None = None
-    k: int | None = None
-    p_grid: tuple[int, ...] = DEFAULT_GRID
-    k_grid: tuple[int, ...] = DEFAULT_GRID
-    folds: int | None = None
-    weighting: Weighting = Weighting.INVERSE_DISTANCE
-    model: str | None = None
-    length: int | None = None
-    alpha: float = 0.5
-    beta: float = 0.3
-    gamma: float = 0.2
-    phi: float = 0.82
-    sigma2: float = 1.0
-    init_level: float = 100.0
-    init_trend: float = 1.0
-    seed: int | None = None
-    output_path: str | None = None
-    output_format: str = "text"
-    no_timestamp: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParamsError("n must be >= 1")
-        for conf in self.confidences:
-            if not 0.0 < conf < 1.0:
-                raise InvalidParamsError(
-                    f"confidence levels must lie in (0, 1), got {conf!r}"
-                )
-        self.weighting = Weighting(self.weighting)
+DEFAULT_CONFIDENCE = 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -133,368 +95,297 @@ def series_to_csv(values: Sequence[float]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Emission helpers
-
-
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path is None or output_path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output_path).write_text(text, encoding="utf-8")
-
-
-def _provenance(cfg: RunConfig) -> dict:
-    info: dict = {"seed": cfg.seed, "version": __version__}
-    if not cfg.no_timestamp:
-        info["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return info
-
-
-def _json_doc(cfg: RunConfig, config: dict, results: dict) -> str:
-    doc = {"config": config, "results": results, "provenance": _provenance(cfg)}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _csv_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-# ---------------------------------------------------------------------------
 # Shared workflow pieces
 
 
-def _train_series(series: TimeSeries, n: int, i2: int) -> TimeSeries:
-    cut = len(series) - n * i2
-    return TimeSeries(series.values[:cut], period=series.period, label=series.label)
-
-
-def _resolve_config(
-    series: TimeSeries, cfg: RunConfig, delta: float
-) -> tuple[HorizonConfig, TuneResult | None]:
-    """Use --p/--k when given, otherwise tune on the training block."""
-    if cfg.p is not None and cfg.k is not None:
-        return HorizonConfig(cfg.n, cfg.p, cfg.k), None
-    split = split_sizes(len(series), cfg.n, delta)
-    folds = cfg.folds if cfg.folds is not None else split.i1
-    train = _train_series(series, cfg.n, split.i2)
-    tuned = fpto_tune(train, cfg.n, folds, cfg.p_grid, cfg.k_grid, cfg.weighting)
-    return HorizonConfig(cfg.n, tuned.p_star, tuned.k_star), tuned
-
-
-def _base_config_dict(cfg: RunConfig) -> dict:
+def _described(args: argparse.Namespace, **extra) -> dict:
+    """The report's config block: the run's inputs plus command-specific fields."""
     return {
-        "command": cfg.command,
-        "input": cfg.input_path,
-        "column": cfg.column,
-        "period": cfg.period,
-        "n": cfg.n,
-        "weighting": cfg.weighting.value,
-    }
+        "command": args.command,
+        "input": args.input_path,
+        "column": args.column,
+        "period": args.period,
+        "n": args.n,
+        "weighting": args.weighting,
+    } | extra
+
+
+def _load_and_fit(args: argparse.Namespace) -> tuple[TimeSeries, HorizonConfig, dict]:
+    """Load the input; take (p, k) from --p/--k, or tune it on the training block.
+
+    Tuning runs on the series minus its last n*i2 values, with i1 folds unless
+    --folds is given, (i1, i2) being the split at the first confidence level.
+    """
+    series = load_csv(args.input_path, args.column, args.period)
+    tuned = args.p is None
+    if tuned:
+        split = split_sizes(len(series), args.n, 1.0 - args.confidences[0])
+        folds = args.folds if args.folds is not None else split.i1
+        train = TimeSeries(
+            series.values[: len(series) - args.n * split.i2],
+            period=series.period,
+            label=series.label,
+        )
+        result = fpto_tune(train, args.n, folds, args.p_grid, args.k_grid, args.weighting)
+        config = HorizonConfig(args.n, result.p_star, result.k_star)
+    else:
+        config = HorizonConfig(args.n, args.p, args.k)
+    described = _described(
+        args, p=config.p, k=config.k, tuned=tuned, confidences=list(args.confidences)
+    )
+    return series, config, described
+
+
+def _levels(args: argparse.Namespace, series: TimeSeries):
+    """(confidence, split) for each requested level, in the order given."""
+    for conf in args.confidences:
+        yield conf, split_sizes(len(series), args.n, 1.0 - conf)
+
+
+def _overall_widths(report: dict) -> tuple[float, float]:
+    """Mean and median full width of a backtest report over all its cells."""
+    return float(np.mean(report["mean_width"])), float(np.median(report["half_widths"]) * 2.0)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (config, results) and has a text and a CSV renderer
 
 
-def _cmd_tune(cfg: RunConfig) -> int:
-    series = load_csv(cfg.input_path, cfg.column, cfg.period)
-    delta = 1.0 - cfg.confidences[0]
-    folds = cfg.folds
+def _tune(args: argparse.Namespace) -> tuple[dict, dict]:
+    series = load_csv(args.input_path, args.column, args.period)
+    folds = args.folds
     if folds is None:
-        folds = split_sizes(len(series), cfg.n, delta).i1
-    result = fpto_tune(series, cfg.n, folds, cfg.p_grid, cfg.k_grid, cfg.weighting)
-    config = _base_config_dict(cfg) | {
-        "folds": folds,
-        "p_grid": list(cfg.p_grid),
-        "k_grid": list(cfg.k_grid),
+        folds = split_sizes(len(series), args.n, 1.0 - args.confidences[0]).i1
+    result = fpto_tune(series, args.n, folds, args.p_grid, args.k_grid, args.weighting)
+    config = _described(args, folds=folds, p_grid=list(args.p_grid), k_grid=list(args.k_grid))
+    results = {
+        "p_star": result.p_star,
+        "k_star": result.k_star,
+        "objective": result.objective,
+        "trace": [{"p": p, "k": k, "mape": m} for p, k, m in result.trace],
+        "skipped": [{"p": p, "k": k, "reason": r} for p, k, r in result.skipped],
     }
-    if cfg.output_format == "json":
-        results = {
-            "p_star": result.p_star,
-            "k_star": result.k_star,
-            "objective": result.objective,
-            "trace": [{"p": p, "k": k, "mape": m} for p, k, m in result.trace],
-            "skipped": [{"p": p, "k": k, "reason": r} for p, k, r in result.skipped],
-        }
-        _emit(_json_doc(cfg, config, results), cfg.output_path)
-    elif cfg.output_format == "csv":
-        rows = [(p, k, repr(m)) for p, k, m in result.trace]
-        _emit(_csv_table(("p", "k", "mape"), rows), cfg.output_path)
-    else:
-        lines = [
-            f"tuned over {len(result.trace)} grid cells, {folds} folds",
-            f"  p* = {result.p_star}   k* = {result.k_star}   objective MAPE = {result.objective:.4f}",
-        ]
-        best5 = sorted(result.trace, key=lambda cell: cell[2])[:5]
-        lines.append("best cells:")
-        lines.extend(f"  p={p:<3d} k={k:<3d} mape={m:.4f}" for p, k, m in best5)
-        if result.skipped:
-            lines.append(f"skipped {len(result.skipped)} infeasible cells")
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK
+    return config, results
 
 
-def _cmd_forecast(cfg: RunConfig) -> int:
-    series = load_csv(cfg.input_path, cfg.column, cfg.period)
-    config, tuned = _resolve_config(series, cfg, 1.0 - cfg.confidences[0])
+def _tune_text(config: dict, results: dict) -> list[str]:
+    trace = results["trace"]
+    lines = [
+        f"tuned over {len(trace)} grid cells, {config['folds']} folds",
+        f"  p* = {results['p_star']}   k* = {results['k_star']}   "
+        f"objective MAPE = {results['objective']:.4f}",
+        "best cells:",
+    ]
+    best5 = sorted(trace, key=lambda cell: cell["mape"])[:5]
+    lines.extend(f"  p={c['p']:<3d} k={c['k']:<3d} mape={c['mape']:.4f}" for c in best5)
+    if results["skipped"]:
+        lines.append(f"skipped {len(results['skipped'])} infeasible cells")
+    return lines
+
+
+def _tune_csv(config: dict, results: dict) -> tuple[tuple, list[tuple]]:
+    rows = [(c["p"], c["k"], repr(c["mape"])) for c in results["trace"]]
+    return ("p", "k", "mape"), rows
+
+
+def _forecast(args: argparse.Namespace) -> tuple[dict, dict]:
+    series, config, described = _load_and_fit(args)
     regions = []
-    for conf in cfg.confidences:
-        delta = 1.0 - conf
-        split = split_sizes(len(series), cfg.n, delta)
+    for conf, split in _levels(args, series):
         h = split.i1 + split.i2
-        region = conformal_region(series, config, h, delta, cfg.weighting)
-        regions.append((conf, h, region))
-    config_dict = _base_config_dict(cfg) | {
-        "p": config.p,
-        "k": config.k,
-        "tuned": tuned is not None,
-        "confidences": list(cfg.confidences),
-    }
-    if cfg.output_format == "json":
-        results = {
-            "center": regions[0][2].center.tolist(),
-            "regions": [
-                {"confidence": conf, "h": h} | region.to_dict()
-                for conf, h, region in regions
+        region = conformal_region(series, config, h, split.delta, args.weighting)
+        regions.append({"confidence": conf, "h": h} | region.to_dict())
+    return described, {"center": regions[0]["center"], "regions": regions}
+
+
+def _forecast_text(config: dict, results: dict) -> list[str]:
+    lines = [
+        f"point forecast (n={config['n']}, p={config['p']}, k={config['k']}): "
+        + ", ".join(f"{v:.4f}" for v in results["center"])
+    ]
+    for region in results["regions"]:
+        lines.append(
+            f"{100 * region['confidence']:.1f}% region (delta={region['delta']:.3f}, "
+            f"h={region['h']}, rank={region['rank']}):"
+        )
+        bounds = zip(region["lower"], region["upper"], region["half_widths"])
+        lines.extend(
+            f"  j={j}: ({lower:.4f}, {upper:.4f})  half-width {half:.4f}"
+            for j, (lower, upper, half) in enumerate(bounds, start=1)
+        )
+    return lines
+
+
+def _forecast_csv(config: dict, results: dict) -> tuple[tuple, list[tuple]]:
+    rows = []
+    for region in results["regions"]:
+        columns = zip(region["center"], region["lower"], region["upper"], region["half_widths"])
+        rows.extend(
+            (region["confidence"], j, *(repr(v) for v in values))
+            for j, values in enumerate(columns, start=1)
+        )
+    return ("confidence", "component", "center", "lower", "upper", "half_width"), rows
+
+
+def _check(args: argparse.Namespace) -> tuple[dict, dict]:
+    series, config, described = _load_and_fit(args)
+    levels = [
+        {
+            "confidence": conf,
+            "delta": split.delta,
+            "i1": split.i1,
+            "i2": split.i2,
+            "report": check_cp(series, config, split, args.weighting).to_dict(),
+        }
+        for conf, split in _levels(args, series)
+    ]
+    return described, {"levels": levels}
+
+
+def _check_text(config: dict, results: dict) -> list[str]:
+    lines = [
+        f"coverage backtest: n={config['n']}, forecaster wnn(p={config['p']}, k={config['k']}), "
+        f"weighting={config['weighting']}"
+    ]
+    for level in results["levels"]:
+        report = level["report"]
+        lines.append(
+            f"confidence {100 * level['confidence']:.1f}%  (delta={level['delta']:.3f}, "
+            f"i1={level['i1']}, i2={level['i2']})"
+        )
+        lines.append(f"  overall coverage: {report['overall_coverage']:.2f}%")
+        lines.append("  j   mean width   median width   coverage%")
+        columns = zip(report["mean_width"], report["median_width"], report["component_coverage"])
+        lines.extend(
+            f"  {j:<3d} {mean:<12.4f} {median:<14.4f} {coverage:.2f}"
+            for j, (mean, median, coverage) in enumerate(columns, start=1)
+        )
+    return lines
+
+
+def _check_csv(config: dict, results: dict) -> tuple[tuple, list[tuple]]:
+    method = f"wnn(p={config['p']},k={config['k']})"
+    rows = []
+    for level in results["levels"]:
+        conf, report = level["confidence"], level["report"]
+        columns = zip(report["mean_width"], report["median_width"], report["component_coverage"])
+        rows.extend(
+            (conf, method, j, *(repr(v) for v in values))
+            for j, values in enumerate(columns, start=1)
+        )
+        mean, median = _overall_widths(report)
+        rows.append((conf, method, "overall", repr(mean), repr(median),
+                     repr(report["overall_coverage"])))
+    header = ("confidence", "method", "component", "mean_width", "median_width", "coverage")
+    return header, rows
+
+
+def _compare(args: argparse.Namespace) -> tuple[dict, dict]:
+    series, config, described = _load_and_fit(args)
+    specs = [
+        ForecasterSpec.wnn(config, args.weighting),
+        ForecasterSpec.seasonal_naive(series.period),
+    ]
+    levels = [
+        {
+            "confidence": conf,
+            "i1": split.i1,
+            "i2": split.i2,
+            "methods": [
+                {
+                    "method": res.spec.describe(),
+                    "mape": res.mape,
+                    "error": res.error,
+                    "report": res.report.to_dict() if res.report else None,
+                }
+                for res in compare_forecasters(series, specs, args.n, split)
             ],
         }
-        _emit(_json_doc(cfg, config_dict, results), cfg.output_path)
-    elif cfg.output_format == "csv":
-        rows = []
-        for conf, _, region in regions:
-            for j in range(region.n):
-                rows.append(
-                    (
-                        conf,
-                        j + 1,
-                        repr(float(region.center[j])),
-                        repr(float(region.lower[j])),
-                        repr(float(region.upper[j])),
-                        repr(float(region.half_widths[j])),
-                    )
-                )
-        header = ("confidence", "component", "center", "lower", "upper", "half_width")
-        _emit(_csv_table(header, rows), cfg.output_path)
-    else:
-        center = regions[0][2].center
-        lines = [
-            f"point forecast (n={cfg.n}, p={config.p}, k={config.k}): "
-            + ", ".join(f"{v:.4f}" for v in center)
-        ]
-        for conf, h, region in regions:
-            lines.append(
-                f"{100 * conf:.1f}% region (delta={region.delta:.3f}, h={h}, rank={region.rank}):"
-            )
-            for j in range(region.n):
-                lines.append(
-                    f"  j={j + 1}: ({region.lower[j]:.4f}, {region.upper[j]:.4f})"
-                    f"  half-width {region.half_widths[j]:.4f}"
-                )
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK
+        for conf, split in _levels(args, series)
+    ]
+    return described, {"levels": levels}
 
 
-def _level_runs(series: TimeSeries, cfg: RunConfig, config: HorizonConfig):
-    """One coverage backtest per requested confidence level."""
-    runs = []
-    for conf in cfg.confidences:
-        delta = 1.0 - conf
-        split = split_sizes(len(series), cfg.n, delta)
-        report = check_cp(series, config, split, cfg.weighting)
-        runs.append((conf, split, report))
-    return runs
-
-
-def _check_csv_rows(method: str, runs) -> list[tuple]:
-    rows = []
-    for conf, _, report in runs:
-        for j in range(report.n):
-            rows.append(
-                (
-                    conf,
-                    method,
-                    j + 1,
-                    repr(float(report.mean_width[j])),
-                    repr(float(report.median_width[j])),
-                    repr(float(report.component_coverage[j])),
-                )
-            )
-        rows.append(
-            (
-                conf,
-                method,
-                "overall",
-                repr(float(report.mean_width.mean())),
-                repr(float(np.median(report.half_widths) * 2.0)),
-                repr(float(report.overall_coverage)),
-            )
-        )
-    return rows
-
-
-def _check_text_lines(runs) -> list[str]:
-    lines = []
-    for conf, split, report in runs:
+def _compare_text(config: dict, results: dict) -> list[str]:
+    lines = [f"method comparison: n={config['n']}"]
+    for level in results["levels"]:
         lines.append(
-            f"confidence {100 * conf:.1f}%  (delta={split.delta:.3f}, "
-            f"i1={split.i1}, i2={split.i2})"
+            f"confidence {100 * level['confidence']:.1f}%  (i1={level['i1']}, i2={level['i2']})"
         )
-        lines.append(f"  overall coverage: {report.overall_coverage:.2f}%")
-        lines.append("  j   mean width   median width   coverage%")
-        for j in range(report.n):
+        lines.append("  method                         MAPE      coverage%  mean width")
+        for method in level["methods"]:
+            report = method["report"]
+            if report is None:
+                lines.append(f"  {method['method']:<30s} error: {method['error']}")
+                continue
             lines.append(
-                f"  {j + 1:<3d} {report.mean_width[j]:<12.4f} "
-                f"{report.median_width[j]:<14.4f} {report.component_coverage[j]:.2f}"
+                f"  {method['method']:<30s} {method['mape']:<9.4f} "
+                f"{report['overall_coverage']:<10.2f} {_overall_widths(report)[0]:.4f}"
             )
     return lines
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    series = load_csv(cfg.input_path, cfg.column, cfg.period)
-    config, tuned = _resolve_config(series, cfg, 1.0 - cfg.confidences[0])
-    runs = _level_runs(series, cfg, config)
-    config_dict = _base_config_dict(cfg) | {
-        "p": config.p,
-        "k": config.k,
-        "tuned": tuned is not None,
-        "confidences": list(cfg.confidences),
-    }
-    if cfg.output_format == "json":
-        results = {
-            "levels": [
-                {
-                    "confidence": conf,
-                    "delta": split.delta,
-                    "i1": split.i1,
-                    "i2": split.i2,
-                    "report": report.to_dict(),
-                }
-                for conf, split, report in runs
-            ]
-        }
-        _emit(_json_doc(cfg, config_dict, results), cfg.output_path)
-    elif cfg.output_format == "csv":
-        header = ("confidence", "method", "component", "mean_width", "median_width", "coverage")
-        _emit(_csv_table(header, _check_csv_rows(f"wnn(p={config.p},k={config.k})", runs)), cfg.output_path)
-    else:
-        lines = [
-            f"coverage backtest: n={cfg.n}, forecaster wnn(p={config.p}, k={config.k}), "
-            f"weighting={cfg.weighting.value}"
-        ]
-        lines.extend(_check_text_lines(runs))
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK
+def _compare_csv(config: dict, results: dict) -> tuple[tuple, list[tuple]]:
+    rows = []
+    for level in results["levels"]:
+        conf = level["confidence"]
+        for method in level["methods"]:
+            report = method["report"]
+            if report is None:
+                rows.append((conf, method["method"], "", "", "", f"error: {method['error']}"))
+                continue
+            mean, median = _overall_widths(report)
+            rows.append((conf, method["method"], repr(method["mape"]), repr(mean), repr(median),
+                         repr(report["overall_coverage"])))
+    return ("confidence", "method", "mape", "mean_width", "median_width", "coverage"), rows
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    kind = EtsKind(cfg.model)
-    if kind is EtsKind.ANA:
-        params = ana_params(
-            cfg.alpha, cfg.gamma, cfg.sigma2, cfg.period, cfg.init_level
-        )
+# name: (help, compute, text renderer, CSV renderer)
+_ANALYSES = {
+    "tune": ("grid-search (p, k) by rolling validation", _tune, _tune_text, _tune_csv),
+    "forecast": ("point forecast plus conformal regions",
+                 _forecast, _forecast_text, _forecast_csv),
+    "check": ("backtest region coverage and width", _check, _check_text, _check_csv),
+    "compare": ("tuned WNN vs seasonal-naive side by side",
+                _compare, _compare_text, _compare_csv),
+}
+
+
+def _report(args: argparse.Namespace) -> str:
+    """Run an analysis command and render its result in the requested format."""
+    _, compute, text, table = _ANALYSES[args.command]
+    config, results = compute(args)
+    if args.output_format == "json":
+        provenance: dict = {"seed": args.seed, "version": __version__}
+        if not args.no_timestamp:
+            provenance["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        doc = {"config": config, "results": results, "provenance": provenance}
+        return json.dumps(doc, indent=2) + "\n"
+    if args.output_format == "csv":
+        header, rows = table(config, results)
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return out.getvalue()
+    return "\n".join(text(config, results)) + "\n"
+
+
+def _simulate(args: argparse.Namespace) -> str:
+    if EtsKind(args.model) is EtsKind.ANA:
+        params = ana_params(args.alpha, args.gamma, args.sigma2, args.period, args.init_level)
     else:
         params = aada_params(
-            cfg.alpha,
-            cfg.beta,
-            cfg.gamma,
-            cfg.phi,
-            cfg.sigma2,
-            cfg.period,
-            cfg.init_level,
-            cfg.init_trend,
+            args.alpha,
+            args.beta,
+            args.gamma,
+            args.phi,
+            args.sigma2,
+            args.period,
+            args.init_level,
+            args.init_trend,
         )
-    series = simulate_ets(params, cfg.length, cfg.seed if cfg.seed is not None else 0)
-    _emit(series_to_csv(series.values), cfg.output_path)
-    return EXIT_OK
-
-
-def _cmd_compare(cfg: RunConfig) -> int:
-    series = load_csv(cfg.input_path, cfg.column, cfg.period)
-    config, tuned = _resolve_config(series, cfg, 1.0 - cfg.confidences[0])
-    specs = [
-        ForecasterSpec.wnn(config, cfg.weighting),
-        ForecasterSpec.seasonal_naive(series.period),
-    ]
-    by_level = []
-    for conf in cfg.confidences:
-        delta = 1.0 - conf
-        split = split_sizes(len(series), cfg.n, delta)
-        by_level.append((conf, split, compare_forecasters(series, specs, cfg.n, split)))
-    config_dict = _base_config_dict(cfg) | {
-        "p": config.p,
-        "k": config.k,
-        "tuned": tuned is not None,
-        "confidences": list(cfg.confidences),
-    }
-    if cfg.output_format == "json":
-        results = {"levels": []}
-        for conf, split, outcomes in by_level:
-            results["levels"].append(
-                {
-                    "confidence": conf,
-                    "i1": split.i1,
-                    "i2": split.i2,
-                    "methods": [
-                        {
-                            "method": res.spec.describe(),
-                            "mape": res.mape,
-                            "error": res.error,
-                            "report": res.report.to_dict() if res.report else None,
-                        }
-                        for res in outcomes
-                    ],
-                }
-            )
-        _emit(_json_doc(cfg, config_dict, results), cfg.output_path)
-    elif cfg.output_format == "csv":
-        header = ("confidence", "method", "mape", "mean_width", "median_width", "coverage")
-        rows = []
-        for conf, _, outcomes in by_level:
-            for res in outcomes:
-                if res.report is None:
-                    rows.append((conf, res.spec.describe(), "", "", "", f"error: {res.error}"))
-                    continue
-                rows.append(
-                    (
-                        conf,
-                        res.spec.describe(),
-                        repr(float(res.mape)),
-                        repr(float(res.report.mean_width.mean())),
-                        repr(float(np.median(res.report.half_widths) * 2.0)),
-                        repr(float(res.report.overall_coverage)),
-                    )
-                )
-        _emit(_csv_table(header, rows), cfg.output_path)
-    else:
-        lines = [f"method comparison: n={cfg.n}"]
-        for conf, split, outcomes in by_level:
-            lines.append(
-                f"confidence {100 * conf:.1f}%  (i1={split.i1}, i2={split.i2})"
-            )
-            lines.append("  method                         MAPE      coverage%  mean width")
-            for res in outcomes:
-                if res.report is None:
-                    lines.append(f"  {res.spec.describe():<30s} error: {res.error}")
-                    continue
-                lines.append(
-                    f"  {res.spec.describe():<30s} {res.mape:<9.4f} "
-                    f"{res.report.overall_coverage:<10.2f} {res.report.mean_width.mean():.4f}"
-                )
-        _emit("\n".join(lines) + "\n", cfg.output_path)
-    return EXIT_OK
-
-
-_DISPATCH = {
-    "tune": _cmd_tune,
-    "forecast": _cmd_forecast,
-    "check": _cmd_check,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-}
+    return series_to_csv(simulate_ets(params, args.length, args.seed).values)
 
 
 # ---------------------------------------------------------------------------
@@ -538,33 +429,6 @@ def _grid_arg(text: str) -> tuple[int, ...]:
     return values
 
 
-def _add_output_options(sub: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
-    sub.add_argument("--format", dest="output_format", choices=formats, default=formats[0])
-    sub.add_argument("--output", dest="output_path", default=None)
-    sub.add_argument("--no-timestamp", action="store_true")
-    sub.add_argument("--seed", type=int, default=None)
-
-
-def _add_input_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, dest="input_path", help="CSV path, or - for stdin")
-    sub.add_argument("--column", default="value")
-    sub.add_argument("--period", type=_positive_int_arg, default=12)
-
-
-def _add_model_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_positive_int_arg, default=1)
-    sub.add_argument("--p", type=_positive_int_arg, default=None)
-    sub.add_argument("--k", type=_positive_int_arg, default=None)
-    sub.add_argument("--p-grid", dest="p_grid", type=_grid_arg, default=DEFAULT_GRID)
-    sub.add_argument("--k-grid", dest="k_grid", type=_grid_arg, default=DEFAULT_GRID)
-    sub.add_argument("--folds", type=_positive_int_arg, default=None)
-    sub.add_argument(
-        "--weighting",
-        choices=[w.value for w in Weighting],
-        default=Weighting.INVERSE_DISTANCE.value,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpwnn",
@@ -576,23 +440,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    tune = commands.add_parser("tune", help="grid-search (p, k) by rolling validation")
-    _add_input_options(tune)
-    _add_model_options(tune)
-    tune.add_argument("--confidence", dest="confidences", action="append", type=_confidence_arg)
-    _add_output_options(tune)
-
-    forecast = commands.add_parser("forecast", help="point forecast plus conformal regions")
-    _add_input_options(forecast)
-    _add_model_options(forecast)
-    forecast.add_argument("--confidence", dest="confidences", action="append", type=_confidence_arg)
-    _add_output_options(forecast)
-
-    check = commands.add_parser("check", help="backtest region coverage and width")
-    _add_input_options(check)
-    _add_model_options(check)
-    check.add_argument("--confidence", dest="confidences", action="append", type=_confidence_arg)
-    _add_output_options(check)
+    for name, (help_text, *_) in _ANALYSES.items():
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument(
+            "--input", required=True, dest="input_path", help="CSV path, or - for stdin"
+        )
+        sub.add_argument("--column", default="value")
+        sub.add_argument("--period", type=_positive_int_arg, default=12)
+        sub.add_argument("--n", type=_positive_int_arg, default=1)
+        sub.add_argument("--p", type=_positive_int_arg, default=None)
+        sub.add_argument("--k", type=_positive_int_arg, default=None)
+        sub.add_argument("--p-grid", dest="p_grid", type=_grid_arg, default=DEFAULT_GRID)
+        sub.add_argument("--k-grid", dest="k_grid", type=_grid_arg, default=DEFAULT_GRID)
+        sub.add_argument("--folds", type=_positive_int_arg, default=None)
+        sub.add_argument(
+            "--weighting",
+            choices=[w.value for w in Weighting],
+            default=Weighting.INVERSE_DISTANCE.value,
+        )
+        sub.add_argument("--confidence", dest="confidences", action="append", type=_confidence_arg)
+        sub.add_argument("--format", dest="output_format", choices=("text", "json", "csv"),
+                         default="text")
+        sub.add_argument("--output", dest="output_path", default=None)
+        sub.add_argument("--no-timestamp", action="store_true")
+        sub.add_argument("--seed", type=int, default=None)
 
     simulate = commands.add_parser("simulate", help="simulate a seasonal smoothing model to CSV")
     simulate.add_argument("--model", choices=[k.value for k in EtsKind], required=True)
@@ -608,34 +479,23 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--output", dest="output_path", default=None)
     simulate.add_argument("--seed", type=int, default=0)
 
-    compare = commands.add_parser("compare", help="tuned WNN vs seasonal-naive side by side")
-    _add_input_options(compare)
-    _add_model_options(compare)
-    compare.add_argument("--confidence", dest="confidences", action="append", type=_confidence_arg)
-    _add_output_options(compare)
-
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    payload = {
-        key: value
-        for key, value in vars(args).items()
-        if key in RunConfig.__dataclass_fields__ and value is not None
-    }
-    if getattr(args, "confidences", None):
-        payload["confidences"] = tuple(args.confidences)
-    return RunConfig(**payload)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (getattr(args, "p", None) is None) != (getattr(args, "k", None) is None):
-        parser.error("--p and --k must be given together")
+    if args.command != "simulate":
+        if (args.p is None) != (args.k is None):
+            parser.error("--p and --k must be given together")
+        args.confidences = args.confidences or [DEFAULT_CONFIDENCE]
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        text = _simulate(args) if args.command == "simulate" else _report(args)
+        if args.output_path is None or args.output_path == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.output_path).write_text(text, encoding="utf-8")
+        return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

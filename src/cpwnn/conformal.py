@@ -1,11 +1,12 @@
-"""Pair transform, nonconformity scores, p-values, and product prediction regions.
+"""Nonconformity scores, p-values, and product prediction regions.
 
-A series a_1..a_T is cut into (object, label) pairs ending at
-t in {T-n, T-2n, ...}: the object is the window of n*p observations up to t,
-the label the n observations that follow. Scoring a pair means forecasting
-its label from the observations up to t only, so every score reflects a
-forecaster refit on its own prefix (no lookahead, no caching across
-prefixes).
+Scoring the step that ends at t means refitting the forecaster on the
+observations before t only and taking the componentwise |actual - forecast|
+over the n values that follow; every score therefore reflects a forecaster
+refit on its own prefix (no lookahead, no caching across prefixes). Scores
+are taken at t in {T-n, T-2n, ...}. `score_rows` is the one place that does
+these refits, for both the calibration scores here and the backtest in
+`backtest`; `kth_largest` is the one rank selection over score rows.
 
 The region for the next n unseen values is symmetric about the point
 forecast; component j's half-width is the s-th largest of that column's
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     SeriesTooShortError,
 )
 from .series import _DUST, HorizonConfig, TimeSeries, _freeze, min_calibration_count
-from .wnn import Weighting, _forecast_values, wnn_forecast
+from .wnn import ForecasterSpec, Weighting, forecaster_fn, wnn_forecast
 
 
 def rank_for(delta: float, h: int) -> int:
@@ -34,48 +35,25 @@ def rank_for(delta: float, h: int) -> int:
     return int(math.floor(delta * (h + 1) + _DUST))
 
 
-@dataclass(frozen=True, eq=False)
-class PairedDataset:
-    """(t, object, label) pairs in chronological order of t."""
+def score_rows(
+    values: np.ndarray,
+    forecast: Callable[[np.ndarray], np.ndarray],
+    t_values: Sequence[int],
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refit on values[:t] for each t; returns (predicted, actual), one row per t.
 
-    t_values: tuple[int, ...]
-    objects: np.ndarray  # c x (n*p)
-    labels: np.ndarray   # c x n
-    n: int
-    p: int
-
-    @property
-    def c(self) -> int:
-        return len(self.t_values)
-
-    def __len__(self) -> int:
-        return len(self.t_values)
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        for i, t in enumerate(self.t_values):
-            yield t, self.objects[i], self.labels[i]
-
-
-def make_pairs(series: TimeSeries, n: int, p: int) -> PairedDataset:
-    """Cut the series into object/label pairs ending at t = T-n, T-2n, ...
-
-    The pair count c is the largest for which the earliest object window
-    still fits, i.e. T - n*c >= n*p.
+    Row i holds the forecast of values[t : t+n] made from values[:t] alone and
+    the n realized values themselves; the scores are |actual - predicted|.
     """
-    if n < 1 or p < 1:
-        raise InvalidParamsError("n and p must be positive integers")
-    values = series.values
-    T = int(values.size)
-    window = n * p
-    if T < window + n:
-        raise SeriesTooShortError(
-            f"need at least n*p + n = {window + n} observations for one pair, have {T}"
-        )
-    c = (T - window) // n
-    t_values = tuple(T - j * n for j in range(c, 0, -1))
-    objects = np.stack([values[t - window : t] for t in t_values])
-    labels = np.stack([values[t : t + n] for t in t_values])
-    return PairedDataset(t_values, objects, labels, n=n, p=p)
+    predicted = np.stack([forecast(values[:t]) for t in t_values])
+    actual = np.stack([values[t : t + n] for t in t_values])
+    return predicted, actual
+
+
+def kth_largest(rows: np.ndarray, s: int) -> np.ndarray:
+    """Per column, the s-th largest entry of the rows (s = 1 is the maximum)."""
+    return np.sort(rows, axis=0)[::-1][s - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,24 +85,6 @@ class ScoreMatrix:
         return int(self.rows.shape[1])
 
 
-def nonconformity_scores(
-    series: TimeSeries,
-    t: int,
-    config: HorizonConfig,
-    weighting: Weighting | str = Weighting.INVERSE_DISTANCE,
-) -> np.ndarray:
-    """Componentwise |actual - forecast| after refitting on the values up to t."""
-    values = series.values
-    T = int(values.size)
-    n = config.n
-    if not 1 <= t <= T - n:
-        raise SeriesTooShortError(
-            f"pair at t={t} needs n={n} realized observations inside the series (T={T})"
-        )
-    predicted = _forecast_values(values[:t], config, Weighting(weighting))
-    return np.abs(values[t : t + n] - predicted)
-
-
 def score_matrix(
     series: TimeSeries,
     config: HorizonConfig,
@@ -141,8 +101,9 @@ def score_matrix(
         raise SeriesTooShortError(
             f"h={h} calibration pairs with n={n} reach before the start of the series"
         )
-    rows = np.stack([nonconformity_scores(series, t, config, weighting) for t in tags])
-    return ScoreMatrix(rows, tags)
+    forecast = forecaster_fn(ForecasterSpec.wnn(config, weighting), n)
+    predicted, actual = score_rows(series.values, forecast, tags, n)
+    return ScoreMatrix(np.abs(actual - predicted), tags)
 
 
 def p_value(calibration_scores: Sequence[float], alpha_new: float) -> float:
@@ -224,8 +185,6 @@ def conformal_region(
     s = rank_for(delta, h)
     if s < 1:
         raise InsufficientCalibrationError(h, min_calibration_count(delta))
-    scores = score_matrix(series, config, h, weighting)
-    descending = np.sort(scores.rows, axis=0)[::-1]
-    half = descending[s - 1]
+    half = kth_largest(score_matrix(series, config, h, weighting).rows, s)
     center = wnn_forecast(series, config, weighting)
     return PredictionRegion(center=center, half_widths=half, delta=float(delta), rank=s)

@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import InvalidParamsError
 from .series import TimeSeries, _freeze
@@ -208,5 +208,5 @@ def theoretical_width(params: EtsParams, h: int, confidence: float) -> float:
     """Width 2*c*sigma_h of the symmetric interval at the given confidence."""
     if not 0.0 <= confidence < 1.0:
         raise InvalidParamsError(f"confidence must lie in [0, 1), got {confidence!r}")
-    c = float(norm.ppf(0.5 + 0.5 * confidence))
+    c = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
     return 2.0 * c * math.sqrt(ets_forecast_variance(params, h))

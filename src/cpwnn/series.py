@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptySeriesError,
     InfeasibleDeltaError,
     InvalidParamsError,
@@ -52,7 +53,7 @@ class TimeSeries:
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1:
-            raise ValueError("series values must be one-dimensional")
+            raise DataError("series values must be one-dimensional")
         if arr.size == 0:
             raise EmptySeriesError("series must contain at least one observation")
         bad = np.flatnonzero(~np.isfinite(arr))

@@ -225,8 +225,3 @@ def forecaster_fn(spec: ForecasterSpec, n: int) -> Callable[[np.ndarray], np.nda
         return np.resize(values[-period:], n)
 
     return seasonal_naive
-
-
-def point_forecast(spec: ForecasterSpec, history: TimeSeries, n: int) -> np.ndarray:
-    """Dispatch a point forecast of the next n values to the spec'd forecaster."""
-    return forecaster_fn(spec, n)(history.values)

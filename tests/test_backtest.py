@@ -13,6 +13,7 @@ from cpwnn import (
     rank_for,
     run_backtest,
     split_sizes,
+    wnn_forecast,
 )
 from cpwnn.errors import InfeasibleDeltaError, SeriesTooShortError
 
@@ -111,11 +112,10 @@ class TestCheckCp:
         config = HorizonConfig(n=2, p=2, k=3)
         split = SplitSpec(i1=7, i2=5, delta=0.25)
         report = check_cp(series, config, split)
-        from cpwnn import nonconformity_scores
-
         T = len(series)
         t_values = [T - 2 * (split.i1 + split.i2) + 2 * j for j in range(split.i1 + split.i2)]
-        rows = np.stack([nonconformity_scores(series, t, config) for t in t_values])
+        fresh = [wnn_forecast(TimeSeries(series.values[:t], 4), config) for t in t_values]
+        rows = np.stack([np.abs(series.values[t : t + 2] - f) for t, f in zip(t_values, fresh)])
         for i in range(split.i2):
             s = rank_for(split.delta, split.i1 + i)
             for j in range(2):

@@ -7,8 +7,6 @@ from cpwnn import (
     HorizonConfig,
     TimeSeries,
     conformal_region,
-    make_pairs,
-    nonconformity_scores,
     p_value,
     rank_for,
     score_matrix,
@@ -22,66 +20,36 @@ def periodic_series(profile, reps, period=None):
     return TimeSeries(np.tile(profile, reps), period or len(profile))
 
 
-class TestMakePairs:
-    def test_layout_for_T20_n3_p2(self):
-        values = np.arange(1.0, 21.0)
-        pairs = make_pairs(TimeSeries(values, 4), n=3, p=2)
-        assert pairs.c == 4
-        assert pairs.t_values == (8, 11, 14, 17)
-        t, x, y = next(iter(pairs))
-        assert t == 8
-        assert np.array_equal(x, values[2:8])   # a_3..a_8
-        assert np.array_equal(y, values[8:11])  # a_9..a_11
-        assert pairs.objects.shape == (4, 6)
-        assert pairs.labels.shape == (4, 3)
-
-    def test_exact_boundary_single_pair(self):
-        ts = TimeSeries(np.arange(1.0, 10.0), 4)  # T = 9 = n*p + n with n=3, p=2
-        pairs = make_pairs(ts, n=3, p=2)
-        assert pairs.c == 1
-        assert pairs.t_values == (6,)
-
-    def test_one_short_raises(self):
-        ts = TimeSeries(np.arange(1.0, 9.0), 4)  # T = 8 = n*p + n - 1
-        with pytest.raises(SeriesTooShortError):
-            make_pairs(ts, n=3, p=2)
-
-    def test_windows_inside_series(self):
-        rng = np.random.default_rng(0)
-        ts = TimeSeries(rng.normal(size=41), 4)
-        pairs = make_pairs(ts, n=2, p=3)
-        for t, x, y in pairs:
-            assert np.array_equal(x, ts.values[t - 6 : t])
-            assert np.array_equal(y, ts.values[t : t + 2])
-
-
 class TestNonconformityScores:
     def test_perfect_forecaster_gives_zeros(self):
         ts = periodic_series([5.0, 9.0, 2.0, 7.0], 12)
         config = HorizonConfig(n=4, p=1, k=1)
-        scores = nonconformity_scores(ts, len(ts) - 4, config)
+        scores = score_matrix(ts, config, h=1).rows[0]
         assert scores == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_componentwise_absolute_error(self):
         # prefix [9, 23, 9, 23]: the nearest window continues with (9, 23);
         # realized values are (10, 20), so the scores are (1, 3).
         ts = TimeSeries(np.array([9.0, 23.0, 9.0, 23.0, 10.0, 20.0]), 2)
-        scores = nonconformity_scores(ts, 4, HorizonConfig(n=2, p=1, k=1))
+        scores = score_matrix(ts, HorizonConfig(n=2, p=1, k=1), h=1).rows[0]
         assert scores == pytest.approx([1.0, 3.0])
 
     def test_matches_fresh_reforecast(self):
         rng = np.random.default_rng(8)
         ts = TimeSeries(rng.normal(30.0, 2.0, size=50), 4)
         config = HorizonConfig(n=2, p=2, k=3)
-        for t in (44, 46, 48):
+        sm = score_matrix(ts, config, h=3)
+        assert sm.row_tags == (44, 46, 48)
+        for row, t in zip(sm.rows, sm.row_tags):
             fresh = wnn_forecast(TimeSeries(ts.values[:t], 4), config)
             want = np.abs(ts.values[t : t + 2] - fresh)
-            assert nonconformity_scores(ts, t, config) == pytest.approx(want, rel=1e-12)
+            assert row == pytest.approx(want, rel=1e-12)
 
     def test_label_must_fit(self):
+        # h = 15 pairs with n = 2 would put the earliest pair at t = 29 - 30 < 1
         ts = TimeSeries(np.arange(1.0, 30.0), 4)
         with pytest.raises(SeriesTooShortError):
-            nonconformity_scores(ts, len(ts), HorizonConfig(n=2, p=2, k=1))
+            score_matrix(ts, HorizonConfig(n=2, p=2, k=1), h=15)
 
 
 class TestScoreMatrix:
@@ -93,7 +61,8 @@ class TestScoreMatrix:
         assert sm.h == 5 and sm.n == 2
         assert sm.row_tags == (50, 52, 54, 56, 58)
         for i, t in enumerate(sm.row_tags):
-            assert sm.rows[i] == pytest.approx(nonconformity_scores(ts, t, config))
+            fresh = wnn_forecast(TimeSeries(ts.values[:t], 4), config)
+            assert sm.rows[i] == pytest.approx(np.abs(ts.values[t : t + 2] - fresh))
 
 
 class TestPValue:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -150,3 +155,13 @@ class TestTheoreticalWidth:
     def test_wider_at_higher_confidence(self):
         params = aada_params(0.8, 0.2, 0.1, 0.9)
         assert theoretical_width(params, 2, 0.99) > theoretical_width(params, 2, 0.9)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, cpwnn, cpwnn.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), timeout=120
+    )
+    assert proc.returncode == 0

@@ -15,6 +15,7 @@ from cpwnn import (
     validate_series,
 )
 from cpwnn.errors import (
+    DataError,
     EmptySeriesError,
     InfeasibleDeltaError,
     InvalidParamsError,
@@ -48,6 +49,10 @@ class TestValidateSeries:
     def test_bad_period(self):
         with pytest.raises(InvalidPeriodError):
             validate_series([1.0], 0)
+
+    def test_two_dimensional_values_are_a_data_error(self):
+        with pytest.raises(DataError):
+            validate_series([[1.0, 2.0], [3.0, 4.0]], 12)
 
     def test_values_are_read_only(self):
         ts = validate_series([1.0, 2.0], 4)

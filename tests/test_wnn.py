@@ -10,7 +10,6 @@ from cpwnn import (
     Weighting,
     fpto_tune,
     mape,
-    point_forecast,
     wnn_forecast,
 )
 from cpwnn.errors import (
@@ -19,6 +18,7 @@ from cpwnn.errors import (
     InvalidParamsError,
     TooFewCandidatesError,
 )
+from cpwnn.wnn import forecaster_fn
 
 WEIGHT_EPS = 1e-8
 
@@ -121,25 +121,25 @@ class TestPointForecast:
     def test_seasonal_naive_repeats_last_period(self):
         ts = TimeSeries(np.array([9.0, 9.0, 9.0, 9.0, 1.0, 2.0, 3.0, 4.0]), 4)
         spec = ForecasterSpec.seasonal_naive(4)
-        assert point_forecast(spec, ts, 2) == pytest.approx([1.0, 2.0])
+        assert forecaster_fn(spec, 2)(ts.values) == pytest.approx([1.0, 2.0])
 
     def test_seasonal_naive_cyclic_extension(self):
         ts = TimeSeries(np.array([1.0, 2.0, 3.0, 4.0]), 4)
         spec = ForecasterSpec.seasonal_naive(4)
-        assert point_forecast(spec, ts, 6) == pytest.approx([1.0, 2.0, 3.0, 4.0, 1.0, 2.0])
+        assert forecaster_fn(spec, 6)(ts.values) == pytest.approx([1.0, 2.0, 3.0, 4.0, 1.0, 2.0])
 
     def test_wnn_dispatch_identity(self):
         rng = np.random.default_rng(5)
         ts = TimeSeries(rng.normal(20.0, 1.0, size=40), 4)
         config = HorizonConfig(n=2, p=3, k=2)
         spec = ForecasterSpec.wnn(config)
-        assert np.array_equal(point_forecast(spec, ts, 2), wnn_forecast(ts, config))
+        assert np.array_equal(forecaster_fn(spec, 2)(ts.values), wnn_forecast(ts, config))
 
     def test_wnn_dispatch_checks_n(self):
         ts = TimeSeries(np.arange(1.0, 41.0), 4)
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=3, k=2))
         with pytest.raises(InvalidParamsError):
-            point_forecast(spec, ts, 3)
+            forecaster_fn(spec, 3)
 
 
 class TestFptoTune:
