@@ -59,14 +59,11 @@ def main() -> None:
             f"{f'mean@{c:.0%}':>9} {f'med@{c:.0%}':>9} {f'cov@{c:.0%}':>9}"
             for c in args.confidences
         ))
-        per_conf = {}
-        for conf in args.confidences:
-            split = cw.split_sizes(len(series), n, 1.0 - conf)
-            per_conf[conf] = cw.check_cp(series, config, split, args.weighting)
+        wnn_reports = {c: rows[specs[0].describe()][c].report for c in args.confidences}
         for j in range(n):
             cells = " ".join(
-                f"{per_conf[c].mean_width[j]:>9.3f} {per_conf[c].median_width[j]:>9.3f} "
-                f"{per_conf[c].component_coverage[j]:>9.2f}"
+                f"{wnn_reports[c].mean_width[j]:>9.3f} {wnn_reports[c].median_width[j]:>9.3f} "
+                f"{wnn_reports[c].component_coverage[j]:>9.2f}"
                 for c in args.confidences
             )
             print(f"{f'j={j + 1}':<12} {cells}")

@@ -22,7 +22,6 @@ from .conformal import (
     ScoreMatrix,
     conformal_region,
     p_value,
-    rank_for,
     score_matrix,
 )
 from .etssim import (
@@ -42,6 +41,7 @@ from .series import (
     TimeSeries,
     mape,
     min_calibration_count,
+    rank_for,
     split_sizes,
     validate_series,
 )

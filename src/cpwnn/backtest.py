@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import kth_largest, rank_for, score_rows
-from .errors import ForecastError, InfeasibleDeltaError, InvalidParamsError, SeriesTooShortError
-from .series import HorizonConfig, SplitSpec, TimeSeries, mape, min_calibration_count
-from .wnn import ForecasterKind, ForecasterSpec, Weighting, forecaster_fn
+from .conformal import kth_largest, score_rows
+from .errors import ForecastError, InfeasibleDeltaError, InvalidParamsError
+from .series import HorizonConfig, SplitSpec, TimeSeries, mape, min_calibration_count, rank_for
+from .wnn import ForecasterSpec, Weighting, forecaster_fn
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,14 +49,6 @@ class CheckReport:
             median_width=2.0 * np.median(half, axis=0),
             config=dict(config),
         )
-
-    @property
-    def i2(self) -> int:
-        return int(self.hits.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.hits.shape[1])
 
     def to_dict(self) -> dict:
         return {
@@ -98,32 +90,18 @@ def backtest_matrices(
     return half, hits
 
 
-def _minimum_start(spec: ForecasterSpec) -> int:
-    if spec.kind is ForecasterKind.WNN:
-        return spec.config.window
-    return int(spec.period)
-
-
 def run_backtest(
     series: TimeSeries, spec: ForecasterSpec, n: int, split: SplitSpec
 ) -> tuple[CheckReport, float]:
     """Backtest any forecaster spec; returns the report and the test-block MAPE.
 
-    Score rows are built for t = T - n*(i1+i2), stepping by n: the first i1
-    seed the calibration pool, the remaining i2 are the test block.
+    The i1+i2 most recent steps are scored: the first i1 seed the calibration
+    pool, the remaining i2 are the test block.
     """
-    values = series.values
-    T = int(values.size)
     i1, i2, delta = split.i1, split.i2, split.delta
-    start = T - n * (i1 + i2)
-    if start < _minimum_start(spec):
-        raise SeriesTooShortError(
-            f"series of length {T} cannot seed the earliest scored pair at t={start} "
-            f"(needs history of at least {_minimum_start(spec)})"
-        )
-    forecast = forecaster_fn(spec, n)
-    t_values = [start + j * n for j in range(i1 + i2)]
-    predicted, actual = score_rows(values, forecast, t_values, n)
+    _, predicted, actual = score_rows(
+        series.values, forecaster_fn(spec, n), n, i1 + i2, spec.min_history
+    )
     scores = np.abs(actual - predicted)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)
     test_mape = mape(actual[i1:].ravel(), predicted[i1:].ravel())
@@ -133,11 +111,7 @@ def run_backtest(
         "i1": i1,
         "i2": i2,
         "delta": delta,
-    }
-    if spec.kind is ForecasterKind.WNN:
-        config.update(p=spec.config.p, k=spec.config.k, weighting=spec.weighting.value)
-    else:
-        config.update(period=spec.period)
+    } | spec.fields()
     return CheckReport.from_matrices(half, hits, config), float(test_mape)
 
 

@@ -53,11 +53,9 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
     """Read one numeric column (by header name or 0-based index) into a TimeSeries."""
     if path == "-":
         rows = list(csv.reader(sys.stdin))
-        name = "<stdin>"
     else:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-        name = str(path)
     if not rows:
         raise CsvParseError(1, column, "empty file (expected a header row)")
     header = [cell.strip() for cell in rows[0]]
@@ -82,7 +80,7 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
             values.append(float(text))
         except ValueError:
             raise CsvParseError(rownum, header[index], text) from None
-    return validate_series(values, period, label=name)
+    return validate_series(values, period)
 
 
 def series_to_csv(values: Sequence[float]) -> str:
@@ -121,11 +119,7 @@ def _load_and_fit(args: argparse.Namespace) -> tuple[TimeSeries, HorizonConfig, 
     if tuned:
         split = split_sizes(len(series), args.n, 1.0 - args.confidences[0])
         folds = args.folds if args.folds is not None else split.i1
-        train = TimeSeries(
-            series.values[: len(series) - args.n * split.i2],
-            period=series.period,
-            label=series.label,
-        )
+        train = TimeSeries(series.values[: len(series) - args.n * split.i2], series.period)
         result = fpto_tune(train, args.n, folds, args.p_grid, args.k_grid, args.weighting)
         config = HorizonConfig(args.n, result.p_star, result.k_star)
     else:

@@ -3,10 +3,13 @@
 Scoring the step that ends at t means refitting the forecaster on the
 observations before t only and taking the componentwise |actual - forecast|
 over the n values that follow; every score therefore reflects a forecaster
-refit on its own prefix (no lookahead, no caching across prefixes). Scores
-are taken at t in {T-n, T-2n, ...}. `score_rows` is the one place that does
-these refits, for both the calibration scores here and the backtest in
-`backtest`; `kth_largest` is the one rank selection over score rows.
+refit on its own prefix (no lookahead, no caching across prefixes). The h
+most recent steps are scored, t = T-h*n, ..., T-2n, T-n. `score_rows` owns
+that window: it lays out the steps, checks that the earliest prefix holds
+the forecaster's minimum history, and does the refits, for both the
+calibration scores here and the backtest in `backtest`. `kth_largest` is the
+one rank selection over score rows; the rank itself comes from
+`series.rank_for`.
 
 The region for the next n unseen values is symmetric about the point
 forecast; component j's half-width is the s-th largest of that column's
@@ -15,7 +18,6 @@ calibration scores with s = floor(delta*(h+1)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,29 +28,36 @@ from .errors import (
     InvalidParamsError,
     SeriesTooShortError,
 )
-from .series import _DUST, HorizonConfig, TimeSeries, _freeze, min_calibration_count
+from .series import HorizonConfig, TimeSeries, _freeze, min_calibration_count, rank_for
 from .wnn import ForecasterSpec, Weighting, forecaster_fn, wnn_forecast
-
-
-def rank_for(delta: float, h: int) -> int:
-    """Order-statistic rank floor(delta*(h+1)), guarded against float dust."""
-    return int(math.floor(delta * (h + 1) + _DUST))
 
 
 def score_rows(
     values: np.ndarray,
     forecast: Callable[[np.ndarray], np.ndarray],
-    t_values: Sequence[int],
     n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refit on values[:t] for each t; returns (predicted, actual), one row per t.
+    h: int,
+    min_history: int,
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Score the h most recent steps, t = T-h*n, ..., T-n, oldest first.
 
-    Row i holds the forecast of values[t : t+n] made from values[:t] alone and
-    the n realized values themselves; the scores are |actual - predicted|.
+    Returns (t_values, predicted, actual), one row per t: the forecast of
+    values[t : t+n] made from values[:t] alone, and the n realized values;
+    the scores are |actual - predicted|. The earliest prefix must hold at
+    least min_history observations.
     """
+    if h < 1:
+        raise InvalidParamsError("h must be >= 1")
+    T = int(values.size)
+    t_values = tuple(T - j * n for j in range(h, 0, -1))
+    if t_values[0] < min_history:
+        raise SeriesTooShortError(
+            f"series of length {T} cannot seed the earliest scored pair at t={t_values[0]} "
+            f"(needs history of at least {min_history})"
+        )
     predicted = np.stack([forecast(values[:t]) for t in t_values])
     actual = np.stack([values[t : t + n] for t in t_values])
-    return predicted, actual
+    return t_values, predicted, actual
 
 
 def kth_largest(rows: np.ndarray, s: int) -> np.ndarray:
@@ -76,14 +85,6 @@ class ScoreMatrix:
         object.__setattr__(self, "rows", _freeze(rows))
         object.__setattr__(self, "row_tags", tuple(int(t) for t in self.row_tags))
 
-    @property
-    def h(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.rows.shape[1])
-
 
 def score_matrix(
     series: TimeSeries,
@@ -92,17 +93,10 @@ def score_matrix(
     weighting: Weighting | str = Weighting.INVERSE_DISTANCE,
 ) -> ScoreMatrix:
     """Scores of the h most recent pairs (t = T-h*n, ..., T-n), oldest row first."""
-    if h < 1:
-        raise InvalidParamsError("h must be >= 1")
-    T = len(series)
-    n = config.n
-    tags = tuple(T - j * n for j in range(h, 0, -1))
-    if tags[0] < 1:
-        raise SeriesTooShortError(
-            f"h={h} calibration pairs with n={n} reach before the start of the series"
-        )
-    forecast = forecaster_fn(ForecasterSpec.wnn(config, weighting), n)
-    predicted, actual = score_rows(series.values, forecast, tags, n)
+    spec = ForecasterSpec.wnn(config, weighting)
+    tags, predicted, actual = score_rows(
+        series.values, forecaster_fn(spec, config.n), config.n, h, spec.min_history
+    )
     return ScoreMatrix(np.abs(actual - predicted), tags)
 
 
@@ -118,8 +112,8 @@ def p_value(calibration_scores: Sequence[float], alpha_new: float) -> float:
 class PredictionRegion:
     """Product of per-step symmetric intervals around the point forecast.
 
-    Intervals are notated open; membership testing uses the closed comparison
-    |y - center| <= half_width, matching how coverage is counted downstream.
+    Intervals are notated open; coverage is counted with the closed
+    comparison |y - center| <= half_width.
     """
 
     center: np.ndarray
@@ -150,12 +144,6 @@ class PredictionRegion:
     @property
     def upper(self) -> np.ndarray:
         return self.center + self.half_widths
-
-    def component_mask(self, y: Sequence[float]) -> np.ndarray:
-        return np.abs(np.asarray(y, dtype=float) - self.center) <= self.half_widths
-
-    def contains(self, y: Sequence[float]) -> bool:
-        return bool(np.all(self.component_mask(y)))
 
     def to_dict(self) -> dict:
         return {

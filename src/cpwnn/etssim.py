@@ -170,8 +170,7 @@ def simulate_with_means(
         level = level + phi * trend + alpha * e
         trend = phi * trend + beta * e
         seasonal[slot] = seasonal[slot] + gamma * e
-    series = TimeSeries(values, period=m, label=f"sim-{params.kind.value}")
-    return series, means
+    return TimeSeries(values, period=m), means
 
 
 def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:

@@ -1,4 +1,5 @@
-"""Series container, forecast-accuracy metric, and the calibration/test split rule.
+"""Series container, forecast-accuracy metric, the calibration/test split rule
+and the order-statistic rank rule both the split and the regions rest on.
 
 A series of length T is written a_1..a_T in the docs; storage is a plain
 read-only float64 array. Every type here is frozen, every function pure, so
@@ -48,7 +49,6 @@ class TimeSeries:
 
     values: np.ndarray
     period: int = 12
-    label: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -71,11 +71,9 @@ class TimeSeries:
         return int(self.values.size)
 
 
-def validate_series(
-    raw: Sequence[float], period: int, label: str | None = None
-) -> TimeSeries:
+def validate_series(raw: Sequence[float], period: int) -> TimeSeries:
     """Construct a TimeSeries, rejecting empty input, non-finite values and bad periods."""
-    return TimeSeries(np.asarray(raw, dtype=float), period, label)
+    return TimeSeries(np.asarray(raw, dtype=float), period)
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,11 @@ class HorizonConfig:
     def window(self) -> int:
         """Length of the lagged object window (n*p); derived, never stored."""
         return self.n * self.p
+
+
+def rank_for(delta: float, h: int) -> int:
+    """Order-statistic rank floor(delta*(h+1)), guarded against float dust."""
+    return int(math.floor(delta * (h + 1) + _DUST))
 
 
 def min_calibration_count(delta: float) -> int:
@@ -115,8 +118,9 @@ class SplitSpec:
         object.__setattr__(self, "i1", _positive_int("i1", self.i1))
         object.__setattr__(self, "i2", _positive_int("i2", self.i2))
         # floor(delta*(i1+1)) >= 1 must hold so a rank exists at the first step.
-        if self.i1 < 1.0 / self.delta - 1.0 - _DUST:
-            raise InfeasibleDeltaError(self.delta, min_calibration_count(self.delta))
+        minimum = min_calibration_count(self.delta)
+        if self.i1 < minimum:
+            raise InfeasibleDeltaError(self.delta, minimum)
 
 
 def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -157,8 +161,7 @@ def split_sizes(T: int, n: int, delta: float) -> SplitSpec:
         raise InvalidParamsError(f"delta must lie in (0, 1), got {delta!r}")
     i2 = _ceil_div(int(T), 5 * n)
     i1 = _ceil_div(int(T) - n * i2, 5 * n)
-    if i1 < 1.0 / delta - 1.0 - _DUST:
-        i1 = min_calibration_count(delta)
+    i1 = max(i1, min_calibration_count(delta))
     if T - n * (i1 + i2) < n:
         raise SeriesTooShortError(
             f"series of length {T} leaves no training data after holding out "

@@ -79,6 +79,19 @@ class ForecasterSpec:
             return f"wnn(p={self.config.p}, k={self.config.k}, {self.weighting.value})"
         return f"seasonal-naive(m={self.period})"
 
+    @property
+    def min_history(self) -> int:
+        """Fewest observations a scored step's prefix must hold: the window, or one period."""
+        if self.kind is ForecasterKind.WNN:
+            return self.config.window
+        return int(self.period)
+
+    def fields(self) -> dict:
+        """The spec's own entries in a backtest report's config block."""
+        if self.kind is ForecasterKind.WNN:
+            return {"p": self.config.p, "k": self.config.k, "weighting": self.weighting.value}
+        return {"period": self.period}
+
 
 @dataclass(frozen=True, eq=False)
 class TuneResult:

@@ -10,6 +10,7 @@ from cpwnn import (
     backtest_matrices,
     check_cp,
     compare_forecasters,
+    conformal_region,
     rank_for,
     run_backtest,
     split_sizes,
@@ -123,9 +124,17 @@ class TestCheckCp:
                 assert report.half_widths[i, j] == pytest.approx(column[s - 1])
 
     def test_series_too_short(self):
-        series = TimeSeries(np.arange(1.0, 40.0), 4)
-        with pytest.raises(SeriesTooShortError):
-            check_cp(series, HorizonConfig(n=2, p=4, k=2), SplitSpec(i1=9, i2=9, delta=0.2))
+        # the earliest scored step (t = T - n*(i1+i2): 3, then 6) falls below
+        # the window n*p = 8; the region and the backtest fail the same way
+        config = HorizonConfig(n=2, p=4, k=1)
+        for T, split in [(39, SplitSpec(i1=9, i2=9, delta=0.2)),
+                         (30, SplitSpec(i1=9, i2=3, delta=0.2))]:
+            series = TimeSeries(np.arange(1.0, T + 1.0), 4)
+            with pytest.raises(SeriesTooShortError) as backtest_exc:
+                check_cp(series, config, split)
+            with pytest.raises(SeriesTooShortError) as region_exc:
+                conformal_region(series, config, split.i1 + split.i2, split.delta)
+            assert str(region_exc.value) == str(backtest_exc.value)
 
     def test_shapes_for_simulated_split(self):
         from cpwnn import ana_params, simulate_ets

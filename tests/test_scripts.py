@@ -1,0 +1,30 @@
+"""Smoke runs of the study scripts, so an API change cannot break them silently."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script,args,header",
+    [
+        ("run_simulation_study.py", ["--seeds", "1"],
+         "n=3, confidence=0.95, seeds per scenario=1, weighting=inverse-distance"),
+        ("run_milk_study.py", ["--horizons", "1"],
+         "series: 634 monthly observations from milk_uk_monthly.csv"),
+    ],
+)
+def test_script_runs(script, args, header):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header

@@ -11,6 +11,7 @@ from cpwnn import (
     TimeSeries,
     mape,
     min_calibration_count,
+    rank_for,
     split_sizes,
     validate_series,
 )
@@ -128,6 +129,20 @@ class TestSplitSizes:
     def test_rank_feasible_at_first_step(self, T, n, delta):
         split = split_sizes(T, n, delta)
         assert math.floor(delta * (split.i1 + 1) + 1e-9) >= 1
+
+    def test_min_calibration_count_is_the_feasibility_boundary(self):
+        # the rank rule, the split's feasibility check and the split's i1 floor
+        # must agree on where the first rank appears, dust-prone deltas included
+        deltas = [0.05, 0.08, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.9, *np.linspace(0.005, 0.995, 199)]
+        for delta in map(float, deltas):
+            m = min_calibration_count(delta)
+            assert rank_for(delta, m) == 1
+            SplitSpec(i1=m, i2=1, delta=delta)
+            if m > 1:
+                assert rank_for(delta, m - 1) == 0
+                with pytest.raises(InfeasibleDeltaError):
+                    SplitSpec(i1=m - 1, i2=1, delta=delta)
+            assert split_sizes(1000, 1, delta).i1 >= m
 
     def test_too_short(self):
         # i2 = 5 and the delta floor forces i1 = 19, leaving no training data
