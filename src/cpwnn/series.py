@@ -137,10 +137,19 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
         )
     if a.size == 0:
         raise LengthMismatchError("need at least one point")
-    zeros = np.flatnonzero(a == 0.0)
+    return float(_mape_rows(a[None], f[None])[0])
+
+
+def _mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Row-wise MAPE of two equal-shape 2-D arrays, in percent.
+
+    A zero actual raises ZeroActualError with its position in the first row
+    that holds one.
+    """
+    zeros = np.flatnonzero(actual == 0.0)
     if zeros.size:
-        raise ZeroActualError(int(zeros[0]))
-    return float(100.0 * np.mean(np.abs((f - a) / a)))
+        raise ZeroActualError(int(zeros[0]) % actual.shape[1])
+    return 100.0 * np.mean(np.abs((predicted - actual) / actual), axis=1)
 
 
 def _ceil_div(num: int, den: int) -> int:

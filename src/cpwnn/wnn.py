@@ -3,12 +3,17 @@
 The forecaster matches the trailing window of n*p observations against every
 historical window of the same length whose next n observations are known,
 then averages those continuations over the k closest windows (Euclidean
-distance; uniform or inverse-square-distance weights).
+distance; uniform or inverse-square-distance weights). Equal distances rank
+the earlier window first, and k=1 returns the nearest continuation bit-exactly.
 
 Tuning evaluates a (p, k) grid by rolling-origin validation: fold i trains on
 everything before the last i*n observations and scores the n observations
-that follow. The cell minimising the mean fold MAPE wins, with ties broken
-toward smaller p, then smaller k, so results are deterministic.
+that follow. For each p, one neighbor search over all folds finds the
+max(k) nearest windows of every fold, and every k of the grid is read from
+that one result. Forecasts and fold MAPEs are the same bits as one fold at a
+time. The cell minimising the mean fold MAPE wins; exact ties go to the first
+minimum in p-major, k-minor order (smaller p, then smaller k), so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     InvalidParamsError,
     TooFewCandidatesError,
 )
-from .series import HorizonConfig, TimeSeries, mape
+from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
 
 # Regularizer for inverse-distance weights: an exact-match neighbor then
 # dominates the average instead of dividing by zero.
@@ -81,9 +86,14 @@ class ForecasterSpec:
 
     @property
     def min_history(self) -> int:
-        """Fewest observations a scored step's prefix must hold: the window, or one period."""
+        """Fewest observations a scored step's prefix must hold.
+
+        A WNN refit needs its window, the n values that follow and k - 1 more
+        so that k candidate windows exist: window + n + k - 1. Seasonal-naive
+        needs one period.
+        """
         if self.kind is ForecasterKind.WNN:
-            return self.config.window
+            return self.config.window + self.config.n + self.config.k - 1
         return int(self.period)
 
     def fields(self) -> dict:
@@ -104,32 +114,42 @@ class TuneResult:
     skipped: tuple[tuple[int, int, str], ...] = ()
 
 
-def _candidate_table(values: np.ndarray, window: int, n: int):
-    """Distance table of every complete candidate window against the trailing query.
+def _nearest(values: np.ndarray, ends, window: int, n: int, kmax: int):
+    """The kmax nearest candidate windows for each query end e, nearest first.
 
-    Candidate i is values[i : i+window]; its continuation is the n values that
-    follow, so only windows whose continuation lies inside the history count.
-    Returns (d2, continuations, order) with order a stable nearest-first
-    ranking: on ties the earlier window wins.
+    Query e matches the trailing window of values[:e] against every candidate
+    values[i : i+window] whose continuation, the n values that follow, lies
+    inside values[:e]; each e must leave at least kmax candidates. On ties the
+    earlier window wins, the order of a full stable sort. Returns squared
+    distances of shape (len(ends), kmax) and continuations of shape
+    (len(ends), kmax, n).
     """
-    count = int(values.size) - window - n + 1
-    windows = sliding_window_view(values, window)[:count]
-    continuations = sliding_window_view(values, n)[window : window + count]
-    diff = windows - values[-window:]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(d2, kind="stable")
-    return d2, continuations, order
+    windows = sliding_window_view(values, window)
+    # Candidate i's continuation ends window i + n (window = n*p >= n).
+    following = windows[n:, window - n :]
+    d2 = np.empty((len(ends), kmax))
+    continuations = np.empty((len(ends), kmax, n))
+    for row, e in enumerate(ends):
+        diff = windows[: e - window - n + 1] - values[e - window : e]
+        dist = np.einsum("ij,ij->i", diff, diff)
+        # Only candidates at or below the kmax-th distance can be chosen, so
+        # sorting just those keeps the full sort's earlier-window-wins order.
+        near = np.flatnonzero(dist <= np.partition(dist, kmax - 1)[kmax - 1])
+        chosen = near[np.argsort(dist[near], kind="stable")[:kmax]]
+        d2[row] = dist[chosen]
+        continuations[row] = following[chosen]
+    return d2, continuations
 
 
 def _neighbor_average(
-    d2: np.ndarray, continuations: np.ndarray, order: np.ndarray, k: int, weighting: Weighting
+    d2: np.ndarray, continuations: np.ndarray, k: int, weighting: Weighting
 ) -> np.ndarray:
-    chosen = order[:k]
+    """Per query, the weighted average of the k nearest continuations from `_nearest`."""
     if weighting is Weighting.UNIFORM:
-        return continuations[chosen].mean(axis=0)
-    w = 1.0 / (d2[chosen] + _WEIGHT_EPS)
-    w /= w.sum()
-    return w @ continuations[chosen]
+        return continuations[:, :k].mean(axis=1)
+    w = 1.0 / (d2[:, :k] + _WEIGHT_EPS)
+    w /= w.sum(axis=1, keepdims=True)
+    return np.matmul(w[:, None, :], continuations[:, :k])[:, 0]
 
 
 def _forecast_values(
@@ -142,8 +162,8 @@ def _forecast_values(
     count = length - window - config.n + 1
     if config.k > count:
         raise TooFewCandidatesError(config.k, count)
-    d2, continuations, order = _candidate_table(values, window, config.n)
-    return _neighbor_average(d2, continuations, order, config.k, weighting)
+    d2, continuations = _nearest(values, [length], window, config.n, config.k)
+    return _neighbor_average(d2, continuations, config.k, weighting)[0]
 
 
 def wnn_forecast(
@@ -174,8 +194,8 @@ def fpto_tune(
     skipped and recorded; tuning fails only if the whole grid is infeasible.
     """
     weighting = Weighting(weighting)
-    if folds < 1:
-        raise InvalidParamsError("folds must be >= 1")
+    n = _positive_int("n", n)
+    folds = _positive_int("folds", folds)
     values = series.values
     T = int(values.size)
     ps = sorted({int(p) for p in p_grid})
@@ -183,12 +203,12 @@ def fpto_tune(
     if not ps or not ks or ps[0] < 1 or ks[0] < 1:
         raise InvalidParamsError("p_grid and k_grid must contain positive integers")
 
-    actuals = [values[T - i * n : T - i * n + n] for i in range(1, folds + 1)]
+    ends = T - n * np.arange(1, folds + 1)
+    shortest = T - folds * n
     trace: list[tuple[int, int, float]] = []
     skipped: list[tuple[int, int, str]] = []
     for p in ps:
         window = n * p
-        shortest = T - folds * n
         if shortest < window + n:
             reason = (
                 f"shortest training fold has {shortest} observations, "
@@ -196,22 +216,19 @@ def fpto_tune(
             )
             skipped.extend((p, k, reason) for k in ks)
             continue
-        tables = [
-            _candidate_table(values[: T - i * n], window, n)
-            for i in range(1, folds + 1)
-        ]
-        max_k = min(table[0].size for table in tables)
-        for k in ks:
-            if k > max_k:
-                skipped.append(
-                    (p, k, f"k={k} exceeds {max_k} candidate windows on the shortest fold")
-                )
-                continue
-            fold_errors = [
-                mape(actuals[i], _neighbor_average(d2, conts, order, k, weighting))
-                for i, (d2, conts, order) in enumerate(tables)
-            ]
-            trace.append((p, k, float(np.mean(fold_errors))))
+        max_k = shortest - window - n + 1
+        feasible = [k for k in ks if k <= max_k]
+        skipped.extend(
+            (p, k, f"k={k} exceeds {max_k} candidate windows on the shortest fold")
+            for k in ks[len(feasible):]
+        )
+        if not feasible:
+            continue
+        d2, continuations = _nearest(values, ends, window, n, feasible[-1])
+        actual = sliding_window_view(values, n)[ends]
+        for k in feasible:
+            forecasts = _neighbor_average(d2, continuations, k, weighting)
+            trace.append((p, k, float(np.mean(_mape_rows(actual, forecasts)))))
     if not trace:
         raise GridInfeasibleError(skipped)
     best = min(range(len(trace)), key=lambda i: trace[i][2])

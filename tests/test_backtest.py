@@ -124,11 +124,13 @@ class TestCheckCp:
                 assert report.half_widths[i, j] == pytest.approx(column[s - 1])
 
     def test_series_too_short(self):
-        # the earliest scored step (t = T - n*(i1+i2): 3, then 6) falls below
-        # the window n*p = 8; the region and the backtest fail the same way
+        # the earliest scored step (t = T - n*(i1+i2): 3, 6, then 8) falls below
+        # the history a refit needs, window + n + k - 1 = 10; the region and
+        # the backtest fail the same way
         config = HorizonConfig(n=2, p=4, k=1)
         for T, split in [(39, SplitSpec(i1=9, i2=9, delta=0.2)),
-                         (30, SplitSpec(i1=9, i2=3, delta=0.2))]:
+                         (30, SplitSpec(i1=9, i2=3, delta=0.2)),
+                         (30, SplitSpec(i1=9, i2=2, delta=0.2))]:
             series = TimeSeries(np.arange(1.0, T + 1.0), 4)
             with pytest.raises(SeriesTooShortError) as backtest_exc:
                 check_cp(series, config, split)

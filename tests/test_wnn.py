@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cpwnn import (
     ForecasterSpec,
@@ -17,6 +18,7 @@ from cpwnn.errors import (
     HistoryTooShortError,
     InvalidParamsError,
     TooFewCandidatesError,
+    ZeroActualError,
 )
 from cpwnn.wnn import forecaster_fn
 
@@ -48,6 +50,51 @@ def naive_mape_star(values, n, folds, p, k, weighting=Weighting.INVERSE_DISTANCE
         predicted = naive_wnn(values[: T - i * n], n, p, k, weighting)
         total += mape(values[T - i * n : T - i * n + n], predicted)
     return total / folds
+
+
+def reference_fold_forecast(values, n, p, k, weighting):
+    """The per-fold arithmetic the batched search must reproduce bit for bit:
+    every candidate's distance, a full stable sort, w /= w.sum(), w @ C."""
+    window = n * p
+    count = values.size - window - n + 1
+    diff = sliding_window_view(values, window)[:count] - values[-window:]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    chosen = np.argsort(d2, kind="stable")[:k]
+    continuations = sliding_window_view(values, n)[window : window + count][chosen]
+    if weighting is Weighting.UNIFORM:
+        return continuations.mean(axis=0)
+    w = 1.0 / (d2[chosen] + WEIGHT_EPS)
+    w /= w.sum()
+    return w @ continuations
+
+
+def reference_mape(actual, predicted):
+    zeros = np.flatnonzero(actual == 0.0)
+    if zeros.size:
+        raise ZeroActualError(int(zeros[0]))
+    return float(100.0 * np.mean(np.abs((predicted - actual) / actual)))
+
+
+def reference_trace(values, n, folds, p_grid, k_grid, weighting):
+    """One fold at a time: the fold MAPEs of every feasible cell, then np.mean."""
+    T = values.size
+    trace = []
+    for p in p_grid:
+        shortest = T - folds * n
+        if shortest < n * p + n:
+            continue
+        for k in k_grid:
+            if k > shortest - n * p - n + 1:
+                continue
+            errors = [
+                reference_mape(
+                    values[T - i * n : T - i * n + n],
+                    reference_fold_forecast(values[: T - i * n], n, p, k, weighting),
+                )
+                for i in range(1, folds + 1)
+            ]
+            trace.append((p, k, float(np.mean(errors))))
+    return trace
 
 
 class TestWnnForecast:
@@ -191,3 +238,61 @@ class TestFptoTune:
         a = fpto_tune(ts, n=2, folds=3, p_grid=range(1, 4), k_grid=range(1, 4))
         b = fpto_tune(ts, n=2, folds=3, p_grid=range(1, 4), k_grid=range(1, 4))
         assert a.trace == b.trace and (a.p_star, a.k_star) == (b.p_star, b.k_star)
+
+    @pytest.mark.parametrize("n, folds", [(0, 3), (-1, 3), (2.5, 3), (2, 0), (2, -1), (2, 2.5)])
+    def test_n_and_folds_must_be_positive_integers(self, n, folds):
+        ts = TimeSeries(np.arange(1.0, 41.0), 4)
+        with pytest.raises(InvalidParamsError):
+            fpto_tune(ts, n=n, folds=folds, p_grid=[1], k_grid=[1])
+
+
+def _bit_test_series(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(40.0, 4.0, size=90)
+    if kind == "rounded":
+        # few distinct values: exact distance ties straddle the k-th neighbor
+        return np.round(rng.normal(10.0, 1.0, size=90))
+    return np.tile(rng.normal(20.0, 3.0, size=5), 18)  # periodic: exact matches
+
+
+class TestBatchedSearchIsBitIdentical:
+    """The batched search against the one-fold-at-a-time reference, with ==."""
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("kind", ["random", "rounded", "periodic"])
+    @pytest.mark.parametrize("n, folds", [(1, 9), (2, 4), (3, 8)])
+    def test_trace_and_forecast(self, kind, weighting, n, folds):
+        values = _bit_test_series(kind, 10 * n + folds)
+        ts = TimeSeries(values, 4)
+        p_grid, k_grid = range(1, 7), range(1, 13)
+        result = fpto_tune(ts, n, folds, p_grid, k_grid, weighting)
+        want = reference_trace(values, n, folds, p_grid, k_grid, weighting)
+        assert list(result.trace) == want
+        for p, k in [(1, 1), (2, 5), (3, 12)]:
+            got = wnn_forecast(ts, HorizonConfig(n=n, p=p, k=k), weighting)
+            assert np.array_equal(got, reference_fold_forecast(values, n, p, k, weighting))
+
+    def test_k_equal_to_the_candidates_of_the_shortest_fold(self):
+        values = _bit_test_series("rounded", 3)[:40]
+        # shortest fold 40 - 5*2 = 30 values; window 6 leaves 30 - 6 - 2 + 1 = 23
+        result = fpto_tune(TimeSeries(values, 4), 2, 5, [3], [1, 23, 24])
+        want = reference_trace(values, 2, 5, [3], [1, 23], Weighting.INVERSE_DISTANCE)
+        assert list(result.trace) == want
+        assert [(p, k) for p, k, _ in result.skipped] == [(3, 24)]
+
+    def test_zero_actual_index_matches_reference(self):
+        values = _bit_test_series("random", 4)
+        values[-5] = 0.0  # position 1 of the fold that scores values[-6:-3]
+        with pytest.raises(ZeroActualError) as want:
+            reference_trace(values, 3, 4, [2], [1, 2], Weighting.INVERSE_DISTANCE)
+        with pytest.raises(ZeroActualError) as got:
+            fpto_tune(TimeSeries(values, 4), 3, 4, [2], [1, 2])
+        assert got.value.index == want.value.index == 1
+
+    @pytest.mark.parametrize("folds", [30, 31, 45])
+    def test_folds_covering_the_series_are_infeasible(self, folds):
+        values = _bit_test_series("random", 5)  # T = 90 = 30 folds of n = 3
+        assert reference_trace(values, 3, folds, [1], [1], Weighting.UNIFORM) == []
+        with pytest.raises(GridInfeasibleError):
+            fpto_tune(TimeSeries(values, 4), 3, folds, [1], [1])
