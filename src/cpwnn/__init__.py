@@ -46,7 +46,6 @@ from .series import (
     validate_series,
 )
 from .wnn import (
-    ForecasterKind,
     ForecasterSpec,
     TuneResult,
     Weighting,
@@ -60,7 +59,6 @@ __all__ = [
     "CompareResult",
     "EtsKind",
     "EtsParams",
-    "ForecasterKind",
     "ForecasterSpec",
     "HorizonConfig",
     "PredictionRegion",

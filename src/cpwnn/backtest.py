@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import kth_largest, score_rows
-from .errors import ForecastError, InfeasibleDeltaError, InvalidParamsError
+from .errors import ForecastError, InsufficientCalibrationError, InvalidParamsError
 from .series import HorizonConfig, SplitSpec, TimeSeries, mape, min_calibration_count, rank_for
-from .wnn import ForecasterSpec, Weighting, forecaster_fn
+from .wnn import ForecasterSpec, Weighting
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +77,14 @@ def backtest_matrices(
     i2 = test.shape[0]
     if test.shape[1] != n:
         raise InvalidParamsError("calibration and test rows must have the same width")
+    # The rank only grows with the pool, so the first step decides feasibility.
+    if rank_for(delta, i1) < 1:
+        raise InsufficientCalibrationError(i1, min_calibration_count(delta))
     pool = np.empty((i1 + i2, n))
     pool[:i1] = calib
     half = np.empty((i2, n))
     for i in range(i2):
-        s = rank_for(delta, i1 + i)
-        if s < 1:
-            raise InfeasibleDeltaError(delta, min_calibration_count(delta))
-        half[i] = kth_largest(pool[: i1 + i], s)
+        half[i] = kth_largest(pool[: i1 + i], rank_for(delta, i1 + i))
         pool[i1 + i] = test[i]
     hits = (test <= half).astype(np.uint8)
     return half, hits
@@ -99,9 +99,7 @@ def run_backtest(
     pool, the remaining i2 are the test block.
     """
     i1, i2, delta = split.i1, split.i2, split.delta
-    _, predicted, actual = score_rows(
-        series.values, forecaster_fn(spec, n), n, i1 + i2, spec.min_history
-    )
+    _, predicted, actual = score_rows(series.values, spec, n, i1 + i2)
     scores = np.abs(actual - predicted)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)
     test_mape = mape(actual[i1:].ravel(), predicted[i1:].ravel())

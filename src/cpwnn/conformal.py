@@ -3,13 +3,13 @@
 Scoring the step that ends at t means refitting the forecaster on the
 observations before t only and taking the componentwise |actual - forecast|
 over the n values that follow; every score therefore reflects a forecaster
-refit on its own prefix (no lookahead, no caching across prefixes). The h
-most recent steps are scored, t = T-h*n, ..., T-2n, T-n. `score_rows` owns
-that window: it lays out the steps, checks that the earliest prefix holds
-the forecaster's minimum history, and does the refits, for both the
-calibration scores here and the backtest in `backtest`. `kth_largest` is the
-one rank selection over score rows; the rank itself comes from
-`series.rank_for`.
+refit on its own prefix (no lookahead). The h most recent steps are scored,
+t = T-h*n, ..., T-2n, T-n. `score_rows` owns that window: it lays out the
+steps, checks that the earliest prefix holds the forecaster's minimum
+history, and scores every step with one `ForecasterSpec.forecast_at` call,
+for both the calibration scores here and the backtest in `backtest`.
+`kth_largest` is the one rank selection over score rows; the rank itself
+comes from `series.rank_for`.
 
 The region for the next n unseen values is symmetric about the point
 forecast; component j's half-width is the s-th largest of that column's
@@ -19,9 +19,10 @@ calibration scores with s = floor(delta*(h+1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InsufficientCalibrationError,
@@ -29,35 +30,31 @@ from .errors import (
     SeriesTooShortError,
 )
 from .series import HorizonConfig, TimeSeries, _freeze, min_calibration_count, rank_for
-from .wnn import ForecasterSpec, Weighting, forecaster_fn, wnn_forecast
+from .wnn import ForecasterSpec, Weighting, wnn_forecast
 
 
 def score_rows(
-    values: np.ndarray,
-    forecast: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    h: int,
-    min_history: int,
+    values: np.ndarray, spec: ForecasterSpec, n: int, h: int
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Score the h most recent steps, t = T-h*n, ..., T-n, oldest first.
 
     Returns (t_values, predicted, actual), one row per t: the forecast of
     values[t : t+n] made from values[:t] alone, and the n realized values;
     the scores are |actual - predicted|. The earliest prefix must hold at
-    least min_history observations.
+    least spec.min_history observations.
     """
     if h < 1:
         raise InvalidParamsError("h must be >= 1")
     T = int(values.size)
-    t_values = tuple(T - j * n for j in range(h, 0, -1))
-    if t_values[0] < min_history:
+    ends = T - n * np.arange(h, 0, -1)
+    if ends[0] < spec.min_history:
         raise SeriesTooShortError(
-            f"series of length {T} cannot seed the earliest scored pair at t={t_values[0]} "
-            f"(needs history of at least {min_history})"
+            f"series of length {T} cannot seed the earliest scored pair at t={ends[0]} "
+            f"(needs history of at least {spec.min_history})"
         )
-    predicted = np.stack([forecast(values[:t]) for t in t_values])
-    actual = np.stack([values[t : t + n] for t in t_values])
-    return t_values, predicted, actual
+    predicted = spec.forecast_at(values, ends, n)
+    actual = sliding_window_view(values, n)[ends]
+    return tuple(ends.tolist()), predicted, actual
 
 
 def kth_largest(rows: np.ndarray, s: int) -> np.ndarray:
@@ -67,23 +64,17 @@ def kth_largest(rows: np.ndarray, s: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
-    """Nonconformity scores: one row per calibration pair, one column per step."""
+    """Nonconformity scores: one row per calibration pair, one column per step.
+
+    Made by `score_matrix` from `score_rows`, so the rows are finite and
+    non-negative and the tags (each row's t) strictly increase.
+    """
 
     rows: np.ndarray
     row_tags: tuple[int, ...]
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise InvalidParamsError("score matrix must be two-dimensional")
-        if rows.shape[0] != len(self.row_tags):
-            raise InvalidParamsError("row_tags length must match the row count")
-        if not np.all(np.isfinite(rows)) or np.any(rows < 0.0):
-            raise InvalidParamsError("scores must be finite and non-negative")
-        if any(a >= b for a, b in zip(self.row_tags, self.row_tags[1:])):
-            raise InvalidParamsError("row_tags must be strictly increasing")
-        object.__setattr__(self, "rows", _freeze(rows))
-        object.__setattr__(self, "row_tags", tuple(int(t) for t in self.row_tags))
+        object.__setattr__(self, "rows", _freeze(self.rows))
 
 
 def score_matrix(
@@ -94,9 +85,7 @@ def score_matrix(
 ) -> ScoreMatrix:
     """Scores of the h most recent pairs (t = T-h*n, ..., T-n), oldest row first."""
     spec = ForecasterSpec.wnn(config, weighting)
-    tags, predicted, actual = score_rows(
-        series.values, forecaster_fn(spec, config.n), config.n, h, spec.min_history
-    )
+    tags, predicted, actual = score_rows(series.values, spec, config.n, h)
     return ScoreMatrix(np.abs(actual - predicted), tags)
 
 

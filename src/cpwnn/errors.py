@@ -97,21 +97,14 @@ class GridInfeasibleError(ConfigError):
 
 
 class InsufficientCalibrationError(ConfigError):
+    """The rank floor(delta*(h+1)) of h calibration examples is below 1."""
+
     def __init__(self, h: int, min_h: int):
         self.h = h
         self.min_h = min_h
         super().__init__(
             f"h={h} calibration examples are too few for this significance level; "
             f"need at least {min_h}"
-        )
-
-
-class InfeasibleDeltaError(ConfigError):
-    def __init__(self, delta: float, min_i1: int):
-        self.delta = delta
-        self.min_i1 = min_i1
-        super().__init__(
-            f"delta={delta} needs at least i1={min_i1} calibration examples"
         )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (
     DataError,
     EmptySeriesError,
-    InfeasibleDeltaError,
+    InsufficientCalibrationError,
     InvalidParamsError,
     InvalidPeriodError,
     LengthMismatchError,
@@ -120,7 +120,7 @@ class SplitSpec:
         # floor(delta*(i1+1)) >= 1 must hold so a rank exists at the first step.
         minimum = min_calibration_count(self.delta)
         if self.i1 < minimum:
-            raise InfeasibleDeltaError(self.delta, minimum)
+            raise InsufficientCalibrationError(self.i1, minimum)
 
 
 def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:

@@ -14,13 +14,17 @@ that one result. Forecasts and fold MAPEs are the same bits as one fold at a
 time. The cell minimising the mean fold MAPE wins; exact ties go to the first
 minimum in p-major, k-minor order (smaller p, then smaller k), so results are
 deterministic.
+
+`ForecasterSpec.forecast_at` is the one refit path: it forecasts from many
+prefixes (ends) of one series in one call, which is how `conformal.score_rows`
+scores every step, and `wnn_forecast` is its one-end case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -102,6 +106,30 @@ class ForecasterSpec:
             return {"p": self.config.p, "k": self.config.k, "weighting": self.weighting.value}
         return {"period": self.period}
 
+    def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
+        """Forecast values[e : e+n] from values[:e] alone, for every end e.
+
+        Returns one row per end, shape (len(ends), n). Only the shortest end is
+        checked for history: every longer prefix holds at least as much.
+        """
+        ends = np.asarray(ends)
+        shortest = int(ends.min())
+        if self.kind is ForecasterKind.SEASONAL_NAIVE:
+            if shortest < self.period:
+                raise HistoryTooShortError(self.period, shortest)
+            return values[ends[:, None] - self.period + np.arange(n) % self.period]
+        config = self.config
+        if config.n != n:
+            raise InvalidParamsError(f"forecaster is configured for n={config.n}, asked for n={n}")
+        window = config.window
+        if shortest < window + n:
+            raise HistoryTooShortError(window + n, shortest)
+        count = shortest - window - n + 1
+        if config.k > count:
+            raise TooFewCandidatesError(config.k, count)
+        d2, continuations = _nearest(values, ends, window, n, config.k)
+        return _neighbor_average(d2, continuations, config.k, self.weighting)
+
 
 @dataclass(frozen=True, eq=False)
 class TuneResult:
@@ -152,20 +180,6 @@ def _neighbor_average(
     return np.matmul(w[:, None, :], continuations[:, :k])[:, 0]
 
 
-def _forecast_values(
-    values: np.ndarray, config: HorizonConfig, weighting: Weighting
-) -> np.ndarray:
-    window = config.window
-    length = int(values.size)
-    if length < window + config.n:
-        raise HistoryTooShortError(window + config.n, length)
-    count = length - window - config.n + 1
-    if config.k > count:
-        raise TooFewCandidatesError(config.k, count)
-    d2, continuations = _nearest(values, [length], window, config.n, config.k)
-    return _neighbor_average(d2, continuations, config.k, weighting)[0]
-
-
 def wnn_forecast(
     history: TimeSeries,
     config: HorizonConfig,
@@ -176,7 +190,8 @@ def wnn_forecast(
     The trailing n*p observations form the query; candidates are all sliding
     windows (step 1) of the same length followed by n known values.
     """
-    return _forecast_values(history.values, config, Weighting(weighting))
+    spec = ForecasterSpec.wnn(config, weighting)
+    return spec.forecast_at(history.values, [len(history)], config.n)[0]
 
 
 def fpto_tune(
@@ -198,9 +213,9 @@ def fpto_tune(
     folds = _positive_int("folds", folds)
     values = series.values
     T = int(values.size)
-    ps = sorted({int(p) for p in p_grid})
-    ks = sorted({int(k) for k in k_grid})
-    if not ps or not ks or ps[0] < 1 or ks[0] < 1:
+    ps = sorted({_positive_int("p_grid entry", p) for p in p_grid})
+    ks = sorted({_positive_int("k_grid entry", k) for k in k_grid})
+    if not ps or not ks:
         raise InvalidParamsError("p_grid and k_grid must contain positive integers")
 
     ends = T - n * np.arange(1, folds + 1)
@@ -234,24 +249,3 @@ def fpto_tune(
     best = min(range(len(trace)), key=lambda i: trace[i][2])
     p_star, k_star, objective = trace[best]
     return TuneResult(p_star, k_star, objective, tuple(trace), tuple(skipped))
-
-
-def forecaster_fn(spec: ForecasterSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind a spec to a function mapping history values to the next n values."""
-    if spec.kind is ForecasterKind.WNN:
-        config = spec.config
-        if config.n != n:
-            raise InvalidParamsError(
-                f"forecaster is configured for n={config.n}, asked for n={n}"
-            )
-        weighting = spec.weighting
-        return lambda values: _forecast_values(values, config, weighting)
-
-    period = int(spec.period)
-
-    def seasonal_naive(values: np.ndarray) -> np.ndarray:
-        if values.size < period:
-            raise HistoryTooShortError(period, int(values.size))
-        return np.resize(values[-period:], n)
-
-    return seasonal_naive

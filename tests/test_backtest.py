@@ -16,7 +16,7 @@ from cpwnn import (
     split_sizes,
     wnn_forecast,
 )
-from cpwnn.errors import InfeasibleDeltaError, SeriesTooShortError
+from cpwnn.errors import InsufficientCalibrationError, SeriesTooShortError
 
 
 def selection_oracle(calib, test, delta):
@@ -78,8 +78,9 @@ class TestBacktestMatrices:
         assert np.all(hi <= lo + 1e-12)
 
     def test_infeasible_delta(self):
-        with pytest.raises(InfeasibleDeltaError):
+        with pytest.raises(InsufficientCalibrationError) as exc:
             backtest_matrices([[1.0], [2.0]], [[1.0]], 0.05)
+        assert (exc.value.h, exc.value.min_h) == (2, 19)
 
 
 class TestCheckCp:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cpwnn import (
     HorizonConfig,
     TimeSeries,
+    Weighting,
     conformal_region,
     p_value,
     rank_for,
@@ -35,15 +36,16 @@ class TestNonconformityScores:
         assert scores == pytest.approx([1.0, 3.0])
 
     def test_matches_fresh_reforecast(self):
-        rng = np.random.default_rng(8)
-        ts = TimeSeries(rng.normal(30.0, 2.0, size=50), 4)
+        values = np.random.default_rng(8).normal(30.0, 2.0, size=50)
         config = HorizonConfig(n=2, p=2, k=3)
-        sm = score_matrix(ts, config, h=3)
-        assert sm.row_tags == (44, 46, 48)
-        for row, t in zip(sm.rows, sm.row_tags):
-            fresh = wnn_forecast(TimeSeries(ts.values[:t], 4), config)
-            want = np.abs(ts.values[t : t + 2] - fresh)
-            assert row == pytest.approx(want, rel=1e-12)
+        # a rounded series has exact distance ties at the k-th neighbor
+        for ts in (TimeSeries(values, 4), TimeSeries(np.round(values), 4)):
+            for weighting in Weighting:
+                sm = score_matrix(ts, config, h=3, weighting=weighting)
+                assert sm.row_tags == (44, 46, 48)
+                for row, t in zip(sm.rows, sm.row_tags):
+                    fresh = wnn_forecast(TimeSeries(ts.values[:t], 4), config, weighting)
+                    assert np.array_equal(row, np.abs(ts.values[t : t + 2] - fresh))
 
     def test_label_must_fit(self):
         # h = 15 pairs with n = 2 would put the earliest pair at t = 29 - 30 < 1

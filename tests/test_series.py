@@ -18,7 +18,7 @@ from cpwnn import (
 from cpwnn.errors import (
     DataError,
     EmptySeriesError,
-    InfeasibleDeltaError,
+    InsufficientCalibrationError,
     InvalidParamsError,
     InvalidPeriodError,
     LengthMismatchError,
@@ -140,7 +140,7 @@ class TestSplitSizes:
             SplitSpec(i1=m, i2=1, delta=delta)
             if m > 1:
                 assert rank_for(delta, m - 1) == 0
-                with pytest.raises(InfeasibleDeltaError):
+                with pytest.raises(InsufficientCalibrationError):
                     SplitSpec(i1=m - 1, i2=1, delta=delta)
             assert split_sizes(1000, 1, delta).i1 >= m
 
@@ -150,9 +150,9 @@ class TestSplitSizes:
             split_sizes(24, 1, 0.05)
 
     def test_spec_invariants_enforced(self):
-        with pytest.raises(InfeasibleDeltaError) as exc:
+        with pytest.raises(InsufficientCalibrationError) as exc:
             SplitSpec(i1=5, i2=3, delta=0.05)
-        assert exc.value.min_i1 == 19
+        assert (exc.value.h, exc.value.min_h) == (5, 19)
         with pytest.raises(InvalidParamsError):
             SplitSpec(i1=20, i2=3, delta=1.5)
 

@@ -20,7 +20,6 @@ from cpwnn.errors import (
     TooFewCandidatesError,
     ZeroActualError,
 )
-from cpwnn.wnn import forecaster_fn
 
 WEIGHT_EPS = 1e-8
 
@@ -168,25 +167,50 @@ class TestPointForecast:
     def test_seasonal_naive_repeats_last_period(self):
         ts = TimeSeries(np.array([9.0, 9.0, 9.0, 9.0, 1.0, 2.0, 3.0, 4.0]), 4)
         spec = ForecasterSpec.seasonal_naive(4)
-        assert forecaster_fn(spec, 2)(ts.values) == pytest.approx([1.0, 2.0])
+        assert spec.forecast_at(ts.values, [8], 2)[0] == pytest.approx([1.0, 2.0])
 
     def test_seasonal_naive_cyclic_extension(self):
         ts = TimeSeries(np.array([1.0, 2.0, 3.0, 4.0]), 4)
         spec = ForecasterSpec.seasonal_naive(4)
-        assert forecaster_fn(spec, 6)(ts.values) == pytest.approx([1.0, 2.0, 3.0, 4.0, 1.0, 2.0])
+        got = spec.forecast_at(ts.values, [4], 6)[0]
+        assert got == pytest.approx([1.0, 2.0, 3.0, 4.0, 1.0, 2.0])
+
+    def test_seasonal_naive_many_ends_match_each_prefix(self):
+        values = np.random.default_rng(6).normal(10.0, 2.0, size=30)
+        spec = ForecasterSpec.seasonal_naive(3)
+        ends = [3, 5, 11, 24, 30]
+        got = spec.forecast_at(values, ends, 7)
+        assert got.shape == (5, 7)
+        for row, e in zip(got, ends):
+            assert np.array_equal(row, np.resize(values[:e][-3:], 7))
+        with pytest.raises(HistoryTooShortError):
+            spec.forecast_at(values, [30, 2], 7)
 
     def test_wnn_dispatch_identity(self):
         rng = np.random.default_rng(5)
         ts = TimeSeries(rng.normal(20.0, 1.0, size=40), 4)
         config = HorizonConfig(n=2, p=3, k=2)
-        spec = ForecasterSpec.wnn(config)
-        assert np.array_equal(forecaster_fn(spec, 2)(ts.values), wnn_forecast(ts, config))
+        ends = [20, 31, 40]
+        got = ForecasterSpec.wnn(config).forecast_at(ts.values, ends, 2)
+        for row, e in zip(got, ends):
+            assert np.array_equal(row, wnn_forecast(TimeSeries(ts.values[:e], 4), config))
+
+    @pytest.mark.parametrize(
+        "shortest, error", [(7, HistoryTooShortError), (8, TooFewCandidatesError)]
+    )
+    def test_wnn_checks_the_shortest_end(self, shortest, error):
+        # window 6 + n 2 needs 8 values; k = 2 candidates need 9
+        values = np.arange(1.0, 41.0)
+        spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=3, k=2))
+        spec.forecast_at(values, [40, 9], 2)
+        with pytest.raises(error):
+            spec.forecast_at(values, [40, shortest, 30], 2)
 
     def test_wnn_dispatch_checks_n(self):
         ts = TimeSeries(np.arange(1.0, 41.0), 4)
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=3, k=2))
         with pytest.raises(InvalidParamsError):
-            forecaster_fn(spec, 3)
+            spec.forecast_at(ts.values, [40], 3)
 
 
 class TestFptoTune:
@@ -244,6 +268,15 @@ class TestFptoTune:
         ts = TimeSeries(np.arange(1.0, 41.0), 4)
         with pytest.raises(InvalidParamsError):
             fpto_tune(ts, n=n, folds=folds, p_grid=[1], k_grid=[1])
+
+    @pytest.mark.parametrize(
+        "p_grid, k_grid",
+        [([2.5], [1.9, True]), ([2.5], [1]), ([2], [True]), ([0, 2], [1]), ([2], [])],
+    )
+    def test_grid_entries_must_be_positive_integers(self, p_grid, k_grid):
+        ts = TimeSeries(np.arange(1.0, 41.0), 4)
+        with pytest.raises(InvalidParamsError):
+            fpto_tune(ts, n=2, folds=3, p_grid=p_grid, k_grid=k_grid)
 
 
 def _bit_test_series(kind, seed):
