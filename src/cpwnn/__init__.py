@@ -32,7 +32,6 @@ from .etssim import (
     default_seasonal,
     ets_forecast_variance,
     simulate_ets,
-    simulate_with_means,
     theoretical_width,
 )
 from .series import (
@@ -83,7 +82,6 @@ __all__ = [
     "run_backtest",
     "score_matrix",
     "simulate_ets",
-    "simulate_with_means",
     "split_sizes",
     "theoretical_width",
     "validate_series",

@@ -99,7 +99,8 @@ def run_backtest(
     pool, the remaining i2 are the test block.
     """
     i1, i2, delta = split.i1, split.i2, split.delta
-    _, predicted, actual = score_rows(series.values, spec, n, i1 + i2)
+    _, forecasts, actual = score_rows(series, spec, n, i1 + i2)
+    predicted = forecasts[:-1]
     scores = np.abs(actual - predicted)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)
     test_mape = mape(actual[i1:].ravel(), predicted[i1:].ravel())

@@ -6,18 +6,25 @@ over the n values that follow; every score therefore reflects a forecaster
 refit on its own prefix (no lookahead). The h most recent steps are scored,
 t = T-h*n, ..., T-2n, T-n. `score_rows` owns that window: it lays out the
 steps, checks that the earliest prefix holds the forecaster's minimum
-history, and scores every step with one `ForecasterSpec.forecast_at` call,
-for both the calibration scores here and the backtest in `backtest`.
-`kth_largest` is the one rank selection over score rows; the rank itself
-comes from `series.rank_for`.
+history, and forecasts every step plus the n unseen values after T with one
+`ForecasterSpec.forecast_at` call, for both the calibration scores here and
+the backtest in `backtest`. `kth_largest` is the one rank selection over
+score rows; the rank itself comes from `series.rank_for`.
+
+Scores do not depend on the significance level, only the rank does, so the
+forecasts are computed once per (series, spec, n), for the largest h asked
+so far, and every later call on that series (another level, the backtest,
+the region) reads the trailing rows of that entry. An entry holds (h+1)*n
+floats for as long as its series lives.
 
 The region for the next n unseen values is symmetric about the point
-forecast; component j's half-width is the s-th largest of that column's
-calibration scores with s = floor(delta*(h+1)).
+forecast, the row at end T; component j's half-width is the s-th largest of
+that column's calibration scores with s = floor(delta*(h+1)).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,36 +37,50 @@ from .errors import (
     SeriesTooShortError,
 )
 from .series import HorizonConfig, TimeSeries, _freeze, min_calibration_count, rank_for
-from .wnn import ForecasterSpec, Weighting, wnn_forecast
+from .wnn import ForecasterSpec, Weighting
+
+# Per series, per (spec, n): the read-only forecasts at ends T-h*n, ..., T-n, T
+# for the largest h scored so far. TimeSeries freezes its own copy of the
+# values, so an entry never goes stale, and it dies with its series. Entries
+# are pure functions of their key: threads racing on one can only repeat
+# work, never read a wrong row.
+_FORECASTS: weakref.WeakKeyDictionary[TimeSeries, dict[tuple[ForecasterSpec, int], np.ndarray]]
+_FORECASTS = weakref.WeakKeyDictionary()
 
 
 def score_rows(
-    values: np.ndarray, spec: ForecasterSpec, n: int, h: int
+    series: TimeSeries, spec: ForecasterSpec, n: int, h: int
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Score the h most recent steps, t = T-h*n, ..., T-n, oldest first.
 
-    Returns (t_values, predicted, actual), one row per t: the forecast of
-    values[t : t+n] made from values[:t] alone, and the n realized values;
-    the scores are |actual - predicted|. The earliest prefix must hold at
-    least spec.min_history observations.
+    Returns (t_values, forecasts, actual). forecasts has h+1 rows: the
+    forecast of values[t : t+n] made from values[:t] alone for each t, then
+    the forecast of the n values after T from the whole series. actual holds
+    the h realized rows; the scores are |actual - forecasts[:-1]|. The
+    earliest prefix must hold at least spec.min_history observations.
     """
     if h < 1:
         raise InvalidParamsError("h must be >= 1")
+    values = series.values
     T = int(values.size)
-    ends = T - n * np.arange(h, 0, -1)
+    ends = T - n * np.arange(h, -1, -1)
     if ends[0] < spec.min_history:
         raise SeriesTooShortError(
             f"series of length {T} cannot seed the earliest scored pair at t={ends[0]} "
             f"(needs history of at least {spec.min_history})"
         )
-    predicted = spec.forecast_at(values, ends, n)
-    actual = sliding_window_view(values, n)[ends]
-    return tuple(ends.tolist()), predicted, actual
+    entries = _FORECASTS.setdefault(series, {})
+    forecasts = entries.get((spec, n))
+    if forecasts is None or len(forecasts) <= h:
+        forecasts = _freeze(spec.forecast_at(values, ends, n))
+        entries[spec, n] = forecasts
+    actual = sliding_window_view(values, n)[ends[:-1]]
+    return tuple(ends[:-1].tolist()), forecasts[-(h + 1) :], actual
 
 
 def kth_largest(rows: np.ndarray, s: int) -> np.ndarray:
     """Per column, the s-th largest entry of the rows (s = 1 is the maximum)."""
-    return np.sort(rows, axis=0)[::-1][s - 1]
+    return np.partition(rows, -s, axis=0)[-s]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +106,8 @@ def score_matrix(
 ) -> ScoreMatrix:
     """Scores of the h most recent pairs (t = T-h*n, ..., T-n), oldest row first."""
     spec = ForecasterSpec.wnn(config, weighting)
-    tags, predicted, actual = score_rows(series.values, spec, config.n, h)
-    return ScoreMatrix(np.abs(actual - predicted), tags)
+    tags, forecasts, actual = score_rows(series, spec, config.n, h)
+    return ScoreMatrix(np.abs(actual - forecasts[:-1]), tags)
 
 
 def p_value(calibration_scores: Sequence[float], alpha_new: float) -> float:
@@ -154,7 +175,8 @@ def conformal_region(
 ) -> PredictionRegion:
     """Region for the next n values, calibrated on the h most recent pair scores.
 
-    Component j's half-width is the rank-th largest score in column j,
+    The center is the forecast from the whole series. Component j's
+    half-width is the rank-th largest score in column j,
     rank = floor(delta*(h+1)); the rank must be >= 1 for the region to exist.
     """
     if not 0.0 < delta < 1.0:
@@ -162,6 +184,7 @@ def conformal_region(
     s = rank_for(delta, h)
     if s < 1:
         raise InsufficientCalibrationError(h, min_calibration_count(delta))
-    half = kth_largest(score_matrix(series, config, h, weighting).rows, s)
-    center = wnn_forecast(series, config, weighting)
-    return PredictionRegion(center=center, half_widths=half, delta=float(delta), rank=s)
+    spec = ForecasterSpec.wnn(config, weighting)
+    _, forecasts, actual = score_rows(series, spec, config.n, h)
+    half = kth_largest(np.abs(actual - forecasts[:-1]), s)
+    return PredictionRegion(center=forecasts[-1], half_widths=half, delta=float(delta), rank=s)

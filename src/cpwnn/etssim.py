@@ -138,7 +138,7 @@ def aada_params(
     )
 
 
-def simulate_with_means(
+def _simulate_with_means(
     params: EtsParams, T: int, seed: int
 ) -> tuple[TimeSeries, np.ndarray]:
     """Simulate a path and also return the one-step conditional means.
@@ -175,7 +175,7 @@ def simulate_with_means(
 
 def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
     """Simulate T observations; fully determined by (params, T, seed)."""
-    series, _ = simulate_with_means(params, T, seed)
+    series, _ = _simulate_with_means(params, T, seed)
     return series
 
 

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cpwnn.cli import load_csv, main, series_to_csv
 from cpwnn.errors import ColumnNotFoundError, CsvParseError
+from cpwnn.wnn import ForecasterSpec
+
+MILK = Path(__file__).resolve().parent.parent / "data" / "milk_uk_monthly.csv"
 
 
 @pytest.fixture
@@ -184,3 +188,30 @@ class TestCheckAndCompare:
                      "--p-grid", "1:4", "--k-grid", "1,2"])
         assert code == 0
         assert "p* =" in capsys.readouterr().out
+
+
+class TestScoringWork:
+    """Every level, the backtest and the region center share one set of forecasts."""
+
+    @pytest.mark.parametrize(
+        "command, confidences, calls",
+        [
+            ("check", ("0.8", "0.9", "0.95"), 1),
+            ("forecast", ("0.8", "0.95"), 1),
+            ("compare", ("0.8", "0.95"), 2),  # one per forecaster
+        ],
+    )
+    def test_one_forecaster_call_per_spec(self, monkeypatch, capsys, command, confidences, calls):
+        made = []
+        forecast_at = ForecasterSpec.forecast_at
+
+        def counted(spec, values, ends, n):
+            made.append(spec)
+            return forecast_at(spec, values, ends, n)
+
+        monkeypatch.setattr(ForecasterSpec, "forecast_at", counted)
+        levels = [arg for conf in confidences for arg in ("--confidence", conf)]
+        argv = [command, "--input", str(MILK), "--n", "1", "--p", "12", "--k", "3", *levels]
+        assert main(argv) == 0
+        assert len(made) == calls
+        assert capsys.readouterr().out

@@ -1,18 +1,29 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpwnn import (
+    ForecasterSpec,
     HorizonConfig,
+    SplitSpec,
     TimeSeries,
     Weighting,
+    check_cp,
     conformal_region,
     p_value,
     rank_for,
+    run_backtest,
     score_matrix,
     wnn_forecast,
 )
+from cpwnn import conformal
+from cpwnn.conformal import kth_largest, score_rows
 from cpwnn.errors import InsufficientCalibrationError, InvalidParamsError, SeriesTooShortError
 
 
@@ -65,6 +76,135 @@ class TestScoreMatrix:
         for i, t in enumerate(sm.row_tags):
             fresh = wnn_forecast(TimeSeries(ts.values[:t], 4), config)
             assert sm.rows[i] == pytest.approx(np.abs(ts.values[t : t + 2] - fresh))
+
+
+class TestKthLargest:
+    def test_selection_matches_full_sort_on_ties(self):
+        # few distinct values, so every rank sits inside a run of ties
+        rows = np.round(np.random.default_rng(4).uniform(0.0, 6.0, size=(140, 6))) / 4.0
+        rows[:20] = 0.0
+        for s in range(1, rows.shape[0] + 1):
+            want = np.sort(rows, axis=0)[::-1][s - 1]
+            assert np.array_equal(kth_largest(rows, s), want)
+
+
+def reference_rows(ts, spec, n, h):
+    """Scores and center straight from `forecast_at`, bypassing the memo."""
+    ends = len(ts) - n * np.arange(h, -1, -1)
+    forecasts = spec.forecast_at(ts.values, ends, n)
+    actual = np.stack([ts.values[t : t + n] for t in ends[:-1]])
+    return np.abs(actual - forecasts[:-1]), forecasts[-1]
+
+
+class TestForecastMemo:
+    """Forecasts are computed once per (series, spec, n) and served from then on."""
+
+    @staticmethod
+    def series(seed=11, size=90):
+        return TimeSeries(np.random.default_rng(seed).normal(40.0, 3.0, size=size), 4)
+
+    @pytest.mark.parametrize("hs", [(4, 9, 15), (15, 9, 4)])
+    def test_rows_and_centers_match_uncached_forecasts(self, hs):
+        ts = self.series()
+        config = HorizonConfig(n=2, p=2, k=3)
+        spec = ForecasterSpec.wnn(config)
+        for h in hs:
+            rows, center = reference_rows(ts, spec, 2, h)
+            assert np.array_equal(score_matrix(ts, config, h).rows, rows)
+            region = conformal_region(ts, config, h, delta=0.5)
+            assert np.array_equal(region.center, center)
+            assert np.array_equal(region.half_widths, kth_largest(rows, rank_for(0.5, h)))
+
+    def test_specs_and_horizons_do_not_collide(self):
+        ts = self.series()
+        cases = [
+            (HorizonConfig(n=2, p=2, k=3), Weighting.INVERSE_DISTANCE),
+            (HorizonConfig(n=2, p=2, k=3), Weighting.UNIFORM),
+            (HorizonConfig(n=2, p=2, k=5), Weighting.INVERSE_DISTANCE),
+            (HorizonConfig(n=3, p=2, k=3), Weighting.INVERSE_DISTANCE),
+            (HorizonConfig(n=1, p=4, k=3), Weighting.INVERSE_DISTANCE),
+        ]
+        for _ in range(2):
+            for config, weighting in cases:
+                spec = ForecasterSpec.wnn(config, weighting)
+                rows, center = reference_rows(ts, spec, config.n, 8)
+                assert np.array_equal(score_matrix(ts, config, 8, weighting).rows, rows)
+                assert np.array_equal(
+                    conformal_region(ts, config, 8, 0.5, weighting).center, center
+                )
+
+    def test_stored_forecasts_are_read_only(self):
+        ts = self.series()
+        spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=2, k=3))
+        _, forecasts, _ = score_rows(ts, spec, 2, 6)
+        with pytest.raises(ValueError):
+            forecasts[0, 0] = 1e9
+        assert not any(f.flags.writeable for f in conformal._FORECASTS[ts].values())
+        rows, _ = reference_rows(ts, spec, 2, 6)
+        assert np.array_equal(score_matrix(ts, spec.config, 6).rows, rows)
+
+    def test_too_short_raises_on_every_call(self):
+        ts = TimeSeries(np.arange(1.0, 30.0), 4)
+        config = HorizonConfig(n=2, p=2, k=1)
+        score_matrix(ts, config, h=5)  # feasible: an entry now exists
+        wrong_n = ForecasterSpec.wnn(HorizonConfig(n=3, p=2, k=1))
+        split = SplitSpec(i1=4, i2=1, delta=0.2)
+        for _ in range(3):
+            with pytest.raises(SeriesTooShortError):
+                score_matrix(ts, config, h=15)
+            with pytest.raises(SeriesTooShortError):
+                conformal_region(ts, config, 15, 0.5)
+            with pytest.raises(InvalidParamsError):
+                run_backtest(ts, wrong_n, 2, split)
+
+    def test_entry_dies_with_its_series(self):
+        ts = self.series()
+        config = HorizonConfig(n=2, p=2, k=3)
+        score_matrix(ts, config, h=6)
+        alive = weakref.ref(ts)
+        stored = weakref.ref(conformal._FORECASTS[ts][ForecasterSpec.wnn(config), 2])
+        gc.collect()
+        held = len(conformal._FORECASTS)
+        del ts
+        gc.collect()
+        assert alive() is None
+        assert stored() is None
+        assert len(conformal._FORECASTS) == held - 1
+
+    def test_two_threads_get_the_serial_results(self):
+        config = HorizonConfig(n=1, p=4, k=3)
+        splits = [SplitSpec(i1=i1, i2=12, delta=0.2) for i1 in (8, 16, 24)]
+
+        def run(ts, order):
+            return {i: check_cp(ts, config, splits[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(6):
+                values = np.random.default_rng(seed).normal(40.0, 3.0, size=140)
+                serial = run(TimeSeries(values, 4), range(3))
+                shared = TimeSeries(values, 4)
+                results = [None, None]
+
+                def worker(slot, order):
+                    results[slot] = run(shared, order)
+
+                threads = [
+                    threading.Thread(target=worker, args=(0, (0, 1, 2))),
+                    threading.Thread(target=worker, args=(1, (2, 1, 0))),
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for got in results:
+                    for i in range(3):
+                        assert np.array_equal(got[i].half_widths, serial[i].half_widths)
+                        assert np.array_equal(got[i].hits, serial[i].hits)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPValue:
