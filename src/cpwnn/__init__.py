@@ -19,10 +19,8 @@ from .backtest import (
 )
 from .conformal import (
     PredictionRegion,
-    ScoreMatrix,
     conformal_region,
     p_value,
-    score_matrix,
 )
 from .etssim import (
     EtsKind,
@@ -42,7 +40,6 @@ from .series import (
     min_calibration_count,
     rank_for,
     split_sizes,
-    validate_series,
 )
 from .wnn import (
     ForecasterSpec,
@@ -61,7 +58,6 @@ __all__ = [
     "ForecasterSpec",
     "HorizonConfig",
     "PredictionRegion",
-    "ScoreMatrix",
     "SplitSpec",
     "TimeSeries",
     "TuneResult",
@@ -80,10 +76,8 @@ __all__ = [
     "p_value",
     "rank_for",
     "run_backtest",
-    "score_matrix",
     "simulate_ets",
     "split_sizes",
     "theoretical_width",
-    "validate_series",
     "wnn_forecast",
 ]

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import kth_largest, score_rows
-from .errors import ForecastError, InsufficientCalibrationError, InvalidParamsError
-from .series import HorizonConfig, SplitSpec, TimeSeries, mape, min_calibration_count, rank_for
+from .errors import ForecastError, InvalidParamsError
+from .series import HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, mape, rank_for
 from .wnn import ForecasterSpec, Weighting
 
 
@@ -78,8 +78,7 @@ def backtest_matrices(
     if test.shape[1] != n:
         raise InvalidParamsError("calibration and test rows must have the same width")
     # The rank only grows with the pool, so the first step decides feasibility.
-    if rank_for(delta, i1) < 1:
-        raise InsufficientCalibrationError(i1, min_calibration_count(delta))
+    _feasible_rank(delta, i1)
     pool = np.empty((i1 + i2, n))
     pool[:i1] = calib
     half = np.empty((i2, n))
@@ -99,7 +98,7 @@ def run_backtest(
     pool, the remaining i2 are the test block.
     """
     i1, i2, delta = split.i1, split.i2, split.delta
-    _, forecasts, actual = score_rows(series, spec, n, i1 + i2)
+    forecasts, actual = score_rows(series, spec, n, i1 + i2)
     predicted = forecasts[:-1]
     scores = np.abs(actual - predicted)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)

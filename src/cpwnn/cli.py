@@ -33,7 +33,7 @@ from .errors import (
     DataError,
 )
 from .etssim import EtsKind, aada_params, ana_params, simulate_ets
-from .series import HorizonConfig, TimeSeries, split_sizes, validate_series
+from .series import HorizonConfig, TimeSeries, split_sizes
 from .wnn import ForecasterSpec, Weighting, fpto_tune
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
             values.append(float(text))
         except ValueError:
             raise CsvParseError(rownum, header[index], text) from None
-    return validate_series(values, period)
+    return TimeSeries(values, period)
 
 
 def series_to_csv(values: Sequence[float]) -> str:

@@ -7,9 +7,10 @@ refit on its own prefix (no lookahead). The h most recent steps are scored,
 t = T-h*n, ..., T-2n, T-n. `score_rows` owns that window: it lays out the
 steps, checks that the earliest prefix holds the forecaster's minimum
 history, and forecasts every step plus the n unseen values after T with one
-`ForecasterSpec.forecast_at` call, for both the calibration scores here and
-the backtest in `backtest`. `kth_largest` is the one rank selection over
-score rows; the rank itself comes from `series.rank_for`.
+`forecast_at` call of the spec (`WnnSpec` or `SeasonalNaiveSpec`), for the
+calibration scores here and the backtest in `backtest`, and returns
+(forecasts, actual). `kth_largest` is the one rank selection over score rows;
+the rank and its feasibility come from `series`.
 
 Scores do not depend on the significance level, only the rank does, so the
 forecasts are computed once per (series, spec, n), for the largest h asked
@@ -31,12 +32,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    InsufficientCalibrationError,
-    InvalidParamsError,
-    SeriesTooShortError,
-)
-from .series import HorizonConfig, TimeSeries, _freeze, min_calibration_count, rank_for
+from .errors import InvalidParamsError, SeriesTooShortError
+from .series import HorizonConfig, TimeSeries, _feasible_rank, _freeze
 from .wnn import ForecasterSpec, Weighting
 
 # Per series, per (spec, n): the read-only forecasts at ends T-h*n, ..., T-n, T
@@ -50,10 +47,10 @@ _FORECASTS = weakref.WeakKeyDictionary()
 
 def score_rows(
     series: TimeSeries, spec: ForecasterSpec, n: int, h: int
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Score the h most recent steps, t = T-h*n, ..., T-n, oldest first.
 
-    Returns (t_values, forecasts, actual). forecasts has h+1 rows: the
+    Returns (forecasts, actual). forecasts has h+1 rows: the
     forecast of values[t : t+n] made from values[:t] alone for each t, then
     the forecast of the n values after T from the whole series. actual holds
     the h realized rows; the scores are |actual - forecasts[:-1]|. The
@@ -75,39 +72,12 @@ def score_rows(
         forecasts = _freeze(spec.forecast_at(values, ends, n))
         entries[spec, n] = forecasts
     actual = sliding_window_view(values, n)[ends[:-1]]
-    return tuple(ends[:-1].tolist()), forecasts[-(h + 1) :], actual
+    return forecasts[-(h + 1) :], actual
 
 
 def kth_largest(rows: np.ndarray, s: int) -> np.ndarray:
     """Per column, the s-th largest entry of the rows (s = 1 is the maximum)."""
     return np.partition(rows, -s, axis=0)[-s]
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreMatrix:
-    """Nonconformity scores: one row per calibration pair, one column per step.
-
-    Made by `score_matrix` from `score_rows`, so the rows are finite and
-    non-negative and the tags (each row's t) strictly increase.
-    """
-
-    rows: np.ndarray
-    row_tags: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _freeze(self.rows))
-
-
-def score_matrix(
-    series: TimeSeries,
-    config: HorizonConfig,
-    h: int,
-    weighting: Weighting | str = Weighting.INVERSE_DISTANCE,
-) -> ScoreMatrix:
-    """Scores of the h most recent pairs (t = T-h*n, ..., T-n), oldest row first."""
-    spec = ForecasterSpec.wnn(config, weighting)
-    tags, forecasts, actual = score_rows(series, spec, config.n, h)
-    return ScoreMatrix(np.abs(actual - forecasts[:-1]), tags)
 
 
 def p_value(calibration_scores: Sequence[float], alpha_new: float) -> float:
@@ -179,12 +149,8 @@ def conformal_region(
     half-width is the rank-th largest score in column j,
     rank = floor(delta*(h+1)); the rank must be >= 1 for the region to exist.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParamsError(f"delta must lie in (0, 1), got {delta!r}")
-    s = rank_for(delta, h)
-    if s < 1:
-        raise InsufficientCalibrationError(h, min_calibration_count(delta))
+    s = _feasible_rank(delta, h)
     spec = ForecasterSpec.wnn(config, weighting)
-    _, forecasts, actual = score_rows(series, spec, config.n, h)
+    forecasts, actual = score_rows(series, spec, config.n, h)
     half = kth_largest(np.abs(actual - forecasts[:-1]), s)
     return PredictionRegion(center=forecasts[-1], half_widths=half, delta=float(delta), rank=s)

@@ -43,6 +43,12 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
+def _check_delta(delta) -> None:
+    """Reject a significance level that is not a number in the open interval (0, 1)."""
+    if not isinstance(delta, (int, float, np.integer, np.floating)) or not 0.0 < delta < 1.0:
+        raise InvalidParamsError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Univariate series with seasonal-period metadata."""
@@ -69,11 +75,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-def validate_series(raw: Sequence[float], period: int) -> TimeSeries:
-    """Construct a TimeSeries, rejecting empty input, non-finite values and bad periods."""
-    return TimeSeries(np.asarray(raw, dtype=float), period)
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,15 @@ def min_calibration_count(delta: float) -> int:
     return math.ceil(1.0 / delta - 1.0 - _DUST)
 
 
+def _feasible_rank(delta: float, h: int) -> int:
+    """rank_for(delta, h) for a valid delta; InsufficientCalibrationError below 1."""
+    _check_delta(delta)
+    s = rank_for(delta, h)
+    if s < 1:
+        raise InsufficientCalibrationError(h, min_calibration_count(delta))
+    return s
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Counts of calibration (i1) and test (i2) examples plus significance level."""
@@ -113,14 +123,11 @@ class SplitSpec:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidParamsError(f"delta must lie in (0, 1), got {self.delta!r}")
+        _check_delta(self.delta)
         object.__setattr__(self, "i1", _positive_int("i1", self.i1))
         object.__setattr__(self, "i2", _positive_int("i2", self.i2))
         # floor(delta*(i1+1)) >= 1 must hold so a rank exists at the first step.
-        minimum = min_calibration_count(self.delta)
-        if self.i1 < minimum:
-            raise InsufficientCalibrationError(self.i1, minimum)
+        _feasible_rank(self.delta, self.i1)
 
 
 def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -166,8 +173,7 @@ def split_sizes(T: int, n: int, delta: float) -> SplitSpec:
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise InvalidParamsError(f"T must be a positive integer, got {T!r}")
     n = _positive_int("n", n)
-    if not 0.0 < delta < 1.0:
-        raise InvalidParamsError(f"delta must lie in (0, 1), got {delta!r}")
+    _check_delta(delta)
     i2 = _ceil_div(int(T), 5 * n)
     i1 = _ceil_div(int(T) - n * i2, 5 * n)
     i1 = max(i1, min_calibration_count(delta))

@@ -15,9 +15,11 @@ time. The cell minimising the mean fold MAPE wins; exact ties go to the first
 minimum in p-major, k-minor order (smaller p, then smaller k), so results are
 deterministic.
 
-`ForecasterSpec.forecast_at` is the one refit path: it forecasts from many
-prefixes (ends) of one series in one call, which is how `conformal.score_rows`
-scores every step, and `wnn_forecast` is its one-end case.
+Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
+made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
+`forecast_at` is its one refit path: it forecasts from many prefixes (ends) of
+one series in one call, which is how `conformal.score_rows` scores every step;
+`wnn_forecast` is the one-end case.
 """
 
 from __future__ import annotations
@@ -48,76 +50,54 @@ class Weighting(str, Enum):
     UNIFORM = "uniform"
     INVERSE_DISTANCE = "inverse-distance"
 
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(w.value for w in cls)
+        raise InvalidParamsError(f"weighting must be one of {names}, got {value!r}")
 
-class ForecasterKind(str, Enum):
-    WNN = "wnn"
-    SEASONAL_NAIVE = "seasonal-naive"
+
+class ForecasterSpec:
+    """A point forecaster: one frozen type per kind, made by `wnn` or `seasonal_naive`.
+
+    Each kind has `describe()`, `min_history` (the fewest observations a scored
+    step's prefix must hold), `fields()` (its report config entries) and
+    `forecast_at(values, ends, n)`, the forecasts of values[e : e+n] from
+    values[:e] alone, one row per end e; only the shortest end is checked for
+    history, as every longer prefix holds at least as much.
+    """
+
+    @staticmethod
+    def wnn(
+        config: HorizonConfig, weighting: Weighting | str = Weighting.INVERSE_DISTANCE
+    ) -> "WnnSpec":
+        return WnnSpec(config, Weighting(weighting))
+
+    @staticmethod
+    def seasonal_naive(period: int) -> "SeasonalNaiveSpec":
+        return SeasonalNaiveSpec(_positive_int("period", period))
 
 
 @dataclass(frozen=True)
-class ForecasterSpec:
-    """Dispatchable description of a point forecaster."""
+class WnnSpec(ForecasterSpec):
+    """The weighted nearest-neighbor forecaster at a fixed (n, p, k)."""
 
-    kind: ForecasterKind
-    config: HorizonConfig | None = None
-    period: int | None = None
-    weighting: Weighting = Weighting.INVERSE_DISTANCE
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", ForecasterKind(self.kind))
-        object.__setattr__(self, "weighting", Weighting(self.weighting))
-        if self.kind is ForecasterKind.WNN and self.config is None:
-            raise InvalidParamsError("a WNN forecaster needs a HorizonConfig")
-        if self.kind is ForecasterKind.SEASONAL_NAIVE and (
-            self.period is None or self.period < 1
-        ):
-            raise InvalidParamsError("a seasonal-naive forecaster needs a positive period")
-
-    @classmethod
-    def wnn(
-        cls, config: HorizonConfig, weighting: Weighting | str = Weighting.INVERSE_DISTANCE
-    ) -> "ForecasterSpec":
-        return cls(ForecasterKind.WNN, config=config, weighting=Weighting(weighting))
-
-    @classmethod
-    def seasonal_naive(cls, period: int) -> "ForecasterSpec":
-        return cls(ForecasterKind.SEASONAL_NAIVE, period=int(period))
+    config: HorizonConfig
+    weighting: Weighting
 
     def describe(self) -> str:
-        if self.kind is ForecasterKind.WNN:
-            return f"wnn(p={self.config.p}, k={self.config.k}, {self.weighting.value})"
-        return f"seasonal-naive(m={self.period})"
+        return f"wnn(p={self.config.p}, k={self.config.k}, {self.weighting.value})"
 
     @property
     def min_history(self) -> int:
-        """Fewest observations a scored step's prefix must hold.
-
-        A WNN refit needs its window, the n values that follow and k - 1 more
-        so that k candidate windows exist: window + n + k - 1. Seasonal-naive
-        needs one period.
-        """
-        if self.kind is ForecasterKind.WNN:
-            return self.config.window + self.config.n + self.config.k - 1
-        return int(self.period)
+        """The window, its n-value continuation and k - 1 more for k candidates."""
+        return self.config.window + self.config.n + self.config.k - 1
 
     def fields(self) -> dict:
-        """The spec's own entries in a backtest report's config block."""
-        if self.kind is ForecasterKind.WNN:
-            return {"p": self.config.p, "k": self.config.k, "weighting": self.weighting.value}
-        return {"period": self.period}
+        return {"p": self.config.p, "k": self.config.k, "weighting": self.weighting.value}
 
     def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
-        """Forecast values[e : e+n] from values[:e] alone, for every end e.
-
-        Returns one row per end, shape (len(ends), n). Only the shortest end is
-        checked for history: every longer prefix holds at least as much.
-        """
         ends = np.asarray(ends)
         shortest = int(ends.min())
-        if self.kind is ForecasterKind.SEASONAL_NAIVE:
-            if shortest < self.period:
-                raise HistoryTooShortError(self.period, shortest)
-            return values[ends[:, None] - self.period + np.arange(n) % self.period]
         config = self.config
         if config.n != n:
             raise InvalidParamsError(f"forecaster is configured for n={config.n}, asked for n={n}")
@@ -129,6 +109,30 @@ class ForecasterSpec:
             raise TooFewCandidatesError(config.k, count)
         d2, continuations = _nearest(values, ends, window, n, config.k)
         return _neighbor_average(d2, continuations, config.k, self.weighting)
+
+
+@dataclass(frozen=True)
+class SeasonalNaiveSpec(ForecasterSpec):
+    """Repeats the last full period of the prefix."""
+
+    period: int
+
+    def describe(self) -> str:
+        return f"seasonal-naive(m={self.period})"
+
+    @property
+    def min_history(self) -> int:
+        return self.period
+
+    def fields(self) -> dict:
+        return {"period": self.period}
+
+    def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
+        ends = np.asarray(ends)
+        shortest = int(ends.min())
+        if shortest < self.period:
+            raise HistoryTooShortError(self.period, shortest)
+        return values[ends[:, None] - self.period + np.arange(n) % self.period]
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from cpwnn import (
     split_sizes,
     wnn_forecast,
 )
-from cpwnn.errors import InsufficientCalibrationError, SeriesTooShortError
+from cpwnn.errors import InsufficientCalibrationError, InvalidParamsError, SeriesTooShortError
 
 
 def selection_oracle(calib, test, delta):
@@ -81,6 +81,11 @@ class TestBacktestMatrices:
         with pytest.raises(InsufficientCalibrationError) as exc:
             backtest_matrices([[1.0], [2.0]], [[1.0]], 0.05)
         assert (exc.value.h, exc.value.min_h) == (2, 19)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, float("nan"), -0.1, "0.1", None])
+    def test_delta_outside_the_unit_interval(self, delta):
+        with pytest.raises(InvalidParamsError, match=r"delta must lie in \(0, 1\)"):
+            backtest_matrices([[1.0], [2.0]], [[1.0]], delta)
 
 
 class TestCheckCp:

@@ -6,7 +6,7 @@ import pytest
 
 from cpwnn.cli import load_csv, main, series_to_csv
 from cpwnn.errors import ColumnNotFoundError, CsvParseError
-from cpwnn.wnn import ForecasterSpec
+from cpwnn.wnn import SeasonalNaiveSpec, WnnSpec
 
 MILK = Path(__file__).resolve().parent.parent / "data" / "milk_uk_monthly.csv"
 
@@ -203,13 +203,16 @@ class TestScoringWork:
     )
     def test_one_forecaster_call_per_spec(self, monkeypatch, capsys, command, confidences, calls):
         made = []
-        forecast_at = ForecasterSpec.forecast_at
 
-        def counted(spec, values, ends, n):
-            made.append(spec)
-            return forecast_at(spec, values, ends, n)
+        def counting(forecast_at):
+            def counted(spec, values, ends, n):
+                made.append(spec)
+                return forecast_at(spec, values, ends, n)
 
-        monkeypatch.setattr(ForecasterSpec, "forecast_at", counted)
+            return counted
+
+        for spec_type in (WnnSpec, SeasonalNaiveSpec):
+            monkeypatch.setattr(spec_type, "forecast_at", counting(spec_type.forecast_at))
         levels = [arg for conf in confidences for arg in ("--confidence", conf)]
         argv = [command, "--input", str(MILK), "--n", "1", "--p", "12", "--k", "3", *levels]
         assert main(argv) == 0

@@ -19,7 +19,6 @@ from cpwnn import (
     p_value,
     rank_for,
     run_backtest,
-    score_matrix,
     wnn_forecast,
 )
 from cpwnn import conformal
@@ -32,18 +31,25 @@ def periodic_series(profile, reps, period=None):
     return TimeSeries(np.tile(profile, reps), period or len(profile))
 
 
+def wnn_scores(ts, config, h, weighting=Weighting.INVERSE_DISTANCE):
+    """Score rows of the h most recent steps, oldest first, as `score_rows` gives them."""
+    spec = ForecasterSpec.wnn(config, weighting)
+    forecasts, actual = score_rows(ts, spec, config.n, h)
+    return np.abs(actual - forecasts[:-1])
+
+
 class TestNonconformityScores:
     def test_perfect_forecaster_gives_zeros(self):
         ts = periodic_series([5.0, 9.0, 2.0, 7.0], 12)
         config = HorizonConfig(n=4, p=1, k=1)
-        scores = score_matrix(ts, config, h=1).rows[0]
+        scores = wnn_scores(ts, config, h=1)[0]
         assert scores == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_componentwise_absolute_error(self):
         # prefix [9, 23, 9, 23]: the nearest window continues with (9, 23);
         # realized values are (10, 20), so the scores are (1, 3).
         ts = TimeSeries(np.array([9.0, 23.0, 9.0, 23.0, 10.0, 20.0]), 2)
-        scores = score_matrix(ts, HorizonConfig(n=2, p=1, k=1), h=1).rows[0]
+        scores = wnn_scores(ts, HorizonConfig(n=2, p=1, k=1), h=1)[0]
         assert scores == pytest.approx([1.0, 3.0])
 
     def test_matches_fresh_reforecast(self):
@@ -52,9 +58,9 @@ class TestNonconformityScores:
         # a rounded series has exact distance ties at the k-th neighbor
         for ts in (TimeSeries(values, 4), TimeSeries(np.round(values), 4)):
             for weighting in Weighting:
-                sm = score_matrix(ts, config, h=3, weighting=weighting)
-                assert sm.row_tags == (44, 46, 48)
-                for row, t in zip(sm.rows, sm.row_tags):
+                rows = wnn_scores(ts, config, h=3, weighting=weighting)
+                assert rows.shape == (3, 2)  # one row per t = 44, 46, 48
+                for row, t in zip(rows, (44, 46, 48)):
                     fresh = wnn_forecast(TimeSeries(ts.values[:t], 4), config, weighting)
                     assert np.array_equal(row, np.abs(ts.values[t : t + 2] - fresh))
 
@@ -62,7 +68,7 @@ class TestNonconformityScores:
         # h = 15 pairs with n = 2 would put the earliest pair at t = 29 - 30 < 1
         ts = TimeSeries(np.arange(1.0, 30.0), 4)
         with pytest.raises(SeriesTooShortError):
-            score_matrix(ts, HorizonConfig(n=2, p=2, k=1), h=15)
+            wnn_scores(ts, HorizonConfig(n=2, p=2, k=1), h=15)
 
 
 class TestScoreMatrix:
@@ -70,12 +76,11 @@ class TestScoreMatrix:
         rng = np.random.default_rng(1)
         ts = TimeSeries(rng.normal(10.0, 1.0, size=60), 4)
         config = HorizonConfig(n=2, p=2, k=2)
-        sm = score_matrix(ts, config, h=5)
-        assert sm.rows.shape == (5, 2)
-        assert sm.row_tags == (50, 52, 54, 56, 58)
-        for i, t in enumerate(sm.row_tags):
+        rows = wnn_scores(ts, config, h=5)
+        assert rows.shape == (5, 2)
+        for i, t in enumerate((50, 52, 54, 56, 58)):
             fresh = wnn_forecast(TimeSeries(ts.values[:t], 4), config)
-            assert sm.rows[i] == pytest.approx(np.abs(ts.values[t : t + 2] - fresh))
+            assert rows[i] == pytest.approx(np.abs(ts.values[t : t + 2] - fresh))
 
 
 class TestKthLargest:
@@ -110,7 +115,7 @@ class TestForecastMemo:
         spec = ForecasterSpec.wnn(config)
         for h in hs:
             rows, center = reference_rows(ts, spec, 2, h)
-            assert np.array_equal(score_matrix(ts, config, h).rows, rows)
+            assert np.array_equal(wnn_scores(ts, config, h), rows)
             region = conformal_region(ts, config, h, delta=0.5)
             assert np.array_equal(region.center, center)
             assert np.array_equal(region.half_widths, kth_largest(rows, rank_for(0.5, h)))
@@ -128,7 +133,7 @@ class TestForecastMemo:
             for config, weighting in cases:
                 spec = ForecasterSpec.wnn(config, weighting)
                 rows, center = reference_rows(ts, spec, config.n, 8)
-                assert np.array_equal(score_matrix(ts, config, 8, weighting).rows, rows)
+                assert np.array_equal(wnn_scores(ts, config, 8, weighting), rows)
                 assert np.array_equal(
                     conformal_region(ts, config, 8, 0.5, weighting).center, center
                 )
@@ -136,22 +141,22 @@ class TestForecastMemo:
     def test_stored_forecasts_are_read_only(self):
         ts = self.series()
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=2, k=3))
-        _, forecasts, _ = score_rows(ts, spec, 2, 6)
+        forecasts, _ = score_rows(ts, spec, 2, 6)
         with pytest.raises(ValueError):
             forecasts[0, 0] = 1e9
         assert not any(f.flags.writeable for f in conformal._FORECASTS[ts].values())
         rows, _ = reference_rows(ts, spec, 2, 6)
-        assert np.array_equal(score_matrix(ts, spec.config, 6).rows, rows)
+        assert np.array_equal(wnn_scores(ts, spec.config, 6), rows)
 
     def test_too_short_raises_on_every_call(self):
         ts = TimeSeries(np.arange(1.0, 30.0), 4)
         config = HorizonConfig(n=2, p=2, k=1)
-        score_matrix(ts, config, h=5)  # feasible: an entry now exists
+        wnn_scores(ts, config, h=5)  # feasible: an entry now exists
         wrong_n = ForecasterSpec.wnn(HorizonConfig(n=3, p=2, k=1))
         split = SplitSpec(i1=4, i2=1, delta=0.2)
         for _ in range(3):
             with pytest.raises(SeriesTooShortError):
-                score_matrix(ts, config, h=15)
+                wnn_scores(ts, config, h=15)
             with pytest.raises(SeriesTooShortError):
                 conformal_region(ts, config, 15, 0.5)
             with pytest.raises(InvalidParamsError):
@@ -160,7 +165,7 @@ class TestForecastMemo:
     def test_entry_dies_with_its_series(self):
         ts = self.series()
         config = HorizonConfig(n=2, p=2, k=3)
-        score_matrix(ts, config, h=6)
+        wnn_scores(ts, config, h=6)
         alive = weakref.ref(ts)
         stored = weakref.ref(conformal._FORECASTS[ts][ForecasterSpec.wnn(config), 2])
         gc.collect()
@@ -245,8 +250,8 @@ class TestConformalRegion:
         h, delta = 12, 0.1  # floor(0.1 * 13) = 1
         region = conformal_region(ts, config, h, delta)
         assert region.rank == 1
-        sm = score_matrix(ts, config, h)
-        assert region.half_widths == pytest.approx(sm.rows.max(axis=0))
+        scores = wnn_scores(ts, config, h)
+        assert region.half_widths == pytest.approx(scores.max(axis=0))
 
     def test_degenerate_on_deterministic_series(self):
         ts = periodic_series([4.0, 9.0, 6.0, 1.0], 15)
@@ -262,9 +267,9 @@ class TestConformalRegion:
         h, delta = 15, 0.2
         region = conformal_region(ts, config, h, delta)
         s = rank_for(delta, h)
-        sm = score_matrix(ts, config, h)
+        scores = wnn_scores(ts, config, h)
         for j in range(3):
-            want = sorted(sm.rows[:, j], reverse=True)[s - 1]
+            want = sorted(scores[:, j], reverse=True)[s - 1]
             assert region.half_widths[j] == pytest.approx(want)
 
     def test_symmetry_about_center(self):
@@ -279,9 +284,9 @@ class TestConformalRegion:
         config = HorizonConfig(n=2, p=3, k=3)
         h, delta = 14, 0.2
         region = conformal_region(ts, config, h, delta)
-        sm = score_matrix(ts, config, h)
+        scores = wnn_scores(ts, config, h)
         for j in range(2):
-            lo, hi, step = region_oracle_bounds(sm.rows[:, j], region.center[j], delta)
+            lo, hi, step = region_oracle_bounds(scores[:, j], region.center[j], delta)
             assert abs(lo - region.lower[j]) <= step + 1e-9
             assert abs(hi - region.upper[j]) <= step + 1e-9
 

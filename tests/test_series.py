@@ -13,7 +13,6 @@ from cpwnn import (
     min_calibration_count,
     rank_for,
     split_sizes,
-    validate_series,
 )
 from cpwnn.errors import (
     DataError,
@@ -30,33 +29,33 @@ from cpwnn.errors import (
 
 class TestValidateSeries:
     def test_plain_construction(self):
-        ts = validate_series([1.0, 2.0, 3.0], 12)
+        ts = TimeSeries([1.0, 2.0, 3.0], 12)
         assert len(ts) == 3
         assert ts.period == 12
 
     def test_nan_reports_position(self):
         with pytest.raises(NonFiniteValueError) as exc:
-            validate_series([1.0, float("nan")], 12)
+            TimeSeries([1.0, float("nan")], 12)
         assert exc.value.index == 1
 
     def test_infinity_rejected(self):
         with pytest.raises(NonFiniteValueError):
-            validate_series([1.0, float("inf"), 2.0], 12)
+            TimeSeries([1.0, float("inf"), 2.0], 12)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySeriesError):
-            validate_series([], 12)
+            TimeSeries([], 12)
 
     def test_bad_period(self):
         with pytest.raises(InvalidPeriodError):
-            validate_series([1.0], 0)
+            TimeSeries([1.0], 0)
 
     def test_two_dimensional_values_are_a_data_error(self):
         with pytest.raises(DataError):
-            validate_series([[1.0, 2.0], [3.0, 4.0]], 12)
+            TimeSeries([[1.0, 2.0], [3.0, 4.0]], 12)
 
     def test_values_are_read_only(self):
-        ts = validate_series([1.0, 2.0], 4)
+        ts = TimeSeries([1.0, 2.0], 4)
         with pytest.raises(ValueError):
             ts.values[0] = 9.0
 

@@ -7,8 +7,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from cpwnn import (
     ForecasterSpec,
     HorizonConfig,
+    SplitSpec,
     TimeSeries,
     Weighting,
+    check_cp,
+    conformal_region,
     fpto_tune,
     mape,
     wnn_forecast,
@@ -211,6 +214,24 @@ class TestPointForecast:
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=3, k=2))
         with pytest.raises(InvalidParamsError):
             spec.forecast_at(ts.values, [40], 3)
+
+    @pytest.mark.parametrize("period", [2.5, True, 0, -3])
+    def test_seasonal_naive_rejects_a_bad_period(self, period):
+        with pytest.raises(InvalidParamsError, match="period must be a positive integer"):
+            ForecasterSpec.seasonal_naive(period)
+
+    def test_unknown_weighting_is_a_config_error(self):
+        ts = TimeSeries(np.random.default_rng(3).normal(20.0, 1.0, size=40), 4)
+        config = HorizonConfig(n=1, p=2, k=1)
+        calls = [
+            lambda: ForecasterSpec.wnn(config, "nearest"),
+            lambda: fpto_tune(ts, 1, 3, weighting="nearest"),
+            lambda: check_cp(ts, config, SplitSpec(4, 2, 0.2), "nearest"),
+            lambda: conformal_region(ts, config, 8, 0.2, "nearest"),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParamsError, match="weighting must be one of"):
+                call()
 
 
 class TestFptoTune:
