@@ -17,11 +17,7 @@ from .backtest import (
     compare_forecasters,
     run_backtest,
 )
-from .conformal import (
-    PredictionRegion,
-    conformal_region,
-    p_value,
-)
+from .conformal import PredictionRegion, conformal_region
 from .etssim import (
     EtsKind,
     EtsParams,
@@ -73,7 +69,6 @@ __all__ = [
     "fpto_tune",
     "mape",
     "min_calibration_count",
-    "p_value",
     "rank_for",
     "run_backtest",
     "simulate_ets",

@@ -50,7 +50,10 @@ DEFAULT_CONFIDENCE = 0.95
 
 
 def load_csv(path, column="value", period: int = 12) -> TimeSeries:
-    """Read one numeric column (by header name or 0-based index) into a TimeSeries."""
+    """Read one numeric column into a TimeSeries.
+
+    column is a header name, or a digit string giving a 0-based column index.
+    """
     if path == "-":
         rows = list(csv.reader(sys.stdin))
     else:
@@ -59,15 +62,11 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
     if not rows:
         raise CsvParseError(1, column, "empty file (expected a header row)")
     header = [cell.strip() for cell in rows[0]]
-    index: int | None = None
-    if isinstance(column, int):
-        if 0 <= column < len(header):
-            index = column
-    elif column in header:
+    if column in header:
         index = header.index(column)
     elif isinstance(column, str) and column.isdigit() and int(column) < len(header):
         index = int(column)
-    if index is None:
+    else:
         raise ColumnNotFoundError(column, header)
     values: list[float] = []
     for rownum, row in enumerate(rows[1:], start=2):
@@ -490,10 +489,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             Path(args.output_path).write_text(text, encoding="utf-8")
         return EXIT_OK
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
+    except (FileNotFoundError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:

@@ -1,4 +1,4 @@
-"""Nonconformity scores, p-values, and product prediction regions.
+"""Nonconformity scores and product prediction regions.
 
 Scoring the step that ends at t means refitting the forecaster on the
 observations before t only and taking the componentwise |actual - forecast|
@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParamsError, SeriesTooShortError
-from .series import HorizonConfig, TimeSeries, _feasible_rank, _freeze
+from .series import HorizonConfig, TimeSeries, _feasible_rank, _freeze, _positive_int
 from .wnn import ForecasterSpec, Weighting
 
 # Per series, per (spec, n): the read-only forecasts at ends T-h*n, ..., T-n, T
@@ -56,8 +55,7 @@ def score_rows(
     the h realized rows; the scores are |actual - forecasts[:-1]|. The
     earliest prefix must hold at least spec.min_history observations.
     """
-    if h < 1:
-        raise InvalidParamsError("h must be >= 1")
+    h = _positive_int("h", h)
     values = series.values
     T = int(values.size)
     ends = T - n * np.arange(h, -1, -1)
@@ -78,14 +76,6 @@ def score_rows(
 def kth_largest(rows: np.ndarray, s: int) -> np.ndarray:
     """Per column, the s-th largest entry of the rows (s = 1 is the maximum)."""
     return np.partition(rows, -s, axis=0)[-s]
-
-
-def p_value(calibration_scores: Sequence[float], alpha_new: float) -> float:
-    """Fraction of scores at least alpha_new, counting alpha_new itself."""
-    scores = np.asarray(calibration_scores, dtype=float)
-    if scores.ndim != 1 or scores.size < 1:
-        raise InvalidParamsError("need a one-dimensional, non-empty calibration set")
-    return (1 + int(np.count_nonzero(scores >= alpha_new))) / (scores.size + 1)
 
 
 @dataclass(frozen=True, eq=False)

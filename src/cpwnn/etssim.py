@@ -33,7 +33,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidParamsError
-from .series import TimeSeries, _freeze
+from .series import TimeSeries, _freeze, _open_unit, _positive_int
 
 
 class EtsKind(str, Enum):
@@ -64,19 +64,14 @@ class EtsParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", EtsKind(self.kind))
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidParamsError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidParamsError(f"gamma must lie in (0, 1), got {self.gamma!r}")
-        if self.sigma2 < 0.0:
+        _open_unit("alpha", self.alpha)
+        _open_unit("gamma", self.gamma)
+        if not self.sigma2 >= 0.0:
             raise InvalidParamsError(f"sigma2 must be >= 0, got {self.sigma2!r}")
-        if self.period < 1:
-            raise InvalidParamsError(f"period must be >= 1, got {self.period!r}")
+        object.__setattr__(self, "period", _positive_int("period", self.period))
         if self.kind is EtsKind.AADA:
-            if self.beta is None or not 0.0 < self.beta < 1.0:
-                raise InvalidParamsError("the damped-trend model needs beta in (0, 1)")
-            if self.phi is None or not 0.0 < self.phi < 1.0:
-                raise InvalidParamsError("the damped-trend model needs phi in (0, 1)")
+            _open_unit("beta", self.beta)
+            _open_unit("phi", self.phi)
         elif self.beta is not None or self.phi is not None:
             raise InvalidParamsError("beta and phi only apply to the damped-trend model")
         seasonal = (
@@ -147,8 +142,7 @@ def _simulate_with_means(
     seasonal state in force at t), which is what an oracle one-step forecast
     would predict.
     """
-    if T < 1:
-        raise InvalidParamsError("T must be >= 1")
+    T = _positive_int("T", T)
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal(T) * math.sqrt(params.sigma2)
     m = params.period
@@ -181,8 +175,7 @@ def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
 
 def ets_forecast_variance(params: EtsParams, h: int) -> float:
     """Closed-form variance of the h-step-ahead forecast error."""
-    if h < 1:
-        raise InvalidParamsError("h must be >= 1")
+    h = _positive_int("h", h)
     m = params.period
     k = (h - 1) // m
     alpha, gamma = params.alpha, params.gamma

@@ -43,10 +43,10 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
-def _check_delta(delta) -> None:
-    """Reject a significance level that is not a number in the open interval (0, 1)."""
-    if not isinstance(delta, (int, float, np.integer, np.floating)) or not 0.0 < delta < 1.0:
-        raise InvalidParamsError(f"delta must lie in (0, 1), got {delta!r}")
+def _open_unit(name: str, value) -> None:
+    """Reject a value that is not a number in the open interval (0, 1)."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or not 0.0 < value < 1.0:
+        raise InvalidParamsError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +107,7 @@ def min_calibration_count(delta: float) -> int:
 
 def _feasible_rank(delta: float, h: int) -> int:
     """rank_for(delta, h) for a valid delta; InsufficientCalibrationError below 1."""
-    _check_delta(delta)
+    _open_unit("delta", delta)
     s = rank_for(delta, h)
     if s < 1:
         raise InsufficientCalibrationError(h, min_calibration_count(delta))
@@ -123,7 +123,7 @@ class SplitSpec:
     delta: float
 
     def __post_init__(self):
-        _check_delta(self.delta)
+        _open_unit("delta", self.delta)
         object.__setattr__(self, "i1", _positive_int("i1", self.i1))
         object.__setattr__(self, "i2", _positive_int("i2", self.i2))
         # floor(delta*(i1+1)) >= 1 must hold so a rank exists at the first step.
@@ -170,12 +170,11 @@ def split_sizes(T: int, n: int, delta: float) -> SplitSpec:
     for the first rank to exist, otherwise the floor ceil(1/delta - 1). Both
     ceilings are evaluated in exact integer arithmetic.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise InvalidParamsError(f"T must be a positive integer, got {T!r}")
+    T = _positive_int("T", T)
     n = _positive_int("n", n)
-    _check_delta(delta)
-    i2 = _ceil_div(int(T), 5 * n)
-    i1 = _ceil_div(int(T) - n * i2, 5 * n)
+    _open_unit("delta", delta)
+    i2 = _ceil_div(T, 5 * n)
+    i1 = _ceil_div(T - n * i2, 5 * n)
     i1 = max(i1, min_calibration_count(delta))
     if T - n * (i1 + i2) < n:
         raise SeriesTooShortError(

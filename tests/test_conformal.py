@@ -5,8 +5,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cpwnn import (
     ForecasterSpec,
@@ -16,7 +14,6 @@ from cpwnn import (
     Weighting,
     check_cp,
     conformal_region,
-    p_value,
     rank_for,
     run_backtest,
     wnn_forecast,
@@ -212,26 +209,6 @@ class TestForecastMemo:
             sys.setswitchinterval(interval)
 
 
-class TestPValue:
-    def test_counts_candidate_itself(self):
-        assert p_value([3.0, 1.0, 2.0], 2.0) == pytest.approx(3 / 4)
-
-    def test_strictly_largest_candidate(self):
-        assert p_value([1.0, 2.0, 3.0], 9.0) == pytest.approx(1 / 4)
-
-    def test_zero_candidate_counts_everything(self):
-        assert p_value([0.5, 1.5, 0.0], 0.0) == 1.0
-
-    @settings(max_examples=100)
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40),
-        st.floats(min_value=0.0, max_value=120.0),
-    )
-    def test_counting_oracle(self, scores, candidate):
-        count = sum(1 for s in scores if s >= candidate) + 1
-        assert p_value(scores, candidate) == pytest.approx(count / (len(scores) + 1))
-
-
 def region_oracle_bounds(column_scores, center_j, delta, grid_pad=1.0, points=4001):
     """Membership test on a dense grid: keep candidates whose p-value beats delta."""
     scores = np.asarray(column_scores, dtype=float)
@@ -308,3 +285,9 @@ class TestConformalRegion:
         ts = periodic_series([4.0, 9.0, 6.0, 1.0], 15)
         with pytest.raises(InvalidParamsError):
             conformal_region(ts, HorizonConfig(n=4, p=1, k=1), 8, 0.0)
+
+    @pytest.mark.parametrize("h,delta", [(20.5, 0.1), (True, 0.5)])
+    def test_h_validated(self, h, delta):
+        ts = periodic_series([4.0, 9.0, 6.0, 1.0], 15)
+        with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
+            conformal_region(ts, HorizonConfig(n=4, p=1, k=1), h, delta)

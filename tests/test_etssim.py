@@ -43,6 +43,15 @@ class TestParams:
             aada_params(0.5, 0.3, 0.2, phi=1.0)
         with pytest.raises(InvalidParamsError):
             EtsParams(EtsKind.ANA, alpha=0.5, gamma=0.2, beta=0.3)
+        with pytest.raises(InvalidParamsError, match="period must be a positive integer"):
+            ana_params(0.5, 0.2, period=True)
+        with pytest.raises(InvalidParamsError, match="sigma2 must be >= 0"):
+            ana_params(0.5, 0.2, sigma2=float("nan"))
+        with pytest.raises(InvalidParamsError, match="beta must lie in"):
+            aada_params(0.5, None, 0.2, 0.9)
+        for T in (2.5, True):
+            with pytest.raises(InvalidParamsError, match="T must be a positive integer"):
+                simulate_ets(ana_params(0.5, 0.2), T, 0)
 
     def test_seasonal_must_sum_to_zero(self):
         with pytest.raises(InvalidParamsError):
@@ -140,6 +149,10 @@ class TestForecastVariance:
     def test_h_validated(self):
         with pytest.raises(InvalidParamsError):
             ets_forecast_variance(ana_params(0.5, 0.2), 0)
+        with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
+            ets_forecast_variance(ana_params(0.5, 0.2), 2.5)
+        with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
+            theoretical_width(ana_params(0.5, 0.2), True, 0.9)
 
 
 class TestTheoreticalWidth:

@@ -148,6 +148,10 @@ class TestSplitSizes:
         with pytest.raises(SeriesTooShortError):
             split_sizes(24, 1, 0.05)
 
+    def test_length_typed(self):
+        with pytest.raises(InvalidParamsError, match="T must be a positive integer"):
+            split_sizes(True, 1, 0.5)
+
     def test_spec_invariants_enforced(self):
         with pytest.raises(InsufficientCalibrationError) as exc:
             SplitSpec(i1=5, i2=3, delta=0.05)
