@@ -98,8 +98,7 @@ class PredictionRegion:
             raise InvalidParamsError("center and half_widths must be 1-D and congruent")
         if not np.all(np.isfinite(half)) or np.any(half < 0.0):
             raise InvalidParamsError("half-widths must be finite and non-negative")
-        if self.rank < 1:
-            raise InvalidParamsError("rank must be >= 1")
+        object.__setattr__(self, "rank", _positive_int("rank", self.rank))
         object.__setattr__(self, "center", _freeze(center))
         object.__setattr__(self, "half_widths", _freeze(half))
 

@@ -106,7 +106,8 @@ def min_calibration_count(delta: float) -> int:
 
 
 def _feasible_rank(delta: float, h: int) -> int:
-    """rank_for(delta, h) for a valid delta; InsufficientCalibrationError below 1."""
+    """rank_for(delta, h) for a valid h and delta; InsufficientCalibrationError below 1."""
+    h = _positive_int("h", h)
     _open_unit("delta", delta)
     s = rank_for(delta, h)
     if s < 1:
@@ -144,19 +145,20 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
         )
     if a.size == 0:
         raise LengthMismatchError("need at least one point")
-    return float(_mape_rows(a[None], f[None])[0])
+    return float(_mape_rows(a, f))
 
 
 def _mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """Row-wise MAPE of two equal-shape 2-D arrays, in percent.
+    """MAPE over the last axis, in percent; predicted broadcasts against actual.
 
-    A zero actual raises ZeroActualError with its position in the first row
-    that holds one.
+    `fpto_tune` scores every k of one p at once: a (K, folds, n) stack of
+    forecasts against the (folds, n) actuals. A zero actual raises
+    ZeroActualError with its position in the first row that holds one.
     """
     zeros = np.flatnonzero(actual == 0.0)
     if zeros.size:
-        raise ZeroActualError(int(zeros[0]) % actual.shape[1])
-    return 100.0 * np.mean(np.abs((predicted - actual) / actual), axis=1)
+        raise ZeroActualError(int(zeros[0]) % actual.shape[-1])
+    return 100.0 * np.mean(np.abs((predicted - actual) / actual), axis=-1)
 
 
 def _ceil_div(num: int, den: int) -> int:

@@ -10,9 +10,11 @@ Tuning evaluates a (p, k) grid by rolling-origin validation: fold i trains on
 everything before the last i*n observations and scores the n observations
 that follow. For each p, one neighbor search over all folds finds the
 max(k) nearest windows of every fold, and every k of the grid is read from
-that one result. Forecasts and fold MAPEs are the same bits as one fold at a
-time. The cell minimising the mean fold MAPE wins; exact ties go to the first
-minimum in p-major, k-minor order (smaller p, then smaller k), so results are
+that one result; one MAPE reduction then scores every k of that p. The search
+runs over blocks of queries whose distance matrix has a fixed bound in size.
+Forecasts and fold MAPEs are the same bits as one fold at a time. The cell
+minimising the mean fold MAPE wins; exact ties go to the first minimum in
+p-major, k-minor order (smaller p, then smaller k), so results are
 deterministic.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
@@ -42,6 +44,9 @@ from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
 # Regularizer for inverse-distance weights: an exact-match neighbor then
 # dominates the average instead of dividing by zero.
 _WEIGHT_EPS = 1e-8
+
+# Most query-by-candidate distances `_nearest` holds at once (256 KB).
+_BLOCK_FLOATS = 1 << 15
 
 
 class Weighting(str, Enum):
@@ -146,7 +151,7 @@ class TuneResult:
     skipped: tuple[tuple[int, int, str], ...] = ()
 
 
-def _nearest(values: np.ndarray, ends, window: int, n: int, kmax: int):
+def _nearest(values: np.ndarray, ends: np.ndarray, window: int, n: int, kmax: int):
     """The kmax nearest candidate windows for each query end e, nearest first.
 
     Query e matches the trailing window of values[:e] against every candidate
@@ -155,21 +160,39 @@ def _nearest(values: np.ndarray, ends, window: int, n: int, kmax: int):
     earlier window wins, the order of a full stable sort. Returns squared
     distances of shape (len(ends), kmax) and continuations of shape
     (len(ends), kmax, n).
+
+    Queries are searched in blocks of rows holding at most _BLOCK_FLOATS
+    distances (one row, if a row alone holds more). Each row's distances come
+    from the same einsum as a one-query search, over a difference buffer
+    every row reuses, and are padded with +inf beyond the row's own
+    candidates; selection then runs once per block.
     """
     windows = sliding_window_view(values, window)
     # Candidate i's continuation ends window i + n (window = n*p >= n).
     following = windows[n:, window - n :]
+    counts = ends - window - n + 1
+    buf = np.empty((int(counts.max()), window))
+    step = max(1, _BLOCK_FLOATS // len(buf))
     d2 = np.empty((len(ends), kmax))
     continuations = np.empty((len(ends), kmax, n))
-    for row, e in enumerate(ends):
-        diff = windows[: e - window - n + 1] - values[e - window : e]
-        dist = np.einsum("ij,ij->i", diff, diff)
-        # Only candidates at or below the kmax-th distance can be chosen, so
-        # sorting just those keeps the full sort's earlier-window-wins order.
-        near = np.flatnonzero(dist <= np.partition(dist, kmax - 1)[kmax - 1])
-        chosen = near[np.argsort(dist[near], kind="stable")[:kmax]]
-        d2[row] = dist[chosen]
-        continuations[row] = following[chosen]
+    for start in range(0, len(ends), step):
+        block = slice(start, start + step)
+        dist = np.full((len(counts[block]), int(counts[block].max())), np.inf)
+        for row, (e, count) in enumerate(zip(ends[block], counts[block])):
+            diff = np.subtract(windows[:count], values[e - window : e], out=buf[:count])
+            np.einsum("ij,ij->i", diff, diff, out=dist[row, :count])
+        # Only candidates at or below their row's kmax-th distance can be
+        # chosen. Ordering just those by (row, distance, window) keeps the
+        # full sort's earlier-window-wins order; the +inf padding sits past
+        # every real candidate, so it is never among a row's first kmax.
+        kth = np.partition(dist, kmax - 1, axis=1)[:, kmax - 1 : kmax]
+        flat = np.flatnonzero(dist <= kth)
+        rows, near = np.divmod(flat, dist.shape[1])
+        order = np.lexsort((near, dist.ravel()[flat], rows))
+        first = np.searchsorted(rows, np.arange(len(dist)))
+        chosen = near[order[first[:, None] + np.arange(kmax)]]
+        d2[block] = np.take_along_axis(dist, chosen, axis=1)
+        continuations[block] = following[chosen]
     return d2, continuations
 
 
@@ -245,9 +268,11 @@ def fpto_tune(
             continue
         d2, continuations = _nearest(values, ends, window, n, feasible[-1])
         actual = sliding_window_view(values, n)[ends]
-        for k in feasible:
-            forecasts = _neighbor_average(d2, continuations, k, weighting)
-            trace.append((p, k, float(np.mean(_mape_rows(actual, forecasts)))))
+        forecasts = np.stack(
+            [_neighbor_average(d2, continuations, k, weighting) for k in feasible]
+        )
+        objectives = np.mean(_mape_rows(actual, forecasts), axis=1)
+        trace.extend((p, k, float(o)) for k, o in zip(feasible, objectives))
     if not trace:
         raise GridInfeasibleError(skipped)
     best = min(range(len(trace)), key=lambda i: trace[i][2])

@@ -9,6 +9,7 @@ import pytest
 from cpwnn import (
     ForecasterSpec,
     HorizonConfig,
+    PredictionRegion,
     SplitSpec,
     TimeSeries,
     Weighting,
@@ -286,8 +287,14 @@ class TestConformalRegion:
         with pytest.raises(InvalidParamsError):
             conformal_region(ts, HorizonConfig(n=4, p=1, k=1), 8, 0.0)
 
-    @pytest.mark.parametrize("h,delta", [(20.5, 0.1), (True, 0.5)])
+    @pytest.mark.parametrize("h,delta", [(20.5, 0.1), (True, 0.5), (True, 0.1), (2.5, 0.1)])
     def test_h_validated(self, h, delta):
+        # (True, 0.1) and (2.5, 0.1) are typed before the rank rule sees them
         ts = periodic_series([4.0, 9.0, 6.0, 1.0], 15)
         with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
             conformal_region(ts, HorizonConfig(n=4, p=1, k=1), h, delta)
+
+    @pytest.mark.parametrize("rank", [True, 2.5, 0])
+    def test_region_rank_must_be_a_positive_integer(self, rank):
+        with pytest.raises(InvalidParamsError, match="rank must be a positive integer"):
+            PredictionRegion([1.0], [0.5], 0.1, rank)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from cpwnn import wnn
 from cpwnn import (
     ForecasterSpec,
     HorizonConfig,
@@ -68,6 +69,23 @@ def reference_fold_forecast(values, n, p, k, weighting):
     w = 1.0 / (d2[chosen] + WEIGHT_EPS)
     w /= w.sum()
     return w @ continuations
+
+
+def reference_nearest(values, ends, window, n, kmax):
+    """The one-query-at-a-time search: per end, every candidate's distance, then
+    the partition-plus-stable-sort selection of the kmax nearest."""
+    windows = sliding_window_view(values, window)
+    following = windows[n:, window - n :]
+    d2 = np.empty((len(ends), kmax))
+    continuations = np.empty((len(ends), kmax, n))
+    for row, e in enumerate(ends):
+        diff = windows[: e - window - n + 1] - values[e - window : e]
+        dist = np.einsum("ij,ij->i", diff, diff)
+        near = np.flatnonzero(dist <= np.partition(dist, kmax - 1)[kmax - 1])
+        chosen = near[np.argsort(dist[near], kind="stable")[:kmax]]
+        d2[row] = dist[chosen]
+        continuations[row] = following[chosen]
+    return d2, continuations
 
 
 def reference_mape(actual, predicted):
@@ -343,6 +361,41 @@ class TestBatchedSearchIsBitIdentical:
         with pytest.raises(ZeroActualError) as got:
             fpto_tune(TimeSeries(values, 4), 3, 4, [2], [1, 2])
         assert got.value.index == want.value.index == 1
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_many_ends_span_several_blocks(self, weighting):
+        # Rounded values tie at the kmax-th distance; the ends grow, so each
+        # block pads its shorter rows with +inf.
+        values = np.round(np.random.default_rng(21).normal(10.0, 1.0, size=3000))
+        n, window, kmax = 1, 4, 6
+        ends = np.arange(2400, 3001)
+        rows_per_block = wnn._BLOCK_FLOATS // (ends[-1] - window - n + 1)
+        assert len(ends) > 2 * rows_per_block and len(ends) % rows_per_block
+        got = wnn._nearest(values, ends, window, n, kmax)
+        want = reference_nearest(values, ends, window, n, kmax)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        spec = ForecasterSpec.wnn(HorizonConfig(n=n, p=window, k=kmax), weighting)
+        want_forecasts = wnn._neighbor_average(*want, kmax, weighting)
+        assert np.array_equal(spec.forecast_at(values, ends, n), want_forecasts)
+
+    def test_one_search_and_one_mape_reduction_per_feasible_p(self, monkeypatch):
+        calls = {"_nearest": 0, "_mape_rows": 0}
+
+        def counted(name):
+            inner = getattr(wnn, name)
+
+            def call(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(wnn, name, counted(name))
+        values = _bit_test_series("random", 6)  # T = 90, shortest fold 90 - 8*2 = 74
+        result = fpto_tune(TimeSeries(values, 4), 2, 8, [1, 3, 5, 40], range(1, 13))
+        assert {p for p, _, _ in result.trace} == {1, 3, 5}
+        assert calls == {"_nearest": 3, "_mape_rows": 3}
 
     @pytest.mark.parametrize("folds", [30, 31, 45])
     def test_folds_covering_the_series_are_infeasible(self, folds):
