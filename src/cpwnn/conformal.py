@@ -56,6 +56,7 @@ def score_rows(
     earliest prefix must hold at least spec.min_history observations.
     """
     h = _positive_int("h", h)
+    n = _positive_int("n", n)
     values = series.values
     T = int(values.size)
     ends = T - n * np.arange(h, -1, -1)

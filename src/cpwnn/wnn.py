@@ -8,14 +8,19 @@ the earlier window first, and k=1 returns the nearest continuation bit-exactly.
 
 Tuning evaluates a (p, k) grid by rolling-origin validation: fold i trains on
 everything before the last i*n observations and scores the n observations
-that follow. For each p, one neighbor search over all folds finds the
-max(k) nearest windows of every fold, and every k of the grid is read from
-that one result; one MAPE reduction then scores every k of that p. The search
-runs over blocks of queries whose distance matrix has a fixed bound in size.
-Forecasts and fold MAPEs are the same bits as one fold at a time. The cell
-minimising the mean fold MAPE wins; exact ties go to the first minimum in
-p-major, k-minor order (smaller p, then smaller k), so results are
-deterministic.
+that follow. One search over all folds serves every p of the grid: a running
+sum over lags gives each candidate's squared distance at every window n*p in
+turn, and at each grid window it screens out every candidate that cannot be
+among a fold's max(k) nearest, with a margin of 4*n*p*eps relative (twice
+the rounding error of either summation order) plus n*p*2**-1074 for
+subnormal squares. The kept candidates are ranked on the same einsum
+distances a refit computes, so the trace is the same bits as one fold at a
+time. Every k of a p is read from that p's result, and one MAPE reduction
+scores them all. Refits (`forecast_at`) search one window at a time and get
+nothing from a screen. Both searches run over blocks of queries with a fixed
+bound in size. The cell minimising the mean fold MAPE wins; exact ties go to
+the first minimum in p-major, k-minor order (smaller p, then smaller k), so
+results are deterministic.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
@@ -45,7 +50,7 @@ from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
 # dominates the average instead of dividing by zero.
 _WEIGHT_EPS = 1e-8
 
-# Most query-by-candidate distances `_nearest` holds at once (256 KB).
+# Most query-by-candidate distances or running sums a search holds at once (256 KB).
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -182,18 +187,85 @@ def _nearest(values: np.ndarray, ends: np.ndarray, window: int, n: int, kmax: in
             diff = np.subtract(windows[:count], values[e - window : e], out=buf[:count])
             np.einsum("ij,ij->i", diff, diff, out=dist[row, :count])
         # Only candidates at or below their row's kmax-th distance can be
-        # chosen. Ordering just those by (row, distance, window) keeps the
-        # full sort's earlier-window-wins order; the +inf padding sits past
-        # every real candidate, so it is never among a row's first kmax.
+        # chosen; the +inf padding sits past every real candidate, so it is
+        # never among a row's first kmax.
         kth = np.partition(dist, kmax - 1, axis=1)[:, kmax - 1 : kmax]
         flat = np.flatnonzero(dist <= kth)
         rows, near = np.divmod(flat, dist.shape[1])
-        order = np.lexsort((near, dist.ravel()[flat], rows))
-        first = np.searchsorted(rows, np.arange(len(dist)))
-        chosen = near[order[first[:, None] + np.arange(kmax)]]
+        chosen = near[_first_k(rows, near, dist.ravel()[flat], len(dist), kmax)]
         d2[block] = np.take_along_axis(dist, chosen, axis=1)
         continuations[block] = following[chosen]
     return d2, continuations
+
+
+def _first_k(rows: np.ndarray, near: np.ndarray, d2: np.ndarray, count: int, kmax: int):
+    """Indices of each row's kmax nearest entries, shape (count, kmax), nearest first.
+
+    Entry j is candidate near[j] of query rows[j] at squared distance d2[j];
+    rows must be sorted and hold each of 0..count-1 at least kmax times.
+    Entries are ordered by (row, distance, candidate): on ties the earlier
+    window wins, the order of a full stable sort of each row's distances.
+    """
+    order = np.lexsort((near, d2, rows))
+    first = np.searchsorted(rows, np.arange(count))
+    return order[first[:, None] + np.arange(kmax)]
+
+
+@np.errstate(over="ignore")  # an overflowed sum is +inf, which the screen handles
+def _screened_nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
+    """`_nearest(values, ends, n*p, n, kmax)` for every (p, kmax) of cells, in one pass.
+
+    cells is sorted by p. One running sum over lags screens every p: for
+    candidate continuation start a and query end e, lag l adds
+    (values[a-l] - values[e-l])**2, so after L = n*p lags the sum is the
+    squared distance of candidate a - L at window L. It sums the same
+    squared differences as `_nearest`'s einsum in another order, so each is
+    within gamma_L ~ L*eps/2 relative of the exact sum, and a row's true kmax
+    nearest, ties included, lie within 2*L*eps of its kmax-th smallest
+    running sum. The screen keeps every valid candidate within twice that,
+    plus L*2**-1074 for subnormal squares; a +inf kth keeps them all. Only
+    the kept candidates get the einsum distance `_nearest` computes, and
+    they are ranked on it, so the results are the same bits as `_nearest`'s.
+
+    Rows are searched in blocks holding at most _BLOCK_FLOATS sums. Sums
+    past a row's last candidate start at +inf, so they never lower its kth,
+    and a validity mask, not their value, keeps them out of the screen.
+    """
+    windows = [n * p for p, _ in cells]
+    first = windows[0]  # the smallest continuation start any p can use
+    padded = np.concatenate([np.zeros(windows[-1]), values])
+    starts = sliding_window_view(values, n)
+    step = max(1, _BLOCK_FLOATS // (int(ends.max()) - n - first + 1))
+    found = [(np.empty((len(ends), kmax)), np.empty((len(ends), kmax, n))) for _, kmax in cells]
+    for start in range(0, len(ends), step):
+        block = slice(start, start + step)
+        e = ends[block]
+        last = e[:, None] - n - first  # each row's last valid column
+        columns = np.arange(int(last.max()) + 1)
+        acc = np.where(columns <= last, 0.0, np.inf)
+        term = np.empty_like(acc)
+        cell = 0
+        for lag in range(1, windows[-1] + 1):
+            offset = windows[-1] + first - lag
+            np.subtract(padded[offset : offset + len(columns)], values[e - lag, None], out=term)
+            acc += np.square(term, out=term)
+            if lag < windows[cell]:
+                continue
+            kmax = cells[cell][1]
+            screen = acc[:, lag - first :]  # column i is candidate i at window lag
+            kth = np.partition(screen, kmax - 1, axis=1)[:, kmax - 1 : kmax]
+            keep = screen <= kth * (1 + 4 * lag * np.finfo(float).eps) + lag * 2.0**-1074
+            keep &= columns[lag - first :] <= last
+            rows, near = np.divmod(np.flatnonzero(keep), screen.shape[1])
+            lagged = sliding_window_view(values, lag)
+            diff = lagged[near] - lagged[e[rows] - lag]
+            exact = np.einsum("ij,ij->i", diff, diff)
+            chosen = _first_k(rows, near, exact, len(e), kmax)
+            d2, continuations = found[cell]
+            d2[block] = exact[chosen]
+            continuations[block] = starts[near[chosen] + lag]
+            cell += 1
+    return found
 
 
 def _neighbor_average(
@@ -234,6 +306,9 @@ def fpto_tune(
     Fold i (i = 1..folds) trains on values[: T - i*n] and scores the n
     observations that follow. A cell that cannot be evaluated on every fold is
     skipped and recorded; tuning fails only if the whole grid is infeasible.
+    One running-sum search screens the neighbors of every feasible p with a
+    provably safe margin and ranks the survivors on exact einsum distances,
+    so each p's neighbors are `_nearest`'s, bit for bit.
     """
     weighting = Weighting(weighting)
     n = _positive_int("n", n)
@@ -247,7 +322,7 @@ def fpto_tune(
 
     ends = T - n * np.arange(1, folds + 1)
     shortest = T - folds * n
-    trace: list[tuple[int, int, float]] = []
+    cells: list[tuple[int, list[int]]] = []
     skipped: list[tuple[int, int, str]] = []
     for p in ps:
         window = n * p
@@ -264,17 +339,20 @@ def fpto_tune(
             (p, k, f"k={k} exceeds {max_k} candidate windows on the shortest fold")
             for k in ks[len(feasible):]
         )
-        if not feasible:
-            continue
-        d2, continuations = _nearest(values, ends, window, n, feasible[-1])
-        actual = sliding_window_view(values, n)[ends]
+        if feasible:
+            cells.append((p, feasible))
+    if not cells:
+        raise GridInfeasibleError(skipped)
+    # Only now are the ends known to be non-negative.
+    actual = sliding_window_view(values, n)[ends]
+    searched = _screened_nearest(values, ends, n, [(p, feasible[-1]) for p, feasible in cells])
+    trace: list[tuple[int, int, float]] = []
+    for (p, feasible), (d2, continuations) in zip(cells, searched):
         forecasts = np.stack(
             [_neighbor_average(d2, continuations, k, weighting) for k in feasible]
         )
         objectives = np.mean(_mape_rows(actual, forecasts), axis=1)
         trace.extend((p, k, float(o)) for k, o in zip(feasible, objectives))
-    if not trace:
-        raise GridInfeasibleError(skipped)
     best = min(range(len(trace)), key=lambda i: trace[i][2])
     p_star, k_star, objective = trace[best]
     return TuneResult(p_star, k_star, objective, tuple(trace), tuple(skipped))

@@ -193,3 +193,20 @@ class TestCompareForecasters:
         broken, healthy = compare_forecasters(series, specs, 4, split)
         assert broken.error is not None and broken.report is None
         assert healthy.error is None and healthy.report.overall_coverage == 100.0
+
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_n_must_be_a_positive_integer(self, n):
+        # Typed before any forecaster sees it: a WNN spec at n = 1 would
+        # take True as 1, and the seasonal-naive gather cannot index by 2.5.
+        series = TimeSeries(np.tile(np.array([6.0, 12.0, 8.0, 4.0]), 30), 4)
+        split = SplitSpec(i1=6, i2=5, delta=0.2)
+        specs = [
+            ForecasterSpec.seasonal_naive(4),
+            ForecasterSpec.wnn(HorizonConfig(n=1, p=2, k=1)),
+        ]
+        message = f"n must be a positive integer, got {n!r}"
+        for spec in specs:
+            with pytest.raises(InvalidParamsError, match=message):
+                run_backtest(series, spec, n, split)
+        results = compare_forecasters(series, specs, n, split)
+        assert [r.error for r in results] == [message, message]

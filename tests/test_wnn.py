@@ -379,7 +379,8 @@ class TestBatchedSearchIsBitIdentical:
         assert np.array_equal(spec.forecast_at(values, ends, n), want_forecasts)
 
     def test_one_search_and_one_mape_reduction_per_feasible_p(self, monkeypatch):
-        calls = {"_nearest": 0, "_mape_rows": 0}
+        # One screened search serves every p; refits alone call _nearest.
+        calls = {"_screened_nearest": 0, "_nearest": 0, "_mape_rows": 0}
 
         def counted(name):
             inner = getattr(wnn, name)
@@ -395,11 +396,57 @@ class TestBatchedSearchIsBitIdentical:
         values = _bit_test_series("random", 6)  # T = 90, shortest fold 90 - 8*2 = 74
         result = fpto_tune(TimeSeries(values, 4), 2, 8, [1, 3, 5, 40], range(1, 13))
         assert {p for p, _, _ in result.trace} == {1, 3, 5}
-        assert calls == {"_nearest": 3, "_mape_rows": 3}
+        assert calls == {"_screened_nearest": 1, "_nearest": 0, "_mape_rows": 3}
 
-    @pytest.mark.parametrize("folds", [30, 31, 45])
+    @pytest.mark.parametrize("folds", [30, 31, 45, 60])
     def test_folds_covering_the_series_are_infeasible(self, folds):
-        values = _bit_test_series("random", 5)  # T = 90 = 30 folds of n = 3
+        # T = 90 = 30 folds of n = 3; at 60 folds the ends reach -90, past
+        # the 88 rows of the actual values' window view.
+        values = _bit_test_series("random", 5)
         assert reference_trace(values, 3, folds, [1], [1], Weighting.UNIFORM) == []
         with pytest.raises(GridInfeasibleError):
             fpto_tune(TimeSeries(values, 4), 3, folds, [1], [1])
+
+
+def assert_same_trace(got, want):
+    """== on every (p, k, objective); NaN equals NaN (all k distances +inf)."""
+    assert [cell[:2] for cell in got] == [cell[:2] for cell in want]
+    assert np.array_equal([cell[2] for cell in got], [cell[2] for cell in want], equal_nan=True)
+
+
+class TestScreenedSearchIsBitIdentical:
+    """The tuner's running-sum screen and exact re-rank against the reference, with ==."""
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("seed", [15, 54])
+    def test_one_decimal_ties(self, seed, weighting):
+        # The running sum and einsum round these near-tied distances
+        # differently; with no margin the screen drops a true neighbor.
+        values = np.round(np.random.default_rng(seed).normal(1.0, 0.3, 80), 1) + 5.1
+        result = fpto_tune(TimeSeries(values, 4), 1, 10, range(1, 7), range(1, 4), weighting)
+        want = reference_trace(values, 1, 10, range(1, 7), range(1, 4), weighting)
+        assert list(result.trace) == want
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e-160])
+    def test_overflowing_and_subnormal_squares(self, scale, weighting):
+        # At 1e154 and 1e160 every sum of a row can overflow to +inf, so its
+        # kth is +inf and the +inf entries past its last candidate pass the
+        # screen too; the validity mask keeps them, the query's own window
+        # among them, out. At 1e-160 the squares are subnormal.
+        values = np.round(np.random.default_rng(3).normal(10.0, 1.0, 80)) * scale
+        with np.errstate(invalid="ignore"):
+            result = fpto_tune(TimeSeries(values, 4), 1, 10, range(1, 7), range(1, 4), weighting)
+            want = reference_trace(values, 1, 10, range(1, 7), range(1, 4), weighting)
+        assert_same_trace(result.trace, want)
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_fold_rows_span_several_blocks(self, weighting):
+        values = np.round(np.random.default_rng(21).normal(10.0, 1.0, size=3000))
+        n, folds = 1, 25
+        # A block row holds T - 2 sums: continuation starts 1 .. T - 2 for p = 1.
+        rows_per_block = wnn._BLOCK_FLOATS // (values.size - 2)
+        assert folds > 2 * rows_per_block and folds % rows_per_block
+        result = fpto_tune(TimeSeries(values, 4), n, folds, range(1, 7), range(1, 4), weighting)
+        want = reference_trace(values, n, folds, range(1, 7), range(1, 4), weighting)
+        assert list(result.trace) == want
