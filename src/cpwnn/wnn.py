@@ -8,19 +8,19 @@ the earlier window first, and k=1 returns the nearest continuation bit-exactly.
 
 Tuning evaluates a (p, k) grid by rolling-origin validation: fold i trains on
 everything before the last i*n observations and scores the n observations
-that follow. One search over all folds serves every p of the grid: a running
-sum over lags gives each candidate's squared distance at every window n*p in
-turn, and at each grid window it screens out every candidate that cannot be
-among a fold's max(k) nearest, with a margin of 4*n*p*eps relative (twice
-the rounding error of either summation order) plus n*p*2**-1074 for
-subnormal squares. The kept candidates are ranked on the same einsum
-distances a refit computes, so the trace is the same bits as one fold at a
-time. Every k of a p is read from that p's result, and one MAPE reduction
-scores them all. Refits (`forecast_at`) search one window at a time and get
-nothing from a screen. Both searches run over blocks of queries with a fixed
-bound in size. The cell minimising the mean fold MAPE wins; exact ties go to
-the first minimum in p-major, k-minor order (smaller p, then smaller k), so
-results are deterministic.
+that follow. One neighbor search, `_nearest`, serves the tuner and every
+refit. A running sum over lags gives each candidate's squared distance at
+every window n*p in turn, and at each window asked for it screens out every
+candidate that cannot be among a query's max(k) nearest, with a margin of
+4*n*p*eps relative (twice the rounding error of either summation order) plus
+n*p*2**-1074 for subnormal squares. The kept candidates are ranked on exact
+einsum distances, so the neighbors are the same bits as a full sort of every
+candidate's einsum distance. The tuner asks for every p of the grid in one
+search; every k of a p is read from that p's result, and one MAPE reduction
+scores them all. A refit asks for its one (p, k). The search holds blocks of
+a fixed bound in size. The cell minimising the mean fold MAPE wins; exact
+ties go to the first minimum in p-major, k-minor order (smaller p, then
+smaller k), so results are deterministic.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
@@ -50,7 +50,7 @@ from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
 # dominates the average instead of dividing by zero.
 _WEIGHT_EPS = 1e-8
 
-# Most query-by-candidate distances or running sums a search holds at once (256 KB).
+# Most running sums, or exact-distance differences, the search holds at once (256 KB).
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -117,7 +117,7 @@ class WnnSpec(ForecasterSpec):
         count = shortest - window - n + 1
         if config.k > count:
             raise TooFewCandidatesError(config.k, count)
-        d2, continuations = _nearest(values, ends, window, n, config.k)
+        [(d2, continuations)] = _nearest(values, ends, n, [(config.p, config.k)])
         return _neighbor_average(d2, continuations, config.k, self.weighting)
 
 
@@ -156,80 +156,33 @@ class TuneResult:
     skipped: tuple[tuple[int, int, str], ...] = ()
 
 
-def _nearest(values: np.ndarray, ends: np.ndarray, window: int, n: int, kmax: int):
-    """The kmax nearest candidate windows for each query end e, nearest first.
-
-    Query e matches the trailing window of values[:e] against every candidate
-    values[i : i+window] whose continuation, the n values that follow, lies
-    inside values[:e]; each e must leave at least kmax candidates. On ties the
-    earlier window wins, the order of a full stable sort. Returns squared
-    distances of shape (len(ends), kmax) and continuations of shape
-    (len(ends), kmax, n).
-
-    Queries are searched in blocks of rows holding at most _BLOCK_FLOATS
-    distances (one row, if a row alone holds more). Each row's distances come
-    from the same einsum as a one-query search, over a difference buffer
-    every row reuses, and are padded with +inf beyond the row's own
-    candidates; selection then runs once per block.
-    """
-    windows = sliding_window_view(values, window)
-    # Candidate i's continuation ends window i + n (window = n*p >= n).
-    following = windows[n:, window - n :]
-    counts = ends - window - n + 1
-    buf = np.empty((int(counts.max()), window))
-    step = max(1, _BLOCK_FLOATS // len(buf))
-    d2 = np.empty((len(ends), kmax))
-    continuations = np.empty((len(ends), kmax, n))
-    for start in range(0, len(ends), step):
-        block = slice(start, start + step)
-        dist = np.full((len(counts[block]), int(counts[block].max())), np.inf)
-        for row, (e, count) in enumerate(zip(ends[block], counts[block])):
-            diff = np.subtract(windows[:count], values[e - window : e], out=buf[:count])
-            np.einsum("ij,ij->i", diff, diff, out=dist[row, :count])
-        # Only candidates at or below their row's kmax-th distance can be
-        # chosen; the +inf padding sits past every real candidate, so it is
-        # never among a row's first kmax.
-        kth = np.partition(dist, kmax - 1, axis=1)[:, kmax - 1 : kmax]
-        flat = np.flatnonzero(dist <= kth)
-        rows, near = np.divmod(flat, dist.shape[1])
-        chosen = near[_first_k(rows, near, dist.ravel()[flat], len(dist), kmax)]
-        d2[block] = np.take_along_axis(dist, chosen, axis=1)
-        continuations[block] = following[chosen]
-    return d2, continuations
-
-
-def _first_k(rows: np.ndarray, near: np.ndarray, d2: np.ndarray, count: int, kmax: int):
-    """Indices of each row's kmax nearest entries, shape (count, kmax), nearest first.
-
-    Entry j is candidate near[j] of query rows[j] at squared distance d2[j];
-    rows must be sorted and hold each of 0..count-1 at least kmax times.
-    Entries are ordered by (row, distance, candidate): on ties the earlier
-    window wins, the order of a full stable sort of each row's distances.
-    """
-    order = np.lexsort((near, d2, rows))
-    first = np.searchsorted(rows, np.arange(count))
-    return order[first[:, None] + np.arange(kmax)]
-
-
 @np.errstate(over="ignore")  # an overflowed sum is +inf, which the screen handles
-def _screened_nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
-    """`_nearest(values, ends, n*p, n, kmax)` for every (p, kmax) of cells, in one pass.
+def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
+    """The kmax nearest candidate windows of length n*p for each query end, per (p, kmax).
 
-    cells is sorted by p. One running sum over lags screens every p: for
-    candidate continuation start a and query end e, lag l adds
-    (values[a-l] - values[e-l])**2, so after L = n*p lags the sum is the
-    squared distance of candidate a - L at window L. It sums the same
-    squared differences as `_nearest`'s einsum in another order, so each is
-    within gamma_L ~ L*eps/2 relative of the exact sum, and a row's true kmax
-    nearest, ties included, lie within 2*L*eps of its kmax-th smallest
-    running sum. The screen keeps every valid candidate within twice that,
-    plus L*2**-1074 for subnormal squares; a +inf kth keeps them all. Only
-    the kept candidates get the einsum distance `_nearest` computes, and
-    they are ranked on it, so the results are the same bits as `_nearest`'s.
+    cells holds (p, kmax) pairs sorted by p. Query e matches the trailing
+    window of values[:e] against every candidate window whose continuation,
+    the n values that follow, lies inside values[:e]; each e must leave at
+    least kmax candidates at every p. On ties the earlier window wins, the
+    order of a full stable sort. Returns one (d2, continuations) per cell:
+    squared distances of shape (len(ends), kmax) and continuations of shape
+    (len(ends), kmax, n), nearest first.
 
-    Rows are searched in blocks holding at most _BLOCK_FLOATS sums. Sums
-    past a row's last candidate start at +inf, so they never lower its kth,
-    and a validity mask, not their value, keeps them out of the screen.
+    One running sum over lags screens every p: for candidate continuation
+    start a and query end e, lag l adds (values[a-l] - values[e-l])**2, so
+    after L = n*p lags the sum is the squared distance of candidate a - L at
+    window L. It sums the same squared differences as `_distances`'s
+    einsum in another order, so each is within gamma_L ~ L*eps/2 relative of
+    the exact sum, and a row's true kmax nearest, ties included, lie within
+    2*L*eps of its kmax-th smallest running sum. The screen keeps every
+    valid candidate within twice that, plus L*2**-1074 for subnormal
+    squares; a +inf kth keeps them all. The kept candidates are ranked on
+    their einsum distance, which does not depend on which others were kept.
+
+    Rows are searched in blocks holding at most _BLOCK_FLOATS sums (one row,
+    if a row alone holds more). Sums past a row's last candidate start at
+    +inf, so they never lower its kth, and a validity mask, not their value,
+    keeps them out of the screen.
     """
     windows = [n * p for p, _ in cells]
     first = windows[0]  # the smallest continuation start any p can use
@@ -257,15 +210,31 @@ def _screened_nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
             keep = screen <= kth * (1 + 4 * lag * np.finfo(float).eps) + lag * 2.0**-1074
             keep &= columns[lag - first :] <= last
             rows, near = np.divmod(np.flatnonzero(keep), screen.shape[1])
-            lagged = sliding_window_view(values, lag)
-            diff = lagged[near] - lagged[e[rows] - lag]
-            exact = np.einsum("ij,ij->i", diff, diff)
-            chosen = _first_k(rows, near, exact, len(e), kmax)
+            exact = _distances(values, lag, near, e[rows] - lag)
+            # Each row's first kmax by (distance, candidate); rows come sorted.
+            order = np.lexsort((near, exact, rows))
+            chosen = order[np.searchsorted(rows, np.arange(len(e)))[:, None] + np.arange(kmax)]
             d2, continuations = found[cell]
             d2[block] = exact[chosen]
             continuations[block] = starts[near[chosen] + lag]
             cell += 1
     return found
+
+
+def _distances(values: np.ndarray, window: int, candidates: np.ndarray, queries: np.ndarray):
+    """Squared distance of each window at candidates[j] to the one at queries[j].
+
+    One einsum over contiguous differences, in chunks of at most _BLOCK_FLOATS
+    values (one pair, if a pair alone holds more).
+    """
+    windows = sliding_window_view(values, window)
+    d2 = np.empty(len(candidates))
+    step = max(1, _BLOCK_FLOATS // window)
+    for start in range(0, len(candidates), step):
+        chunk = slice(start, start + step)
+        diff = windows[candidates[chunk]] - windows[queries[chunk]]
+        np.einsum("ij,ij->i", diff, diff, out=d2[chunk])
+    return d2
 
 
 def _neighbor_average(
@@ -306,9 +275,9 @@ def fpto_tune(
     Fold i (i = 1..folds) trains on values[: T - i*n] and scores the n
     observations that follow. A cell that cannot be evaluated on every fold is
     skipped and recorded; tuning fails only if the whole grid is infeasible.
-    One running-sum search screens the neighbors of every feasible p with a
+    One `_nearest` search screens the neighbors of every feasible p with a
     provably safe margin and ranks the survivors on exact einsum distances,
-    so each p's neighbors are `_nearest`'s, bit for bit.
+    so each p's neighbors are those of a refit at that p, bit for bit.
     """
     weighting = Weighting(weighting)
     n = _positive_int("n", n)
@@ -345,7 +314,7 @@ def fpto_tune(
         raise GridInfeasibleError(skipped)
     # Only now are the ends known to be non-negative.
     actual = sliding_window_view(values, n)[ends]
-    searched = _screened_nearest(values, ends, n, [(p, feasible[-1]) for p, feasible in cells])
+    searched = _nearest(values, ends, n, [(p, feasible[-1]) for p, feasible in cells])
     trace: list[tuple[int, int, float]] = []
     for (p, feasible), (d2, continuations) in zip(cells, searched):
         forecasts = np.stack(

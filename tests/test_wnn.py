@@ -371,7 +371,7 @@ class TestBatchedSearchIsBitIdentical:
         ends = np.arange(2400, 3001)
         rows_per_block = wnn._BLOCK_FLOATS // (ends[-1] - window - n + 1)
         assert len(ends) > 2 * rows_per_block and len(ends) % rows_per_block
-        got = wnn._nearest(values, ends, window, n, kmax)
+        [got] = wnn._nearest(values, ends, n, [(window, kmax)])
         want = reference_nearest(values, ends, window, n, kmax)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         spec = ForecasterSpec.wnn(HorizonConfig(n=n, p=window, k=kmax), weighting)
@@ -379,8 +379,8 @@ class TestBatchedSearchIsBitIdentical:
         assert np.array_equal(spec.forecast_at(values, ends, n), want_forecasts)
 
     def test_one_search_and_one_mape_reduction_per_feasible_p(self, monkeypatch):
-        # One screened search serves every p; refits alone call _nearest.
-        calls = {"_screened_nearest": 0, "_nearest": 0, "_mape_rows": 0}
+        # One search per tune serves every p.
+        calls = {"_nearest": 0, "_mape_rows": 0}
 
         def counted(name):
             inner = getattr(wnn, name)
@@ -396,7 +396,7 @@ class TestBatchedSearchIsBitIdentical:
         values = _bit_test_series("random", 6)  # T = 90, shortest fold 90 - 8*2 = 74
         result = fpto_tune(TimeSeries(values, 4), 2, 8, [1, 3, 5, 40], range(1, 13))
         assert {p for p, _, _ in result.trace} == {1, 3, 5}
-        assert calls == {"_screened_nearest": 1, "_nearest": 0, "_mape_rows": 3}
+        assert calls == {"_nearest": 1, "_mape_rows": 3}
 
     @pytest.mark.parametrize("folds", [30, 31, 45, 60])
     def test_folds_covering_the_series_are_infeasible(self, folds):
@@ -415,7 +415,7 @@ def assert_same_trace(got, want):
 
 
 class TestScreenedSearchIsBitIdentical:
-    """The tuner's running-sum screen and exact re-rank against the reference, with ==."""
+    """The running-sum screen and exact re-rank against the references, with ==."""
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     @pytest.mark.parametrize("seed", [15, 54])
@@ -450,3 +450,24 @@ class TestScreenedSearchIsBitIdentical:
         result = fpto_tune(TimeSeries(values, 4), n, folds, range(1, 7), range(1, 4), weighting)
         want = reference_trace(values, n, folds, range(1, 7), range(1, 4), weighting)
         assert list(result.trace) == want
+
+    def test_tied_rows_keep_more_pairs_than_one_distance_chunk(self, monkeypatch):
+        # Period 2 with rare spikes: nearly every candidate of a phase ties at
+        # the kmax-th distance and passes the screen, so the exact distances
+        # of a block's kept pairs come in several chunks of _BLOCK_FLOATS.
+        values = np.tile([1.0, 2.0], 1500)
+        values[::97] += 1.0
+        n, window, kmax = 1, 12, 3
+        ends = np.arange(2980, 3001)
+        kept = []
+        distances = wnn._distances
+
+        def recorded(values, window, candidates, queries):
+            kept.append(len(candidates))
+            return distances(values, window, candidates, queries)
+
+        monkeypatch.setattr(wnn, "_distances", recorded)
+        [got] = wnn._nearest(values, ends, n, [(window, kmax)])
+        assert max(kept) > 2 * wnn._BLOCK_FLOATS // window
+        want = reference_nearest(values, ends, window, n, kmax)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
