@@ -5,12 +5,13 @@ observations before t only and taking the componentwise |actual - forecast|
 over the n values that follow; every score therefore reflects a forecaster
 refit on its own prefix (no lookahead). The h most recent steps are scored,
 t = T-h*n, ..., T-2n, T-n. `score_rows` owns that window: it lays out the
-steps, checks that the earliest prefix holds the forecaster's minimum
-history, and forecasts every step plus the n unseen values after T with one
+steps and forecasts every step plus the n unseen values after T with one
 `forecast_at` call of the spec (`WnnSpec` or `SeasonalNaiveSpec`), for the
 calibration scores here and the backtest in `backtest`, and returns
-(forecasts, actual). `kth_largest` is the one rank selection over score rows;
-the rank and its feasibility come from `series`.
+(forecasts, actual). `forecast_at` owns the history check: it raises
+`SeriesTooShortError` when the earliest prefix holds fewer than the spec's
+`min_history` observations. `kth_largest` is the one rank selection over
+score rows; the rank and its feasibility come from `series`.
 
 Scores do not depend on the significance level, only the rank does, so the
 forecasts are computed once per (series, spec, n), for the largest h asked
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidParamsError, SeriesTooShortError
+from .errors import InvalidParamsError
 from .series import HorizonConfig, TimeSeries, _feasible_rank, _freeze, _positive_int
 from .wnn import ForecasterSpec, Weighting
 
@@ -53,18 +54,14 @@ def score_rows(
     forecast of values[t : t+n] made from values[:t] alone for each t, then
     the forecast of the n values after T from the whole series. actual holds
     the h realized rows; the scores are |actual - forecasts[:-1]|. The
-    earliest prefix must hold at least spec.min_history observations.
+    earliest prefix must hold spec.min_history observations: `forecast_at`
+    checks that, and a stored entry is for a larger h that already passed.
     """
     h = _positive_int("h", h)
     n = _positive_int("n", n)
     values = series.values
     T = int(values.size)
     ends = T - n * np.arange(h, -1, -1)
-    if ends[0] < spec.min_history:
-        raise SeriesTooShortError(
-            f"series of length {T} cannot seed the earliest scored pair at t={ends[0]} "
-            f"(needs history of at least {spec.min_history})"
-        )
     entries = _FORECASTS.setdefault(series, {})
     forecasts = entries.get((spec, n))
     if forecasts is None or len(forecasts) <= h:

@@ -70,24 +70,6 @@ class SeriesTooShortError(ConfigError):
     pass
 
 
-class HistoryTooShortError(ConfigError):
-    def __init__(self, needed: int, available: int):
-        self.needed = needed
-        self.available = available
-        super().__init__(
-            f"need at least {needed} observations of history, have {available}"
-        )
-
-
-class TooFewCandidatesError(ConfigError):
-    def __init__(self, k: int, candidates: int):
-        self.k = k
-        self.candidates = candidates
-        super().__init__(
-            f"k={k} neighbors requested but only {candidates} candidate windows exist"
-        )
-
-
 class GridInfeasibleError(ConfigError):
     def __init__(self, cells):
         self.cells = list(cells)

@@ -26,7 +26,8 @@ Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
 `forecast_at` is its one refit path: it forecasts from many prefixes (ends) of
 one series in one call, which is how `conformal.score_rows` scores every step;
-`wnn_forecast` is the one-end case.
+`wnn_forecast` is the one-end case. `forecast_at` owns the history check for
+every caller; the tuner skips a (p, k) cell by the same `_min_history`.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    GridInfeasibleError,
-    HistoryTooShortError,
-    InvalidParamsError,
-    TooFewCandidatesError,
-)
+from .errors import GridInfeasibleError, InvalidParamsError, SeriesTooShortError
 from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
 
 # Regularizer for inverse-distance weights: an exact-match neighbor then
@@ -52,6 +48,11 @@ _WEIGHT_EPS = 1e-8
 
 # Most running sums, or exact-distance differences, the search holds at once (256 KB).
 _BLOCK_FLOATS = 1 << 15
+
+
+def _min_history(n: int, p: int, k: int) -> int:
+    """The window n*p, its n-value continuation and k - 1 more for k candidates."""
+    return n * p + n + k - 1
 
 
 class Weighting(str, Enum):
@@ -71,9 +72,9 @@ class ForecasterSpec:
 
     Each kind has `describe()`, `min_history` (the fewest observations a scored
     step's prefix must hold), `fields()` (its report config entries) and
-    `forecast_at(values, ends, n)`, the forecasts of values[e : e+n] from
-    values[:e] alone, one row per end e; only the shortest end is checked for
-    history, as every longer prefix holds at least as much.
+    `_forecast`. `forecast_at(values, ends, n)` checks ends, then the history
+    of the shortest end only (every longer prefix holds more), and gives the
+    forecasts of values[e : e+n] from values[:e] alone, one row per end e.
     """
 
     @staticmethod
@@ -85,6 +86,19 @@ class ForecasterSpec:
     @staticmethod
     def seasonal_naive(period: int) -> "SeasonalNaiveSpec":
         return SeasonalNaiveSpec(_positive_int("period", period))
+
+    def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
+        ends = np.asarray(ends)
+        valid = ends.ndim == 1 and ends.size and ends.dtype.kind in "iu"
+        if not valid or ends.max() > len(values):
+            raise InvalidParamsError(f"ends must be non-empty 1-D integers <= {len(values)}")
+        shortest = int(ends.min())
+        if shortest < self.min_history:
+            raise SeriesTooShortError(
+                f"series of length {len(values)} cannot seed the earliest scored pair at "
+                f"t={shortest} (needs history of at least {self.min_history})"
+            )
+        return self._forecast(values, ends, n)
 
 
 @dataclass(frozen=True)
@@ -99,24 +113,15 @@ class WnnSpec(ForecasterSpec):
 
     @property
     def min_history(self) -> int:
-        """The window, its n-value continuation and k - 1 more for k candidates."""
-        return self.config.window + self.config.n + self.config.k - 1
+        return _min_history(self.config.n, self.config.p, self.config.k)
 
     def fields(self) -> dict:
         return {"p": self.config.p, "k": self.config.k, "weighting": self.weighting.value}
 
-    def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
-        ends = np.asarray(ends)
-        shortest = int(ends.min())
+    def _forecast(self, values: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
         config = self.config
         if config.n != n:
             raise InvalidParamsError(f"forecaster is configured for n={config.n}, asked for n={n}")
-        window = config.window
-        if shortest < window + n:
-            raise HistoryTooShortError(window + n, shortest)
-        count = shortest - window - n + 1
-        if config.k > count:
-            raise TooFewCandidatesError(config.k, count)
         [(d2, continuations)] = _nearest(values, ends, n, [(config.p, config.k)])
         return _neighbor_average(d2, continuations, config.k, self.weighting)
 
@@ -137,11 +142,7 @@ class SeasonalNaiveSpec(ForecasterSpec):
     def fields(self) -> dict:
         return {"period": self.period}
 
-    def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
-        ends = np.asarray(ends)
-        shortest = int(ends.min())
-        if shortest < self.period:
-            raise HistoryTooShortError(self.period, shortest)
+    def _forecast(self, values: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
         return values[ends[:, None] - self.period + np.arange(n) % self.period]
 
 
@@ -162,8 +163,9 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
 
     cells holds (p, kmax) pairs sorted by p. Query e matches the trailing
     window of values[:e] against every candidate window whose continuation,
-    the n values that follow, lies inside values[:e]; each e must leave at
-    least kmax candidates at every p. On ties the earlier window wins, the
+    the n values that follow, lies inside values[:e]; each e must hold
+    _min_history(n, p, kmax) values at every p, which `forecast_at` and
+    `fpto_tune` check before they search. On ties the earlier window wins, the
     order of a full stable sort. Returns one (d2, continuations) per cell:
     squared distances of shape (len(ends), kmax) and continuations of shape
     (len(ends), kmax, n), nearest first.
@@ -294,20 +296,10 @@ def fpto_tune(
     cells: list[tuple[int, list[int]]] = []
     skipped: list[tuple[int, int, str]] = []
     for p in ps:
-        window = n * p
-        if shortest < window + n:
-            reason = (
-                f"shortest training fold has {shortest} observations, "
-                f"window+n needs {window + n}"
-            )
-            skipped.extend((p, k, reason) for k in ks)
-            continue
-        max_k = shortest - window - n + 1
-        feasible = [k for k in ks if k <= max_k]
-        skipped.extend(
-            (p, k, f"k={k} exceeds {max_k} candidate windows on the shortest fold")
-            for k in ks[len(feasible):]
-        )
+        feasible = [k for k in ks if _min_history(n, p, k) <= shortest]
+        for k in ks[len(feasible) :]:
+            need = _min_history(n, p, k)
+            skipped.append((p, k, f"shortest fold has {shortest} observations, needs {need}"))
         if feasible:
             cells.append((p, feasible))
     if not cells:

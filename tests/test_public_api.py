@@ -1,17 +1,22 @@
-"""Every exported name has a caller outside the tests.
+"""Every exported name and every error type has a caller outside the tests.
 
 A name in `cpwnn.__all__` must appear as a whole word at least twice across
 the library modules (without `__init__.py`), `scripts/` and `perfbench/`:
 its definition plus at least one use. A public name that only its own test
-calls should go instead.
+calls should go instead. Likewise every exception class in `cpwnn.errors`
+must be used in code (raised, caught or otherwise named, not only imported
+or mentioned in a docstring) by a library module other than `errors.py`.
 """
 
+import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import cpwnn
+from cpwnn import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [
@@ -26,3 +31,22 @@ TEXT = "\n".join(p.read_text(encoding="utf-8") for p in SOURCES)
 def test_exported_name_has_a_caller(name):
     count = len(re.findall(rf"\b{re.escape(name)}\b", TEXT))
     assert count >= 2, f"{name} appears {count} time(s) outside tests: definition only"
+
+
+LIBRARY_NAMES = {
+    node.id
+    for path in (ROOT / "src" / "cpwnn").glob("*.py")
+    if path.name != "errors.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    if isinstance(node, ast.Name)
+}
+ERROR_TYPES = [
+    name
+    for name, obj in vars(errors).items()
+    if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("name", ERROR_TYPES)
+def test_error_type_is_used_by_the_library(name):
+    assert name in LIBRARY_NAMES, f"{name} is never raised or caught outside errors.py"

@@ -15,13 +15,13 @@ from cpwnn import (
     conformal_region,
     fpto_tune,
     mape,
+    run_backtest,
     wnn_forecast,
 )
 from cpwnn.errors import (
     GridInfeasibleError,
-    HistoryTooShortError,
     InvalidParamsError,
-    TooFewCandidatesError,
+    SeriesTooShortError,
     ZeroActualError,
 )
 
@@ -147,13 +147,15 @@ class TestWnnForecast:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_history_too_short(self):
+        # window 6 + n 3 needs 9 values, more than the 6 there are
         ts = TimeSeries(np.arange(1.0, 7.0), 2)
-        with pytest.raises(HistoryTooShortError):
+        with pytest.raises(SeriesTooShortError, match="needs history of at least 9"):
             wnn_forecast(ts, HorizonConfig(n=3, p=2, k=1))
 
     def test_too_few_candidates(self):
+        # window 6 + n 2 fit in 9 values, but k = 5 candidates need 12
         ts = TimeSeries(np.arange(1.0, 10.0), 2)
-        with pytest.raises(TooFewCandidatesError):
+        with pytest.raises(SeriesTooShortError, match="needs history of at least 12"):
             wnn_forecast(ts, HorizonConfig(n=2, p=3, k=5))
 
     def test_bounded_by_neighbor_labels(self):
@@ -204,7 +206,7 @@ class TestPointForecast:
         assert got.shape == (5, 7)
         for row, e in zip(got, ends):
             assert np.array_equal(row, np.resize(values[:e][-3:], 7))
-        with pytest.raises(HistoryTooShortError):
+        with pytest.raises(SeriesTooShortError, match=r"at t=2 \(needs history of at least 3\)"):
             spec.forecast_at(values, [30, 2], 7)
 
     def test_wnn_dispatch_identity(self):
@@ -216,22 +218,40 @@ class TestPointForecast:
         for row, e in zip(got, ends):
             assert np.array_equal(row, wnn_forecast(TimeSeries(ts.values[:e], 4), config))
 
-    @pytest.mark.parametrize(
-        "shortest, error", [(7, HistoryTooShortError), (8, TooFewCandidatesError)]
-    )
-    def test_wnn_checks_the_shortest_end(self, shortest, error):
-        # window 6 + n 2 needs 8 values; k = 2 candidates need 9
+    @pytest.mark.parametrize("shortest", [7, 8])
+    def test_wnn_checks_the_shortest_end(self, shortest):
+        # window 6 + n 2 needs 8 values (7 is short); k = 2 candidates need 9 (8 is short)
         values = np.arange(1.0, 41.0)
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=3, k=2))
         spec.forecast_at(values, [40, 9], 2)
-        with pytest.raises(error):
+        with pytest.raises(SeriesTooShortError) as exc:
             spec.forecast_at(values, [40, shortest, 30], 2)
+        assert str(exc.value) == (
+            f"series of length 40 cannot seed the earliest scored pair at t={shortest} "
+            "(needs history of at least 9)"
+        )
 
     def test_wnn_dispatch_checks_n(self):
         ts = TimeSeries(np.arange(1.0, 41.0), 4)
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=3, k=2))
         with pytest.raises(InvalidParamsError):
             spec.forecast_at(ts.values, [40], 3)
+
+    @pytest.mark.parametrize(
+        "ends",
+        [[45], [40.0], [], [[40]], [True], 40],
+        ids=["past-the-end", "float", "empty", "2-D", "bool", "scalar"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [ForecasterSpec.wnn(HorizonConfig(1, 2, 2)), ForecasterSpec.seasonal_naive(4)],
+        ids=["wnn", "seasonal-naive"],
+    )
+    def test_bad_ends_are_invalid_params(self, spec, ends):
+        values = np.arange(1.0, 41.0)
+        assert spec.forecast_at(values, [40], 1).shape == (1, 1)
+        with pytest.raises(InvalidParamsError, match="ends must be"):
+            spec.forecast_at(values, ends, 1)
 
     @pytest.mark.parametrize("period", [2.5, True, 0, -3])
     def test_seasonal_naive_rejects_a_bad_period(self, period):
@@ -316,6 +336,57 @@ class TestFptoTune:
         ts = TimeSeries(np.arange(1.0, 41.0), 4)
         with pytest.raises(InvalidParamsError):
             fpto_tune(ts, n=2, folds=3, p_grid=p_grid, k_grid=k_grid)
+
+
+WNN_CASES = [(1, 1, 1), (1, 3, 4), (2, 2, 1), (2, 3, 5), (3, 4, 2)]
+HISTORY_CASES = [(ForecasterSpec.wnn(HorizonConfig(n, p, k)), n) for n, p, k in WNN_CASES] + [
+    (ForecasterSpec.seasonal_naive(m), 2) for m in [1, 4, 12]
+]
+
+
+class TestOneHistoryRule:
+    """One boundary, spec.min_history, for every user of a forecaster's history."""
+
+    @pytest.mark.parametrize(
+        "spec, n", HISTORY_CASES, ids=[f"{s.describe()}-n{n}" for s, n in HISTORY_CASES]
+    )
+    def test_forecast_at_and_scoring_share_the_boundary(self, spec, n):
+        values = np.random.default_rng(8).normal(30.0, 3.0, size=40)
+        least = spec.min_history
+        spec.forecast_at(values, [40, least], n)
+        with pytest.raises(SeriesTooShortError, match=rf"at t={least - 1} \(needs"):
+            spec.forecast_at(values, [40, least - 1], n)
+        # The earliest scored step of h steps ends at 40 - h*n.
+        h = (40 - least) // n
+        scorers = [lambda ts, h: run_backtest(ts, spec, n, SplitSpec(h - 1, 1, 0.5))]
+        if hasattr(spec, "config"):
+            scorers += [
+                lambda ts, h: check_cp(ts, spec.config, SplitSpec(h - 1, 1, 0.5)),
+                lambda ts, h: conformal_region(ts, spec.config, h, 0.5),
+            ]
+        for score in scorers:
+            ts = TimeSeries(values, 4)
+            score(ts, h)  # its stored forecasts must not hide the failure below
+            with pytest.raises(SeriesTooShortError, match=rf"at t={40 - (h + 1) * n} \(needs"):
+                score(ts, h + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tuner_skips_exactly_the_cells_below_min_history(self, n):
+        ts = TimeSeries(np.random.default_rng(9).normal(30.0, 3.0, size=40), 4)
+        shortest = 40 - 3 * n
+        p_grid, k_grid = range(1, 31), range(1, 13)
+        result = fpto_tune(ts, n, 3, p_grid, k_grid)
+        short = {
+            (p, k)
+            for p in p_grid
+            for k in k_grid
+            if shortest < ForecasterSpec.wnn(HorizonConfig(n, p, k)).min_history
+        }
+        assert short and len(short) < len(p_grid) * len(k_grid)
+        assert {(p, k) for p, k, _ in result.skipped} == short
+        assert {(p, k) for p, k, _ in result.trace} == {
+            (p, k) for p in p_grid for k in k_grid
+        } - short
 
 
 def _bit_test_series(kind, seed):
