@@ -151,8 +151,8 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
 def _mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """MAPE over the last axis, in percent; predicted broadcasts against actual.
 
-    `fpto_tune` scores every k of one p at once: a (K, folds, n) stack of
-    forecasts against the (folds, n) actuals. A zero actual raises
+    `fpto_tune` scores every (p, k) cell of its grid at once: a (cells, folds, n)
+    stack of forecasts against the (folds, n) actuals. A zero actual raises
     ZeroActualError with its position in the first row that holds one.
     """
     zeros = np.flatnonzero(actual == 0.0)

@@ -16,11 +16,12 @@ candidate that cannot be among a query's max(k) nearest, with a margin of
 n*p*2**-1074 for subnormal squares. The kept candidates are ranked on exact
 einsum distances, so the neighbors are the same bits as a full sort of every
 candidate's einsum distance. The tuner asks for every p of the grid in one
-search; every k of a p is read from that p's result, and one MAPE reduction
-scores them all. A refit asks for its one (p, k). The search holds blocks of
-a fixed bound in size. The cell minimising the mean fold MAPE wins; exact
-ties go to the first minimum in p-major, k-minor order (smaller p, then
-smaller k), so results are deterministic.
+search. A larger p never takes more k, so the p that take a k are a prefix of
+the grid: one `_neighbor_average` per k averages them all, and one MAPE
+reduction scores every cell. A refit asks for its one (p, k). The search
+holds blocks of a fixed bound in size. The cell minimising the mean fold MAPE
+wins; exact ties go to the first minimum in p-major, k-minor order (smaller
+p, then smaller k), so results are deterministic.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
@@ -280,6 +281,9 @@ def fpto_tune(
     One `_nearest` search screens the neighbors of every feasible p with a
     provably safe margin and ranks the survivors on exact einsum distances,
     so each p's neighbors are those of a refit at that p, bit for bit.
+    Each k is averaged once over every p that takes it, and one MAPE reduction
+    scores every cell; each row still sums the same values in the same order,
+    so the objectives are those of one cell at a time, bit for bit.
     """
     weighting = Weighting(weighting)
     n = _positive_int("n", n)
@@ -307,13 +311,18 @@ def fpto_tune(
     # Only now are the ends known to be non-negative.
     actual = sliding_window_view(values, n)[ends]
     searched = _nearest(values, ends, n, [(p, feasible[-1]) for p, feasible in cells])
-    trace: list[tuple[int, int, float]] = []
-    for (p, feasible), (d2, continuations) in zip(cells, searched):
-        forecasts = np.stack(
-            [_neighbor_average(d2, continuations, k, weighting) for k in feasible]
-        )
-        objectives = np.mean(_mape_rows(actual, forecasts), axis=1)
-        trace.extend((p, k, float(o)) for k, o in zip(feasible, objectives))
+    # A larger p never takes more k, so the smallest p takes every k and the p
+    # that take the j-th k are a prefix of cells: one average per k serves them.
+    keys, forecasts = [], []
+    for j, k in enumerate(cells[0][1]):
+        group = [(p, found) for (p, feasible), found in zip(cells, searched) if len(feasible) > j]
+        d2 = np.concatenate([d[:, :k] for _, (d, _) in group])
+        continuations = np.concatenate([c[:, :k] for _, (_, c) in group])
+        forecasts.append(_neighbor_average(d2, continuations, k, weighting))
+        keys.extend((p, k) for p, _ in group)
+    stacked = np.concatenate(forecasts).reshape(-1, folds, n)  # one (folds, n) per cell
+    objectives = np.mean(_mape_rows(actual, stacked), axis=1)
+    trace = sorted((p, k, float(o)) for (p, k), o in zip(keys, objectives))  # p-major, k-minor
     best = min(range(len(trace)), key=lambda i: trace[i][2])
     p_star, k_star, objective = trace[best]
     return TuneResult(p_star, k_star, objective, tuple(trace), tuple(skipped))

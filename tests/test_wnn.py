@@ -175,11 +175,14 @@ class TestWnnForecast:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=18, max_size=40),
-        st.floats(min_value=-100.0, max_value=100.0),
+        st.lists(st.integers(-50 * 2**10, 50 * 2**10), min_size=18, max_size=40),
+        st.integers(-100 * 2**10, 100 * 2**10),
     )
     def test_shift_equivariance(self, xs, shift):
-        values = np.asarray(xs)
+        # Values and shift on a dyadic grid: adding the shift is exact, so every
+        # difference, distance and neighbor set is the same bits after it.
+        values = np.asarray(xs) / 2**10
+        shift = shift / 2**10
         config = HorizonConfig(n=2, p=2, k=3)
         base = wnn_forecast(TimeSeries(values, 4), config)
         shifted = wnn_forecast(TimeSeries(values + shift, 4), config)
@@ -449,9 +452,26 @@ class TestBatchedSearchIsBitIdentical:
         want_forecasts = wnn._neighbor_average(*want, kmax, weighting)
         assert np.array_equal(spec.forecast_at(values, ends, n), want_forecasts)
 
-    def test_one_search_and_one_mape_reduction_per_feasible_p(self, monkeypatch):
-        # One search per tune serves every p.
-        calls = {"_nearest": 0, "_mape_rows": 0}
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("kind", ["random", "rounded"])
+    def test_ragged_unsorted_grid_with_long_neighbor_sums(self, kind, weighting):
+        # n = 1 with k 8-12 at several p sums 8 or more neighbors per row, the
+        # unrolled path of numpy's mean and w.sum. Shortest fold 34 - 12 = 22
+        # takes k <= 22 - p: p = 9 loses k = 15 and p = 12 loses k = 11, 12, 15,
+        # so later k are averaged over shorter prefixes of the p.
+        values = _bit_test_series(kind, 31)[:34]
+        p_grid, k_grid = [5, 1, 9, 3, 5, 12, 7], [12, 3, 8, 1, 10, 12, 9, 11, 15]
+        result = fpto_tune(TimeSeries(values, 4), 1, 12, p_grid, k_grid, weighting)
+        want = reference_trace(values, 1, 12, sorted(set(p_grid)), sorted(set(k_grid)), weighting)
+        assert list(result.trace) == want
+        assert [(p, k) for p, k, _ in result.skipped] == [(9, 15), (12, 11), (12, 12), (12, 15)]
+        best = min(want, key=lambda cell: cell[2])
+        assert (result.p_star, result.k_star, result.objective) == best
+
+    def test_one_search_one_average_per_k_one_mape_reduction(self, monkeypatch):
+        # One search serves every p, one average every p that takes a k, and
+        # one MAPE reduction every cell.
+        calls = {"_nearest": 0, "_neighbor_average": 0, "_mape_rows": 0}
 
         def counted(name):
             inner = getattr(wnn, name)
@@ -465,9 +485,12 @@ class TestBatchedSearchIsBitIdentical:
         for name in calls:
             monkeypatch.setattr(wnn, name, counted(name))
         values = _bit_test_series("random", 6)  # T = 90, shortest fold 90 - 8*2 = 74
-        result = fpto_tune(TimeSeries(values, 4), 2, 8, [1, 3, 5, 40], range(1, 13))
+        # k = 70 needs 2*p + 2 + 69 <= 74 values: only p = 1 takes it.
+        result = fpto_tune(TimeSeries(values, 4), 2, 8, [1, 3, 5, 40], [*range(1, 13), 70])
+        assert [(p, k) for p, k, _ in result.trace if k == 70] == [(1, 70)]
         assert {p for p, _, _ in result.trace} == {1, 3, 5}
-        assert calls == {"_nearest": 1, "_mape_rows": 3}
+        assert len(result.trace) == 13 + 12 + 12
+        assert calls == {"_nearest": 1, "_neighbor_average": 13, "_mape_rows": 1}
 
     @pytest.mark.parametrize("folds", [30, 31, 45, 60])
     def test_folds_covering_the_series_are_infeasible(self, folds):
