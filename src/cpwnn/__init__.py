@@ -23,7 +23,6 @@ from .etssim import (
     EtsParams,
     aada_params,
     ana_params,
-    default_seasonal,
     ets_forecast_variance,
     simulate_ets,
     theoretical_width,
@@ -64,7 +63,6 @@ __all__ = [
     "check_cp",
     "compare_forecasters",
     "conformal_region",
-    "default_seasonal",
     "ets_forecast_variance",
     "fpto_tune",
     "mape",

@@ -55,10 +55,12 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
     column is a header name, or a digit string giving a 0-based column index.
     """
     if path == "-":
-        rows = list(csv.reader(sys.stdin))
+        text = sys.stdin.read()
     else:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+            text = handle.read()
+    # a spreadsheet export may start with a UTF-8 byte-order mark
+    rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     if not rows:
         raise CsvParseError(1, column, "empty file (expected a header row)")
     header = [cell.strip() for cell in rows[0]]

@@ -14,9 +14,10 @@ seasonality: one without trend (ANA) and one with a damped additive trend
            s_t = s_{t-m} + gamma*e_t
 
 with e_t iid Normal(0, sigma2). Initial states are treated as exact (no
-burn-in). The h-step forecast variance has a closed form in the smoothing
-parameters; interval widths are 2*c*sigma_h with c the two-sided
-standard-normal quantile of the confidence level.
+burn-in); the seasonal one is the zero-sum sinusoid 10*sin(2*pi*t/m) minus
+its mean (`EtsParams.init_seasonal`). The h-step forecast variance has a
+closed form in the smoothing parameters; interval widths are 2*c*sigma_h
+with c the two-sided standard-normal quantile of the confidence level.
 
 Randomness comes from numpy's default_rng(seed) (PCG64), so a seed pins the
 whole path for this implementation. Bit-reproducibility across libraries is
@@ -26,25 +27,19 @@ not a goal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import InvalidParamsError
-from .series import TimeSeries, _freeze, _open_unit, _positive_int
+from .series import TimeSeries, _freeze, _is_number, _open_unit, _positive_int
 
 
 class EtsKind(str, Enum):
     ANA = "ana"    # additive error, no trend, additive seasonality
     AADA = "aada"  # additive error, damped additive trend, additive seasonality
-
-
-def default_seasonal(period: int, amplitude: float = 10.0) -> np.ndarray:
-    """Zero-sum sinusoidal seasonal profile over one period."""
-    raw = amplitude * np.sin(2.0 * np.pi * np.arange(period) / period)
-    return raw - raw.mean()
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,13 +55,13 @@ class EtsParams:
     phi: float | None = None
     init_level: float = 100.0
     init_trend: float = 1.0
-    init_seasonal: np.ndarray | None = None
+    init_seasonal: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", EtsKind(self.kind))
         _open_unit("alpha", self.alpha)
         _open_unit("gamma", self.gamma)
-        if not self.sigma2 >= 0.0:
+        if not _is_number(self.sigma2) or not self.sigma2 >= 0.0:
             raise InvalidParamsError(f"sigma2 must be >= 0, got {self.sigma2!r}")
         object.__setattr__(self, "period", _positive_int("period", self.period))
         if self.kind is EtsKind.AADA:
@@ -74,19 +69,8 @@ class EtsParams:
             _open_unit("phi", self.phi)
         elif self.beta is not None or self.phi is not None:
             raise InvalidParamsError("beta and phi only apply to the damped-trend model")
-        seasonal = (
-            default_seasonal(self.period)
-            if self.init_seasonal is None
-            else np.asarray(self.init_seasonal, dtype=float)
-        )
-        if seasonal.shape != (self.period,):
-            raise InvalidParamsError(
-                f"init_seasonal must have length period={self.period}"
-            )
-        scale = max(1.0, float(np.max(np.abs(seasonal))) if seasonal.size else 1.0)
-        if abs(float(seasonal.sum())) > 1e-8 * scale:
-            raise InvalidParamsError("init_seasonal must sum to zero")
-        object.__setattr__(self, "init_seasonal", _freeze(seasonal))
+        raw = 10.0 * np.sin(2.0 * np.pi * np.arange(self.period) / self.period)
+        object.__setattr__(self, "init_seasonal", _freeze(raw - raw.mean()))
 
 
 def ana_params(
@@ -95,7 +79,6 @@ def ana_params(
     sigma2: float = 1.0,
     period: int = 12,
     init_level: float = 100.0,
-    init_seasonal=None,
 ) -> EtsParams:
     return EtsParams(
         EtsKind.ANA,
@@ -104,7 +87,6 @@ def ana_params(
         sigma2=sigma2,
         period=period,
         init_level=init_level,
-        init_seasonal=init_seasonal,
     )
 
 
@@ -117,7 +99,6 @@ def aada_params(
     period: int = 12,
     init_level: float = 100.0,
     init_trend: float = 1.0,
-    init_seasonal=None,
 ) -> EtsParams:
     return EtsParams(
         EtsKind.AADA,
@@ -129,19 +110,11 @@ def aada_params(
         phi=phi,
         init_level=init_level,
         init_trend=init_trend,
-        init_seasonal=init_seasonal,
     )
 
 
-def _simulate_with_means(
-    params: EtsParams, T: int, seed: int
-) -> tuple[TimeSeries, np.ndarray]:
-    """Simulate a path and also return the one-step conditional means.
-
-    means[t] is the observation minus its own shock (level + damped trend +
-    seasonal state in force at t), which is what an oracle one-step forecast
-    would predict.
-    """
+def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
+    """Simulate T observations; fully determined by (params, T, seed)."""
     T = _positive_int("T", T)
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal(T) * math.sqrt(params.sigma2)
@@ -154,23 +127,14 @@ def _simulate_with_means(
     level = params.init_level
     trend = params.init_trend if damped else 0.0
     values = np.empty(T)
-    means = np.empty(T)
     for t in range(T):
         slot = t % m
-        mu = level + phi * trend + seasonal[slot]
         e = shocks[t]
-        values[t] = mu + e
-        means[t] = mu
+        values[t] = level + phi * trend + seasonal[slot] + e
         level = level + phi * trend + alpha * e
         trend = phi * trend + beta * e
         seasonal[slot] = seasonal[slot] + gamma * e
-    return TimeSeries(values, period=m), means
-
-
-def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
-    """Simulate T observations; fully determined by (params, T, seed)."""
-    series, _ = _simulate_with_means(params, T, seed)
-    return series
+    return TimeSeries(values, period=m)
 
 
 def ets_forecast_variance(params: EtsParams, h: int) -> float:
@@ -198,7 +162,7 @@ def ets_forecast_variance(params: EtsParams, h: int) -> float:
 
 def theoretical_width(params: EtsParams, h: int, confidence: float) -> float:
     """Width 2*c*sigma_h of the symmetric interval at the given confidence."""
-    if not 0.0 <= confidence < 1.0:
+    if not _is_number(confidence) or not 0.0 <= confidence < 1.0:
         raise InvalidParamsError(f"confidence must lie in [0, 1), got {confidence!r}")
     c = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
     return 2.0 * c * math.sqrt(ets_forecast_variance(params, h))

@@ -43,9 +43,13 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def _open_unit(name: str, value) -> None:
     """Reject a value that is not a number in the open interval (0, 1)."""
-    if not isinstance(value, (int, float, np.integer, np.floating)) or not 0.0 < value < 1.0:
+    if not _is_number(value) or not 0.0 < value < 1.0:
         raise InvalidParamsError(f"{name} must lie in (0, 1), got {value!r}")
 
 
@@ -88,11 +92,6 @@ class HorizonConfig:
     def __post_init__(self):
         for name in ("n", "p", "k"):
             object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
-
-    @property
-    def window(self) -> int:
-        """Length of the lagged object window (n*p); derived, never stored."""
-        return self.n * self.p
 
 
 def rank_for(delta: float, h: int) -> int:

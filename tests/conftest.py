@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+from cpwnn import EtsKind
+
 _acceptance_lines: list[str] = []
 
 
@@ -14,3 +18,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def replay_states(params, values):
+    """Replay the ETS state recursion over a simulated path from its true start.
+
+    Returns (level, trend, seasonal): level[t] and trend[t] are the states in
+    force before values[t] is observed, and seasonal[t] is the whole m-slot
+    seasonal array at that point. The trend is zero for the model without one.
+    The one-step mean of values[t] is level[t] + phi*trend[t] + seasonal[t, t % m].
+    """
+    damped = params.kind is EtsKind.AADA
+    phi = params.phi if damped else 0.0
+    beta = params.beta if damped else 0.0
+    m = params.period
+    level = params.init_level
+    trend = params.init_trend if damped else 0.0
+    seasonal = params.init_seasonal.copy()
+    T = len(values)
+    levels, trends, seasonals = np.empty(T), np.empty(T), np.empty((T, m))
+    for t, value in enumerate(values):
+        levels[t], trends[t], seasonals[t] = level, trend, seasonal
+        slot = t % m
+        e = value - (level + phi * trend + seasonal[slot])
+        level = level + phi * trend + params.alpha * e
+        trend = phi * trend + beta * e
+        seasonal[slot] = seasonal[slot] + params.gamma * e
+    return levels, trends, seasonals

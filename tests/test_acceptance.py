@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import record_acceptance
+from conftest import record_acceptance, replay_states
 
 import cpwnn as cw
 from cpwnn.cli import load_csv
+from cpwnn.conformal import kth_largest
 
 MILK_CSV = Path(__file__).resolve().parent.parent / "data" / "milk_uk_monthly.csv"
 
@@ -109,6 +110,52 @@ def test_criterion_3_simulation_study():
         problems.append(f"runtime {elapsed:.0f}s >= 300s")
     detail = " | ".join(summary) + f" | {elapsed:.1f}s"
     _finish(3, not problems, detail if not problems else "; ".join(problems) + " || " + detail)
+
+
+def test_oracle_control_meets_criterion_3_gates():
+    """Criterion 3's conformal layer and gates, fed oracle scores instead of WNN's.
+
+    Not a criterion. The oracle knows the simulated states, so it forecasts
+    step j from end e as l_e + (phi + ... + phi^j) b_e + s[(e+j-1) % m], and
+    its scores are the true forecast errors. Its regions and online coverage
+    come from the same rank rule and backtest as criterion 3's. If they meet
+    the ±25% and >= 92% gates, the region, the backtest and the closed-form
+    widths agree, and criterion 3's excess width comes from the forecaster.
+    """
+    n, delta, seeds = 3, 0.05, range(20)
+    problems = []
+    for name, params, T in SCENARIOS:
+        theoretical = np.array([cw.theoretical_width(params, h, 0.95) for h in (1, 2, 3)])
+        phi = params.phi if params.kind is cw.EtsKind.AADA else 0.0
+        trend_steps = np.cumsum(phi ** np.arange(1, n + 1))
+        split = cw.split_sizes(T, n, delta)
+        h = split.i1 + split.i2
+        ends = T - n * np.arange(h, 0, -1)
+        steps = ends[:, None] + np.arange(n)
+        widths, coverages = [], []
+        for seed in seeds:
+            values = cw.simulate_ets(params, T, seed).values
+            level, trend, seasonal = replay_states(params, values)
+            forecasts = (
+                level[ends, None]
+                + trend_steps * trend[ends, None]
+                + seasonal[ends[:, None], steps % params.period]
+            )
+            scores = np.abs(values[steps] - forecasts)
+            widths.append(2.0 * kth_largest(scores, cw.rank_for(delta, h)))
+            _, hits = cw.backtest_matrices(scores[: split.i1], scores[split.i1 :], delta)
+            coverages.append(100.0 * hits.mean())
+        ratio = np.mean(widths, axis=0) / theoretical
+        mean_coverage = float(np.mean(coverages))
+        print(
+            f"oracle {name}: width/theoretical per h {np.round(ratio, 3).tolist()}, "
+            f"mean coverage {mean_coverage:.2f}%"
+        )
+        if np.any(ratio < 0.75) or np.any(ratio > 1.25):
+            problems.append(f"{name} ratio {np.round(ratio, 3).tolist()} outside ±25%")
+        if mean_coverage < 92.0:
+            problems.append(f"{name} mean coverage {mean_coverage:.2f}% < 92%")
+    assert not problems, "; ".join(problems)
 
 
 def _selection_oracle(calib, test, delta):
@@ -264,7 +311,7 @@ def test_criterion_8_forecaster_property_suites():
         values = rng.normal(rng.uniform(-20, 20), rng.uniform(0.5, 5.0), size=length)
         shift = float(rng.uniform(-50, 50))
         config = cw.HorizonConfig(int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 5)))
-        if length < config.window + config.n + config.k:
+        if length < config.n * config.p + config.n + config.k:
             continue
         base = cw.wnn_forecast(cw.TimeSeries(values, 4), config)
         moved = cw.wnn_forecast(cw.TimeSeries(values + shift, 4), config)

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -50,6 +51,31 @@ class TestLoadCsv:
             load_csv(path, "value", 12)
         assert exc.value.row == 3
         assert exc.value.text == "n/a"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_leading_byte_order_mark_is_ignored(
+        self, milk_like_csv, tmp_path, monkeypatch, capsys, source
+    ):
+        # the BOM glues onto the first header cell, so that cell is "value"
+        text = "value\n" + "".join(f"{v!r}\n" for v in load_csv(milk_like_csv).values.tolist())
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        args = ["tune", "--n", "1", "--folds", "5", "--p-grid", "1:3", "--k-grid", "1,2"]
+        assert main([*args, "--input", str(tmp_path / "plain.csv")]) == 0
+        plain = capsys.readouterr().out
+        text = "\ufeff" + text
+        if source == "file":
+            path = tmp_path / "bom.csv"
+            path.write_text(text, encoding="utf-8")
+        else:
+            path = "-"
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main([*args, "--input", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_byte_order_mark_before_a_quoted_header(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('\ufeff"value","date"\r\n10.5,1968-01\r\n', encoding="utf-8")
+        assert load_csv(path, "value", 12).values == pytest.approx([10.5])
 
     def test_round_trip_preserves_float64(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -5,19 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import replay_states
 
 from cpwnn import (
     EtsKind,
     EtsParams,
     aada_params,
     ana_params,
-    default_seasonal,
     ets_forecast_variance,
     simulate_ets,
     theoretical_width,
 )
 from cpwnn.errors import InvalidParamsError
-from cpwnn.etssim import _simulate_with_means
 
 PARAM_SETS = [
     ana_params(0.5, 0.2),
@@ -30,9 +29,10 @@ PARAM_SETS = [
 class TestParams:
     def test_default_seasonal_sums_to_zero(self):
         for m in (1, 4, 12, 7):
-            seasonal = default_seasonal(m)
+            seasonal = ana_params(0.5, 0.2, period=m).init_seasonal
             assert seasonal.shape == (m,)
             assert abs(seasonal.sum()) < 1e-9
+            assert not seasonal.flags.writeable
 
     def test_ranges_enforced(self):
         with pytest.raises(InvalidParamsError):
@@ -53,29 +53,25 @@ class TestParams:
             with pytest.raises(InvalidParamsError, match="T must be a positive integer"):
                 simulate_ets(ana_params(0.5, 0.2), T, 0)
 
-    def test_seasonal_must_sum_to_zero(self):
-        with pytest.raises(InvalidParamsError):
-            ana_params(0.5, 0.2, period=3, init_seasonal=[1.0, 1.0, 1.0])
-
-    def test_seasonal_length_checked(self):
-        with pytest.raises(InvalidParamsError):
-            ana_params(0.5, 0.2, period=4, init_seasonal=[1.0, -1.0])
+    @pytest.mark.parametrize("sigma2", ["1", True])
+    def test_sigma2_must_be_a_number(self, sigma2):
+        with pytest.raises(InvalidParamsError, match="sigma2 must be >= 0"):
+            ana_params(0.5, 0.2, sigma2=sigma2)
 
 
 class TestSimulate:
     def test_noiseless_ana_is_exactly_periodic(self):
-        seasonal = default_seasonal(6)
-        params = ana_params(0.5, 0.2, sigma2=0.0, period=6, init_level=100.0,
-                            init_seasonal=seasonal)
+        params = ana_params(0.5, 0.2, sigma2=0.0, period=6, init_level=100.0)
+        seasonal = params.init_seasonal
         series = simulate_ets(params, 30, seed=1)
         want = 100.0 + seasonal[np.arange(30) % 6]
         assert series.values == pytest.approx(want, abs=1e-12)
 
     def test_noiseless_damped_trend_closed_form(self):
         phi, b0 = 0.8, 2.5
-        seasonal = default_seasonal(4)
         params = aada_params(0.6, 0.3, 0.2, phi, sigma2=0.0, period=4,
-                             init_level=50.0, init_trend=b0, init_seasonal=seasonal)
+                             init_level=50.0, init_trend=b0)
+        seasonal = params.init_seasonal
         series = simulate_ets(params, 20, seed=3)
         t = np.arange(1, 21)
         trend_sum = b0 * phi * (1.0 - phi**t) / (1.0 - phi)  # b0*(phi + ... + phi^t)
@@ -94,34 +90,19 @@ class TestSimulate:
         series = simulate_ets(ana_params(0.5, 0.2, period=12), 50, seed=0)
         assert series.period == 12 and len(series) == 50
 
-    def test_oracle_one_step_errors_recover_sigma2(self):
-        # an oracle holding the true states forecasts the conditional mean, so
-        # its one-step errors must have variance sigma2
-        params = aada_params(0.7, 0.3, 0.2, 0.82, sigma2=1.0, period=12)
-        series, means = _simulate_with_means(params, 100_000, seed=11)
-        errors = series.values - means
-        assert np.var(errors) == pytest.approx(1.0, rel=0.05)
-
     def test_recursion_reconstructs_from_observations(self):
-        # replay the state recursion in test code from the true initial states;
-        # short horizon only: rounding seeds grow exponentially for these
+        # replay the state recursion in test code from the true initial states:
+        # an oracle holding those states forecasts the one-step mean, so its
+        # one-step errors are exactly the simulator's scaled shocks. Short
+        # horizon only: rounding seeds grow exponentially for these
         # parameters, so exact replay is a local consistency check
-        params = aada_params(0.7, 0.3, 0.2, 0.82, sigma2=1.0, period=12)
-        series, means = _simulate_with_means(params, 300, seed=13)
-        values = series.values
-        level = params.init_level
-        trend = params.init_trend
-        seasonal = params.init_seasonal.copy()
-        replayed = np.empty(values.size)
-        for t in range(values.size):
-            slot = t % 12
-            mu = level + params.phi * trend + seasonal[slot]
-            replayed[t] = mu
-            e = values[t] - mu
-            level = level + params.phi * trend + params.alpha * e
-            trend = params.phi * trend + params.beta * e
-            seasonal[slot] = seasonal[slot] + params.gamma * e
-        assert np.allclose(replayed, means, atol=1e-8)
+        params = aada_params(0.7, 0.3, 0.2, 0.82, sigma2=2.5, period=12)
+        values = simulate_ets(params, 300, seed=13).values
+        level, trend, seasonal = replay_states(params, values)
+        t = np.arange(values.size)
+        means = level + params.phi * trend + seasonal[t, t % 12]
+        shocks = np.random.default_rng(13).standard_normal(300) * np.sqrt(2.5)
+        assert np.allclose(values - means, shocks, atol=1e-8)
 
 
 class TestForecastVariance:
@@ -161,6 +142,11 @@ class TestTheoreticalWidth:
 
     def test_ana_h3_strong_smoothing(self):
         assert theoretical_width(ana_params(0.8, 0.4), 3, 0.95) == pytest.approx(5.92, abs=0.01)
+
+    @pytest.mark.parametrize("confidence", ["0.9", None])
+    def test_confidence_must_be_a_number(self, confidence):
+        with pytest.raises(InvalidParamsError, match="confidence must lie in"):
+            theoretical_width(ana_params(0.5, 0.2), 1, confidence)
 
     def test_zero_confidence_zero_width(self):
         assert theoretical_width(ana_params(0.5, 0.2), 3, 0.0) == 0.0

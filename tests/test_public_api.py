@@ -3,7 +3,9 @@
 A name in `cpwnn.__all__` must appear as a whole word at least twice across
 the library modules (without `__init__.py`), `scripts/` and `perfbench/`:
 its definition plus at least one use. A public name that only its own test
-calls should go instead. Likewise every exception class in `cpwnn.errors`
+calls should go instead. The same holds one level down: every public
+property or method defined on an exported class must be used as `.name`
+somewhere in those sources. Likewise every exception class in `cpwnn.errors`
 must be used in code (raised, caught or otherwise named, not only imported
 or mentioned in a docstring) by a library module other than `errors.py`.
 """
@@ -11,6 +13,7 @@ or mentioned in a docstring) by a library module other than `errors.py`.
 import ast
 import inspect
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,22 @@ TEXT = "\n".join(p.read_text(encoding="utf-8") for p in SOURCES)
 def test_exported_name_has_a_caller(name):
     count = len(re.findall(rf"\b{re.escape(name)}\b", TEXT))
     assert count >= 2, f"{name} appears {count} time(s) outside tests: definition only"
+
+
+MEMBERS = [
+    f"{cls.__name__}.{attr}"
+    for cls in (getattr(cpwnn, n) for n in cpwnn.__all__)
+    if inspect.isclass(cls)
+    for attr, obj in vars(cls).items()
+    if not attr.startswith("_")
+    and isinstance(obj, (property, classmethod, staticmethod, types.FunctionType))
+]
+
+
+@pytest.mark.parametrize("member", MEMBERS)
+def test_exported_class_member_has_a_caller(member):
+    attr = member.split(".")[1]
+    assert re.search(rf"\.{re.escape(attr)}\b", TEXT), f"{member} is never used outside tests"
 
 
 LIBRARY_NAMES = {

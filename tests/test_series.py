@@ -61,9 +61,6 @@ class TestValidateSeries:
 
 
 class TestHorizonConfig:
-    def test_window_is_derived(self):
-        assert HorizonConfig(n=3, p=4, k=2).window == 12
-
     @pytest.mark.parametrize("bad", [dict(n=0, p=1, k=1), dict(n=1, p=0, k=1), dict(n=1, p=1, k=0)])
     def test_positive_fields(self, bad):
         with pytest.raises(InvalidParamsError):

@@ -165,7 +165,7 @@ class TestWnnForecast:
         config = HorizonConfig(n=2, p=2, k=5)
         forecast = wnn_forecast(ts, config)
         # reference labels of the selected neighbors
-        window = config.window
+        window = config.n * config.p
         query = values[-window:]
         d2 = [((values[i : i + window] - query) ** 2).sum() for i in range(values.size - window - 1)]
         order = np.argsort(d2, kind="stable")[:5]
