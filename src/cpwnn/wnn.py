@@ -9,19 +9,20 @@ the earlier window first, and k=1 returns the nearest continuation bit-exactly.
 Tuning evaluates a (p, k) grid by rolling-origin validation: fold i trains on
 everything before the last i*n observations and scores the n observations
 that follow. One neighbor search, `_nearest`, serves the tuner and every
-refit. A running sum over lags gives each candidate's squared distance at
-every window n*p in turn, and at each window asked for it screens out every
-candidate that cannot be among a query's max(k) nearest, with a margin of
-4*n*p*eps relative (twice the rounding error of either summation order) plus
-n*p*2**-1074 for subnormal squares. The kept candidates are ranked on exact
-einsum distances, so the neighbors are the same bits as a full sort of every
+refit. For each window n*p asked for, one matrix product of the queries and
+the candidate windows, centered on the queries' median level, screens out
+every candidate that cannot be among a query's max(k) nearest, with a margin
+per pair that bounds the product's rounding error for any summation order
+(`_nearest` derives it). The kept candidates are ranked on exact einsum
+distances, so the neighbors are the same bits as a full sort of every
 candidate's einsum distance. The tuner asks for every p of the grid in one
 search. A larger p never takes more k, so the p that take a k are a prefix of
 the grid: one `_neighbor_average` per k averages them all, and one MAPE
-reduction scores every cell. A refit asks for its one (p, k). The search
-holds blocks of a fixed bound in size. The cell minimising the mean fold MAPE
-wins; exact ties go to the first minimum in p-major, k-minor order (smaller
-p, then smaller k), so results are deterministic.
+reduction scores every cell. A refit asks for its one (p, k). The search holds
+blocks of a fixed bound in size. The cell minimising the mean fold MAPE wins;
+exact ties go to the first minimum in p-major, k-minor order (smaller p, then
+smaller k), so results are deterministic. Where every one of a forecast's k
+squared distances overflows, inverse-distance weighting raises DataError.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
@@ -40,14 +41,15 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridInfeasibleError, InvalidParamsError, SeriesTooShortError
+from .errors import DataError, GridInfeasibleError, InvalidParamsError, SeriesTooShortError
 from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
 
 # Regularizer for inverse-distance weights: an exact-match neighbor then
 # dominates the average instead of dividing by zero.
 _WEIGHT_EPS = 1e-8
 
-# Most running sums, or exact-distance differences, the search holds at once (256 KB).
+# Most screen values, copied candidate values or exact-distance differences the
+# search holds in one block (256 KB).
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -158,7 +160,7 @@ class TuneResult:
     skipped: tuple[tuple[int, int, str], ...] = ()
 
 
-@np.errstate(over="ignore")  # an overflowed sum is +inf, which the screen handles
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing window keeps every candidate
 def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     """The kmax nearest candidate windows of length n*p for each query end, per (p, kmax).
 
@@ -171,68 +173,102 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     squared distances of shape (len(ends), kmax) and continuations of shape
     (len(ends), kmax, n), nearest first.
 
-    One running sum over lags screens every p: for candidate continuation
-    start a and query end e, lag l adds (values[a-l] - values[e-l])**2, so
-    after L = n*p lags the sum is the squared distance of candidate a - L at
-    window L. It sums the same squared differences as `_distances`'s
-    einsum in another order, so each is within gamma_L ~ L*eps/2 relative of
-    the exact sum, and a row's true kmax nearest, ties included, lie within
-    2*L*eps of its kmax-th smallest running sum. The screen keeps every
-    valid candidate within twice that, plus L*2**-1074 for subnormal
-    squares; a +inf kth keeps them all. The kept candidates are ranked on
-    their einsum distance, which does not depend on which others were kept.
+    One matrix product per block of queries and window L = n*p screens the
+    candidates. Every value is centered on c, a median of the queries' last
+    values, and a query q and a candidate window w of the centered values give
+    the screen value s = |w|**2 - 2*q.w, which is d - |q|**2 and so ranks a
+    row's candidates as their squared distance d does.
 
-    Rows are searched in blocks holding at most _BLOCK_FLOATS sums (one row,
-    if a row alone holds more). Sums past a row's last candidate start at
-    +inf, so they never lower its kth, and a validity mask, not their value,
-    keeps them out of the screen.
+    The margin is per pair, with u = eps/2, Q = |q|**2 and W = |w|**2.
+    Centering rounds each value by at most u relative, which moves d by at
+    most ~4*u*(Q + W). s is within ~(2*L + 2)*u*(Q + W) of its exact value
+    for any summation order, since gamma_L = L*u/(1 - L*u) bounds the
+    relative error of a sum of L products (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1) and 2*|q.w| <= Q + W. `_distances`'s
+    einsum is within gamma_(L+2) relative of the exact d <= 2*(Q + W), so
+    within ~(2*L + 6)*u*(Q + W). So every einsum distance lies within
+    alpha*(Q + W) of s + Q, where alpha = 4*(L + 3)*eps is twice the sum,
+    (2*L + 6)*eps; the slack covers second-order terms and the rounding of
+    the bounds below. Let U be a row's kmax-th smallest s + alpha*W: kmax
+    candidates have an einsum distance of at most U + Q + alpha*Q, so each of
+    the row's true kmax nearest, ties included, has s - alpha*W <=
+    U + 2*alpha*Q. The screen keeps every candidate that meets this, plus
+    L*2**-1072 for the absolute error of products that underflow. The margin
+    scales with the pair's own norms about c, not the series' range, so a
+    spike only widens it for the windows that hold the spike; but rows whose
+    queries sit at a level far from c, as on the minority side of a level
+    shift among the queries, keep every candidate near their level. If any
+    W of a window exceeds a sixteenth of the largest float, every candidate
+    of that window is kept. The kept candidates are ranked on their einsum
+    distance, which does not depend on which others were kept.
+
+    Rows are searched in blocks holding at most _BLOCK_FLOATS screen values
+    (one row, if a row alone holds more), and candidates are copied for the
+    product a chunk of at most _BLOCK_FLOATS values at a time. Columns past a
+    row's last candidate are +inf, so they never lower its U and never pass.
     """
     windows = [n * p for p, _ in cells]
-    first = windows[0]  # the smallest continuation start any p can use
-    padded = np.concatenate([np.zeros(windows[-1]), values])
-    starts = sliding_window_view(values, n)
-    step = max(1, _BLOCK_FLOATS // (int(ends.max()) - n - first + 1))
-    found = [(np.empty((len(ends), kmax)), np.empty((len(ends), kmax, n))) for _, kmax in cells]
-    for start in range(0, len(ends), step):
-        block = slice(start, start + step)
-        e = ends[block]
-        last = e[:, None] - n - first  # each row's last valid column
-        columns = np.arange(int(last.max()) + 1)
-        acc = np.where(columns <= last, 0.0, np.inf)
-        term = np.empty_like(acc)
-        cell = 0
-        for lag in range(1, windows[-1] + 1):
-            offset = windows[-1] + first - lag
-            np.subtract(padded[offset : offset + len(columns)], values[e - lag, None], out=term)
-            acc += np.square(term, out=term)
-            if lag < windows[cell]:
-                continue
-            kmax = cells[cell][1]
-            screen = acc[:, lag - first :]  # column i is candidate i at window lag
-            kth = np.partition(screen, kmax - 1, axis=1)[:, kmax - 1 : kmax]
-            keep = screen <= kth * (1 + 4 * lag * np.finfo(float).eps) + lag * 2.0**-1074
-            keep &= columns[lag - first :] <= last
-            rows, near = np.divmod(np.flatnonzero(keep), screen.shape[1])
-            exact = _distances(values, lag, near, e[rows] - lag)
+    widest, top = windows[-1], int(ends.max())
+    # Row a of either view is the widest window ending just before values[a]
+    # (zero-padded), so its last L columns are the window of length L ending there.
+    ending = sliding_window_view(np.concatenate([np.zeros(widest), values]), widest)
+    center = np.partition(values[ends - 1], len(ends) // 2)[len(ends) // 2]  # a median
+    padded = np.concatenate([np.zeros(widest), values[:top] - center])
+    centered = sliding_window_view(padded, widest)
+    chunk = max(1, _BLOCK_FLOATS // widest)  # rows per squared chunk
+    # norms[j, a] is |w|**2 of the centered window of length windows[j] ending
+    # at a: the sum of the last windows[j] squares of row a.
+    tails = 1.0 * (np.arange(widest) >= widest - np.array(windows)[:, None])
+    norms = np.empty((len(cells), len(centered)))
+    for lo in range(0, len(centered), chunk):
+        np.matmul(tails, np.square(centered[lo : lo + chunk]).T, out=norms[:, lo : lo + chunk])
+    step = max(1, _BLOCK_FLOATS // (top - n - windows[0] + 1))
+    found = []
+    for cell, ((_, kmax), window) in enumerate(zip(cells, windows)):
+        alpha = 4 * (window + 3) * np.finfo(float).eps
+        span = max(1, _BLOCK_FLOATS // window)  # candidate windows per copied chunk
+        overflow = not norms[cell].max() <= np.finfo(float).max / 16
+        d2, continuations = np.empty((len(ends), kmax)), np.empty((len(ends), kmax, n))
+        for start in range(0, len(ends), step):
+            block = slice(start, start + step)
+            e = ends[block]
+            last = e - n - window  # each row's last candidate window start
+            width = int(last.max()) + 1
+            if overflow:
+                keep = np.arange(width) <= last[:, None]
+            else:
+                q = -2.0 * centered[e, -window:]  # exact
+                screen = np.empty((len(e), width))
+                for lo in range(0, width, span):
+                    part = centered[window + lo : window + min(lo + span, width), -window:]
+                    np.matmul(q, part.copy().T, out=screen[:, lo : lo + span])
+                w_norms = norms[cell, window : window + width]
+                screen += (1 - alpha) * w_norms  # s - alpha*|w|**2
+                ragged = int(last.min()) + 1
+                np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
+                upper = screen + 2 * alpha * w_norms  # s + alpha*|w|**2
+                upper.partition(kmax - 1, axis=1)
+                margin = 2 * alpha * norms[cell, e] + window * 2.0**-1072
+                keep = screen <= (upper[:, kmax - 1] + margin)[:, None]
+            rows, near = np.divmod(np.flatnonzero(keep), width)
+            exact = _distances(ending[:, -window:], near + window, e[rows])
             # Each row's first kmax by (distance, candidate); rows come sorted.
             order = np.lexsort((near, exact, rows))
             chosen = order[np.searchsorted(rows, np.arange(len(e)))[:, None] + np.arange(kmax)]
-            d2, continuations = found[cell]
             d2[block] = exact[chosen]
-            continuations[block] = starts[near[chosen] + lag]
-            cell += 1
+            continuations[block] = ending[near[chosen] + window + n, -n:]
+        found.append((d2, continuations))
     return found
 
 
-def _distances(values: np.ndarray, window: int, candidates: np.ndarray, queries: np.ndarray):
-    """Squared distance of each window at candidates[j] to the one at queries[j].
+def _distances(windows: np.ndarray, candidates: np.ndarray, queries: np.ndarray):
+    """Squared distance of the window in row candidates[j] of windows to that in row queries[j].
 
     One einsum over contiguous differences, in chunks of at most _BLOCK_FLOATS
     values (one pair, if a pair alone holds more).
     """
-    windows = sliding_window_view(values, window)
     d2 = np.empty(len(candidates))
-    step = max(1, _BLOCK_FLOATS // window)
+    step = max(1, _BLOCK_FLOATS // windows.shape[1])
     for start in range(0, len(candidates), step):
         chunk = slice(start, start + step)
         diff = windows[candidates[chunk]] - windows[queries[chunk]]
@@ -243,11 +279,21 @@ def _distances(values: np.ndarray, window: int, candidates: np.ndarray, queries:
 def _neighbor_average(
     d2: np.ndarray, continuations: np.ndarray, k: int, weighting: Weighting
 ) -> np.ndarray:
-    """Per query, the weighted average of the k nearest continuations from `_nearest`."""
+    """Per query, the weighted average of the k nearest continuations from `_nearest`.
+
+    Raises DataError where all k squared distances of a query overflowed to
+    +inf, so that its inverse-distance weights are all 0.
+    """
     if weighting is Weighting.UNIFORM:
         return continuations[:, :k].mean(axis=1)
     w = 1.0 / (d2[:, :k] + _WEIGHT_EPS)
-    w /= w.sum(axis=1, keepdims=True)
+    total = w.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
+        raise DataError(
+            "squared distances between windows overflow, so a forecast has no finite "
+            "inverse-distance weight; rescale the series"
+        )
+    w /= total
     return np.matmul(w[:, None, :], continuations[:, :k])[:, 0]
 
 

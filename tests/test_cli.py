@@ -117,6 +117,18 @@ class TestExitCodes:
         path.write_text("t,value\n1,1.0\n2,oops\n")
         assert main(["tune", "--input", str(path), "--folds", "2"]) == 3
 
+    @pytest.mark.parametrize("command", [["tune", "--format", "json"], ["forecast"]])
+    def test_overflowing_distances_are_data_error(self, tmp_path, capsys, command):
+        # Squared distances of a series at 1e160 overflow to +inf, which leaves
+        # an inverse-distance forecast without a finite weight.
+        path = tmp_path / "huge.csv"
+        values = np.round(np.random.default_rng(3).normal(10.0, 1.0, 120)) * 1e160
+        path.write_text(series_to_csv(values))
+        assert main([*command, "--input", str(path), "--folds", "6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "rescale the series" in captured.err
+
 
 class TestSimulateCommand:
     def test_writes_csv(self, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from cpwnn import wnn
+from cpwnn import etssim, wnn
 from cpwnn import (
     ForecasterSpec,
     HorizonConfig,
@@ -19,6 +19,7 @@ from cpwnn import (
     wnn_forecast,
 )
 from cpwnn.errors import (
+    DataError,
     GridInfeasibleError,
     InvalidParamsError,
     SeriesTooShortError,
@@ -86,6 +87,14 @@ def reference_nearest(values, ends, window, n, kmax):
         d2[row] = dist[chosen]
         continuations[row] = following[chosen]
     return d2, continuations
+
+
+def assert_same_nearest(values, ends, n, p, kmax):
+    """`_nearest` at one (p, kmax) gives the reference's neighbors, with ==."""
+    [got] = wnn._nearest(values, ends, n, [(p, kmax)])
+    want = reference_nearest(values, ends, n * p, n, kmax)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    return want
 
 
 def reference_mape(actual, predicted):
@@ -502,20 +511,14 @@ class TestBatchedSearchIsBitIdentical:
             fpto_tune(TimeSeries(values, 4), 3, folds, [1], [1])
 
 
-def assert_same_trace(got, want):
-    """== on every (p, k, objective); NaN equals NaN (all k distances +inf)."""
-    assert [cell[:2] for cell in got] == [cell[:2] for cell in want]
-    assert np.array_equal([cell[2] for cell in got], [cell[2] for cell in want], equal_nan=True)
-
-
 class TestScreenedSearchIsBitIdentical:
-    """The running-sum screen and exact re-rank against the references, with ==."""
+    """The matrix-product screen and exact re-rank against the references, with ==."""
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     @pytest.mark.parametrize("seed", [15, 54])
     def test_one_decimal_ties(self, seed, weighting):
-        # The running sum and einsum round these near-tied distances
-        # differently; with no margin the screen drops a true neighbor.
+        # The screen and einsum round these near-tied distances differently;
+        # with no margin the screen drops a true neighbor.
         values = np.round(np.random.default_rng(seed).normal(1.0, 0.3, 80), 1) + 5.1
         result = fpto_tune(TimeSeries(values, 4), 1, 10, range(1, 7), range(1, 4), weighting)
         want = reference_trace(values, 1, 10, range(1, 7), range(1, 4), weighting)
@@ -524,21 +527,83 @@ class TestScreenedSearchIsBitIdentical:
     @pytest.mark.parametrize("weighting", list(Weighting))
     @pytest.mark.parametrize("scale", [1e154, 1e160, 1e-160])
     def test_overflowing_and_subnormal_squares(self, scale, weighting):
-        # At 1e154 and 1e160 every sum of a row can overflow to +inf, so its
-        # kth is +inf and the +inf entries past its last candidate pass the
-        # screen too; the validity mask keeps them, the query's own window
-        # among them, out. At 1e-160 the squares are subnormal.
+        # At 1e154 and 1e160 squared distances overflow to +inf, and so do
+        # the squared windows, so the screen keeps every candidate. Where all k of a
+        # fold overflow, the reference's inverse-distance weights are 0/0 and
+        # its objective NaN; the tuner raises DataError there instead. Uniform
+        # averages stay finite. At 1e-160 the squares are subnormal.
         values = np.round(np.random.default_rng(3).normal(10.0, 1.0, 80)) * scale
         with np.errstate(invalid="ignore"):
-            result = fpto_tune(TimeSeries(values, 4), 1, 10, range(1, 7), range(1, 4), weighting)
             want = reference_trace(values, 1, 10, range(1, 7), range(1, 4), weighting)
-        assert_same_trace(result.trace, want)
+        overflowed = np.isnan([cell[2] for cell in want]).any()
+        assert overflowed == (scale > 1 and weighting is Weighting.INVERSE_DISTANCE)
+        ts = TimeSeries(values, 4)
+        if overflowed:
+            with pytest.raises(DataError, match="rescale the series"):
+                fpto_tune(ts, 1, 10, range(1, 7), range(1, 4), weighting)
+        else:
+            assert list(fpto_tune(ts, 1, 10, range(1, 7), range(1, 4), weighting).trace) == want
+
+    @pytest.mark.parametrize("seed, p", [(209, 6), (219, 1)])
+    def test_subnormal_products(self, seed, p):
+        # Products of values near 1e-160 are subnormal, so their absolute
+        # error decides these rows: the margin's L*2**-1072 term keeps them.
+        values = np.round(np.random.default_rng(seed).normal(10.0, 1.0, 80)) * 1e-160
+        ends = np.arange(60, 81)
+        assert_same_nearest(values, ends, 1, p, 3)
+
+    def test_einsum_ties_far_from_the_query(self):
+        # The query is twelve 0s and 1s, and the center is among them; every
+        # earlier value is 1e8 plus 0 or 1. Past the 11 windows that overlap
+        # the query, einsum rounds the distances, about 1.2e17, into ties that
+        # the screen values still tell apart; the margin's alpha*|w|**2 terms
+        # keep the tied windows.
+        values = (np.random.default_rng(5).random(300) < 0.5).astype(float)
+        values[:288] += 1e8
+        ends = np.array([300])
+        d2, _ = assert_same_nearest(values, ends, 1, 12, 15)
+        assert len(set(d2[0, 11:])) < 4
+
+    def test_einsum_ties_far_from_the_center(self):
+        # The query is eleven values of +-1e8, then one 0 or 1, the center.
+        # einsum rounds its distances to windows of 0s and 1s, about 1.1e17,
+        # into ties that the screen values still tell apart; the margin's
+        # 2*alpha*|q|**2 term keeps the tied windows.
+        rng = np.random.default_rng(18)
+        values = (rng.random(300) < 0.9).astype(float)
+        values[288:299] = 1e8 * rng.choice([-1.0, 1.0], 11)
+        ends = np.array([300])
+        d2, _ = assert_same_nearest(values, ends, 1, 12, 5)
+        assert len(set(d2[0])) < 5
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_unit_step_walk_at_level_1e8(self, weighting):
+        # Uncentered, |q|**2 ~ 1e17 would widen the margin past the gaps between
+        # distances; centered on the queries' median, the values are the walk itself.
+        values = 1e8 + np.cumsum(np.random.default_rng(8).normal(size=400))
+        result = fpto_tune(TimeSeries(values, 4), 1, 12, range(1, 13), range(1, 6), weighting)
+        want = reference_trace(values, 1, 12, range(1, 13), range(1, 6), weighting)
+        assert list(result.trace) == want
+        assert_same_nearest(values, np.arange(300, 401), 1, 12, 5)
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_level_1e153_overflows_the_query_norm_not_the_distances(self, weighting):
+        # |q|**2 of the raw values overflows, but that of the centered values
+        # does not, and neither does any squared distance.
+        rng = np.random.default_rng(9)
+        values = (100.0 + np.round(rng.normal(0.0, 0.3, 80), 1)) * 1e153
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(values[:6] ** 2))
+        result = fpto_tune(TimeSeries(values, 4), 1, 10, range(1, 7), range(1, 4), weighting)
+        want = reference_trace(values, 1, 10, range(1, 7), range(1, 4), weighting)
+        assert np.isfinite([cell[2] for cell in want]).all()
+        assert list(result.trace) == want
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     def test_fold_rows_span_several_blocks(self, weighting):
         values = np.round(np.random.default_rng(21).normal(10.0, 1.0, size=3000))
         n, folds = 1, 25
-        # A block row holds T - 2 sums: continuation starts 1 .. T - 2 for p = 1.
+        # A block row holds T - 2 screen values: window starts 0 .. T - 3 for p = 1.
         rows_per_block = wnn._BLOCK_FLOATS // (values.size - 2)
         assert folds > 2 * rows_per_block and folds % rows_per_block
         result = fpto_tune(TimeSeries(values, 4), n, folds, range(1, 7), range(1, 4), weighting)
@@ -556,12 +621,74 @@ class TestScreenedSearchIsBitIdentical:
         kept = []
         distances = wnn._distances
 
-        def recorded(values, window, candidates, queries):
+        def recorded(windows, candidates, queries):
             kept.append(len(candidates))
-            return distances(values, window, candidates, queries)
+            return distances(windows, candidates, queries)
 
         monkeypatch.setattr(wnn, "_distances", recorded)
         [got] = wnn._nearest(values, ends, n, [(window, kmax)])
         assert max(kept) > 2 * wnn._BLOCK_FLOATS // window
         want = reference_nearest(values, ends, window, n, kmax)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_row_blocks_and_candidate_chunks(self, monkeypatch, weighting):
+        # At 600 floats a block, windows of 80 are squared and copied 7 at a
+        # time, and a block holds 2 fold rows of the tune and 3 rows of the
+        # refit search, whose rows each screen 177 candidates.
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 600)
+        values = np.round(np.random.default_rng(33).normal(10.0, 1.0, 260))
+        n, folds, p_grid, k_grid = 4, 6, [1, 2, 7, 20], [1, 3, 5]
+        assert 600 // 80 == 7 and 600 // (256 - 4 - 4 + 1) == 2 and 600 // (260 - 4 - 80 + 1) == 3
+        result = fpto_tune(TimeSeries(values, 4), n, folds, p_grid, k_grid, weighting)
+        assert list(result.trace) == reference_trace(values, n, folds, p_grid, k_grid, weighting)
+        assert_same_nearest(values, np.arange(200, 261), n, 20, 5)
+
+
+def selective_series(kind):
+    rng = np.random.default_rng(8)
+    if kind == "scoring_long":
+        params = etssim.aada_params(0.5, 0.1, 0.2, 0.9, init_level=1000.0)
+        return etssim.simulate_ets(params, 2000, 1).values
+    if kind == "walk_at_1e8":
+        return 1e8 + np.cumsum(rng.normal(size=2000))
+    values = rng.normal(size=2000)
+    if kind == "spikes_of_1e8":
+        values[::97] += 1e8
+    else:  # the level shifts by 1e8 at t = 1000, or at t = 1500 among the queries
+        values[1000 if kind == "level_shift" else 1500 :] += 1e8
+    return values
+
+
+class TestScreenSelectivity:
+    """How many pairs the screen hands `_distances`, on the scoring_long search
+    (T = 2000, ends 1280 .. 2000, n = 1, p = 12, k = 5) and series far from 0."""
+
+    @staticmethod
+    def kept_per_row(monkeypatch, values, ends, kmax):
+        queries = []
+        distances = wnn._distances
+
+        def recorded(windows, candidates, rows):
+            queries.append(rows)
+            return distances(windows, candidates, rows)
+
+        monkeypatch.setattr(wnn, "_distances", recorded)
+        assert_same_nearest(values, ends, 1, 12, kmax)
+        return np.bincount(np.concatenate(queries), minlength=ends.max() + 1)[ends]
+
+    @pytest.mark.parametrize(
+        "kind", ["scoring_long", "walk_at_1e8", "spikes_of_1e8", "level_shift"]
+    )
+    def test_at_most_two_kmax_pairs_per_row(self, monkeypatch, kind):
+        ends, kmax = np.arange(1280, 2001), 5
+        kept = self.kept_per_row(monkeypatch, selective_series(kind), ends, kmax)
+        assert kept.mean() <= 2 * kmax
+
+    def test_level_shift_among_the_queries(self, monkeypatch):
+        # The values are centered on the queries' median, near 1e8, so the
+        # margin of a row whose query lies before the shift is about 1e3, and
+        # the row keeps every candidate; the rows after the shift stay selective.
+        ends, kmax = np.arange(1280, 2001), 5
+        kept = self.kept_per_row(monkeypatch, selective_series("shift_among_queries"), ends, kmax)
+        assert kept[ends >= 1500 + 12].mean() <= 2 * kmax
