@@ -4,7 +4,7 @@
 For each scenario (model kind x sample size) and seed: simulate, tune (p, k)
 on the training block, backtest coverage over the held-out block, and build
 the final region for the next n values. Prints mean region widths per step
-against the closed-form theoretical widths, plus mean backtest coverage.
+against the exact theoretical widths, plus mean backtest coverage.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The pipeline: a weighted-nearest-neighbor forecaster over lagged windows with
 automatic (p, k) tuning, per-horizon-step symmetric prediction intervals
 calibrated from nonconformity scores, an online backtest of region coverage
-and width, and additive-seasonal smoothing simulators whose closed-form
+and width, and additive-seasonal smoothing simulators whose exact
 interval widths serve as a verification oracle.
 """
 

@@ -32,7 +32,7 @@ from .errors import (
     CsvParseError,
     DataError,
 )
-from .etssim import EtsKind, aada_params, ana_params, simulate_ets
+from .etssim import EtsKind, EtsParams, simulate_ets
 from .series import HorizonConfig, TimeSeries, split_sizes
 from .wnn import ForecasterSpec, Weighting, fpto_tune
 
@@ -367,19 +367,9 @@ def _report(args: argparse.Namespace) -> str:
 
 
 def _simulate(args: argparse.Namespace) -> str:
-    if EtsKind(args.model) is EtsKind.ANA:
-        params = ana_params(args.alpha, args.gamma, args.sigma2, args.period, args.init_level)
-    else:
-        params = aada_params(
-            args.alpha,
-            args.beta,
-            args.gamma,
-            args.phi,
-            args.sigma2,
-            args.period,
-            args.init_level,
-            args.init_trend,
-        )
+    damped = {"beta": args.beta, "phi": args.phi} if args.model == EtsKind.AADA else {}
+    params = EtsParams(args.model, args.alpha, args.gamma, args.sigma2, args.period,
+                       init_level=args.init_level, init_trend=args.init_trend, **damped)
     return series_to_csv(simulate_ets(params, args.length, args.seed).values)
 
 
@@ -436,15 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name, (help_text, *_) in _ANALYSES.items():
-        sub = commands.add_parser(name, help=help_text)
+        # tune has no --p/--k; without abbreviations, --k cannot pass for --k-grid there
+        sub = commands.add_parser(name, help=help_text, allow_abbrev=name != "tune")
         sub.add_argument(
             "--input", required=True, dest="input_path", help="CSV path, or - for stdin"
         )
         sub.add_argument("--column", default="value")
         sub.add_argument("--period", type=_positive_int_arg, default=12)
         sub.add_argument("--n", type=_positive_int_arg, default=1)
-        sub.add_argument("--p", type=_positive_int_arg, default=None)
-        sub.add_argument("--k", type=_positive_int_arg, default=None)
+        if name != "tune":  # tune searches the grid, so a fixed (p, k) means nothing there
+            sub.add_argument("--p", type=_positive_int_arg, default=None)
+            sub.add_argument("--k", type=_positive_int_arg, default=None)
         sub.add_argument("--p-grid", dest="p_grid", type=_grid_arg, default=DEFAULT_GRID)
         sub.add_argument("--k-grid", dest="k_grid", type=_grid_arg, default=DEFAULT_GRID)
         sub.add_argument("--folds", type=_positive_int_arg, default=None)
@@ -481,7 +473,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "simulate":
-        if (args.p is None) != (args.k is None):
+        if "p" in args and (args.p is None) != (args.k is None):
             parser.error("--p and --k must be given together")
         args.confidences = args.confidences or [DEFAULT_CONFIDENCE]
     try:

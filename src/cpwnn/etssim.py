@@ -1,23 +1,25 @@
-"""Additive exponential-smoothing simulators and closed-form interval widths.
+"""Additive exponential-smoothing simulators and their exact interval widths.
 
 Two state-space forms are supported, both with additive errors and additive
-seasonality: one without trend (ANA) and one with a damped additive trend
-(AAdA). Simulation follows the recursions
+seasonality: one with a damped additive trend (AAdA) and one without trend
+(ANA). They are one model: ANA is AAdA with beta = phi = 0. Simulation
+follows the recursion
 
-    ANA:   a_t = l_{t-1} + s_{t-m} + e_t
-           l_t = l_{t-1} + alpha*e_t
-           s_t = s_{t-m} + gamma*e_t
-
-    AAdA:  a_t = l_{t-1} + phi*b_{t-1} + s_{t-m} + e_t
-           l_t = l_{t-1} + phi*b_{t-1} + alpha*e_t
-           b_t = phi*b_{t-1} + beta*e_t
-           s_t = s_{t-m} + gamma*e_t
+    a_t = l_{t-1} + phi*b_{t-1} + s_{t-m} + e_t
+    l_t = l_{t-1} + phi*b_{t-1} + alpha*e_t
+    b_t = phi*b_{t-1} + beta*e_t
+    s_t = s_{t-m} + gamma*e_t
 
 with e_t iid Normal(0, sigma2). Initial states are treated as exact (no
 burn-in); the seasonal one is the zero-sum sinusoid 10*sin(2*pi*t/m) minus
-its mean (`EtsParams.init_seasonal`). The h-step forecast variance has a
-closed form in the smoothing parameters; interval widths are 2*c*sigma_h
-with c the two-sided standard-normal quantile of the confidence level.
+its mean (`EtsParams.init_seasonal`). The h-step forecast variance is its
+defining sum (Hyndman, Koehler, Ord & Snyder 2008, ch. 6)
+
+    v_h = sigma2 * (1 + c_1^2 + ... + c_{h-1}^2),
+    c_j = alpha + beta*(phi + ... + phi^j) + gamma*[j mod m = 0],
+
+and interval widths are 2*c*sqrt(v_h) with c the two-sided standard-normal
+quantile of the confidence level.
 
 Randomness comes from numpy's default_rng(seed) (PCG64), so a seed pins the
 whole path for this implementation. Bit-reproducibility across libraries is
@@ -44,7 +46,10 @@ class EtsKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class EtsParams:
-    """Parameters and initial states of an additive-seasonal smoothing model."""
+    """Parameters and initial states of an additive-seasonal smoothing model.
+
+    beta and phi are given for AAdA only; ANA stores beta = phi = 0.0.
+    """
 
     kind: EtsKind
     alpha: float
@@ -69,6 +74,13 @@ class EtsParams:
             _open_unit("phi", self.phi)
         elif self.beta is not None or self.phi is not None:
             raise InvalidParamsError("beta and phi only apply to the damped-trend model")
+        else:
+            object.__setattr__(self, "beta", 0.0)
+            object.__setattr__(self, "phi", 0.0)
+        for name in ("init_level", "init_trend"):
+            value = getattr(self, name)
+            if not _is_number(value) or not math.isfinite(value):
+                raise InvalidParamsError(f"{name} must be a finite number, got {value!r}")
         raw = 10.0 * np.sin(2.0 * np.pi * np.arange(self.period) / self.period)
         object.__setattr__(self, "init_seasonal", _freeze(raw - raw.mean()))
 
@@ -119,13 +131,9 @@ def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal(T) * math.sqrt(params.sigma2)
     m = params.period
-    alpha, gamma = params.alpha, params.gamma
-    damped = params.kind is EtsKind.AADA
-    beta = params.beta if damped else 0.0
-    phi = params.phi if damped else 0.0
+    alpha, beta, gamma, phi = params.alpha, params.beta, params.gamma, params.phi
     seasonal = params.init_seasonal.copy()
-    level = params.init_level
-    trend = params.init_trend if damped else 0.0
+    level, trend = params.init_level, params.init_trend
     values = np.empty(T)
     for t in range(T):
         slot = t % m
@@ -138,26 +146,16 @@ def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
 
 
 def ets_forecast_variance(params: EtsParams, h: int) -> float:
-    """Closed-form variance of the h-step-ahead forecast error."""
+    """Variance sigma2*(1 + c_1^2 + ... + c_{h-1}^2) of the h-step-ahead forecast error."""
     h = _positive_int("h", h)
-    m = params.period
-    k = (h - 1) // m
-    alpha, gamma = params.alpha, params.gamma
-    core = 1.0 + alpha * alpha * (h - 1) + gamma * k * (2.0 * alpha + gamma)
-    if params.kind is EtsKind.ANA:
-        return params.sigma2 * core
-    beta, phi = params.beta, params.phi
-    one = 1.0 - phi
-    grow = beta * phi * h / one**2 * (2.0 * alpha * one + beta * phi)
-    decay = (
-        beta * phi * (1.0 - phi**h) / (one**2 * (1.0 - phi**2))
-        * (2.0 * alpha * (1.0 - phi**2) + beta * phi * (1.0 + 2.0 * phi - phi**h))
-    )
-    seasonal_coupling = (
-        2.0 * beta * gamma * phi / (one * (1.0 - phi**m))
-        * (k * (1.0 - phi**m) - phi**m * (1.0 - phi ** (m * k)))
-    )
-    return params.sigma2 * (core + grow - decay + seasonal_coupling)
+    alpha, beta, gamma, phi = params.alpha, params.beta, params.gamma, params.phi
+    squares = [1.0]
+    damping = 0.0  # phi + ... + phi^j
+    for j in range(1, h):
+        damping = phi * (1.0 + damping)
+        c = alpha + beta * damping + (gamma if j % params.period == 0 else 0.0)
+        squares.append(c * c)
+    return params.sigma2 * math.fsum(squares)
 
 
 def theoretical_width(params: EtsParams, h: int, confidence: float) -> float:

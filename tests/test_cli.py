@@ -103,6 +103,13 @@ class TestExitCodes:
             main(["check", "--input", str(path), "--p", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fixed", [["--p", "3", "--k", "2"], ["--p", "3"], ["--k", "2"]])
+    def test_tune_rejects_fixed_p_and_k(self, fixed):
+        # tune always searches the grid; --k must not pass as an abbreviated --k-grid
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--input", str(MILK), "--p-grid", "1:2", "--k-grid", "1:2", *fixed])
+        assert exc.value.code == 2
+
     def test_infeasible_configuration_is_4(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text(series_to_csv(np.arange(1.0, 41.0)))
@@ -158,6 +165,12 @@ class TestSimulateCommand:
         half = np.asarray(level["report"]["half_widths"])
         assert half.shape == (20, 3)
         assert 0.0 <= level["report"]["overall_coverage"] <= 100.0
+
+    @pytest.mark.parametrize("model", ["ana", "aada"])
+    @pytest.mark.parametrize("flag", ["--init-level", "--init-trend"])
+    def test_non_finite_start_value_is_4(self, capsys, model, flag):
+        assert main(["simulate", "--model", model, "--length", "10", flag, "nan"]) == 4
+        assert f"{flag[2:].replace('-', '_')} must be a finite number" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -20,22 +20,27 @@ MILK = "data/milk_uk_monthly.csv"
 
 # Tuned path with a small grid; fixed (p, k) at n=1 and n=6 with both
 # weightings; the n=6 set uses a period longer than the history any scored
-# prefix has, so seasonal-naive fails inside `compare`.
+# prefix has, so seasonal-naive fails inside `compare`. `tune` takes no
+# --p/--k, so it gets each set without its FIXED part.
 ARGUMENT_SETS = {
     "tuned_n3": ["--n", "3", "--p-grid", "1:6", "--k-grid", "1:4",
                  "--confidence", "0.9", "--confidence", "0.95"],
-    "fixed_n1_uniform": ["--n", "1", "--p", "12", "--k", "3", "--weighting", "uniform",
+    "fixed_n1_uniform": ["--n", "1", "--weighting", "uniform",
                          "--p-grid", "1:3", "--k-grid", "1,2", "--folds", "4",
                          "--confidence", "0.8", "--confidence", "0.95"],
-    "fixed_n6_period500": ["--n", "6", "--p", "2", "--k", "4", "--period", "500",
+    "fixed_n6_period500": ["--n", "6", "--period", "500",
                            "--p-grid", "1,2", "--k-grid", "2:3", "--folds", "3"],
+}
+FIXED = {
+    "fixed_n1_uniform": ["--p", "12", "--k", "3"],
+    "fixed_n6_period500": ["--p", "2", "--k", "4"],
 }
 COMMANDS = ("tune", "forecast", "check", "compare")
 FORMATS = ("text", "json", "csv")
 
 CASES = {
-    f"{command}_{fmt}_{name}": [command, "--input", MILK, "--no-timestamp",
-                                "--format", fmt, *args]
+    f"{command}_{fmt}_{name}": [command, "--input", MILK, "--no-timestamp", "--format", fmt,
+                                *args, *(FIXED.get(name, []) if command != "tune" else [])]
     for name, args in ARGUMENT_SETS.items()
     for command in COMMANDS
     for fmt in FORMATS

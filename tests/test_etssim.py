@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +53,18 @@ class TestParams:
         for T in (2.5, True):
             with pytest.raises(InvalidParamsError, match="T must be a positive integer"):
                 simulate_ets(ana_params(0.5, 0.2), T, 0)
+
+    @pytest.mark.parametrize("name", ["init_level", "init_trend"])
+    @pytest.mark.parametrize("value", ["100", None, True, float("nan"), float("inf")])
+    def test_start_values_must_be_finite_numbers(self, name, value):
+        with pytest.raises(InvalidParamsError, match=f"{name} must be a finite number"):
+            EtsParams(EtsKind.AADA, 0.5, 0.2, beta=0.3, phi=0.9, **{name: value})
+        with pytest.raises(InvalidParamsError, match=f"{name} must be a finite number"):
+            EtsParams(EtsKind.ANA, 0.5, 0.2, **{name: value})
+
+    def test_ana_is_the_damped_model_without_trend(self):
+        params = ana_params(0.5, 0.2)
+        assert (params.beta, params.phi) == (0.0, 0.0)
 
     @pytest.mark.parametrize("sigma2", ["1", True])
     def test_sigma2_must_be_a_number(self, sigma2):
@@ -126,6 +139,41 @@ class TestForecastVariance:
         for params in PARAM_SETS:
             variances = [ets_forecast_variance(params, h) for h in range(1, 25)]
             assert all(b >= a - 1e-12 for a, b in zip(variances, variances[1:]))
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 12])
+    @pytest.mark.parametrize("kind", list(EtsKind))
+    def test_matches_state_space_reference(self, kind, m):
+        # c_j = w'F^(j-1)g over the state x = (l, b, s_{t-1}, ..., s_{t-m}),
+        # built here from the recursion, not from the sum in the library
+        if kind is EtsKind.ANA:
+            params, beta, phi = ana_params(0.6, 0.3, sigma2=1.7, period=m), 0.0, 0.0
+        else:
+            beta, phi = 0.25, 0.85
+            params = aada_params(0.6, beta, 0.3, phi, sigma2=1.7, period=m)
+        size = 2 + m
+        w = np.zeros(size)
+        w[:2], w[-1] = (1.0, phi), 1.0
+        g = np.zeros(size)
+        g[:3] = (params.alpha, beta, params.gamma)
+        F = np.zeros((size, size))
+        F[0, :2] = (1.0, phi)
+        F[1, 1] = phi
+        F[2, -1] = 1.0  # the new s_{t-1} is s_{t-m} before its update
+        F[3:, 2:-1] = np.eye(m - 1)
+        power = np.eye(size)
+        coefficients = []
+        for _ in range(3 * m + 2):
+            coefficients.append(w @ power @ g)
+            power = F @ power
+        for h in range(1, 3 * m + 4):
+            want = params.sigma2 * (1.0 + sum(c * c for c in coefficients[: h - 1]))
+            assert ets_forecast_variance(params, h) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.999999, 1 - 1e-7, 1 - 1e-8])
+    def test_stable_as_phi_approaches_one(self, phi):
+        params = aada_params(0.7, 0.3, 0.2, phi, sigma2=2.5)
+        assert ets_forecast_variance(params, 1) == params.sigma2
+        assert math.isfinite(theoretical_width(params, 3, 0.95))
 
     def test_h_validated(self):
         with pytest.raises(InvalidParamsError):

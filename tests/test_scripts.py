@@ -1,4 +1,10 @@
-"""Smoke runs of the study scripts, so an API change cannot break them silently."""
+"""Runs of the study scripts, so an API change cannot break them silently.
+
+Each run's whole stdout must match `tests/golden/scripts/<script>.txt` byte
+for byte. To re-record after an intended output change, run the script with
+the arguments below from the repo root and say in the change log why the
+output moved.
+"""
 
 import os
 import subprocess
@@ -28,3 +34,5 @@ def test_script_runs(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+    golden = ROOT / "tests" / "golden" / "scripts" / script.replace(".py", ".txt")
+    assert proc.stdout == golden.read_text(encoding="utf-8")
