@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Region widths and coverage on simulated smoothing models, many seeds.
 
-For each scenario (model kind x sample size) and seed: simulate, tune (p, k)
+For each scenario (smoothing model x sample size) and seed: simulate, tune (p, k)
 on the training block, backtest coverage over the held-out block, and build
 the final region for the next n values. Prints mean region widths per step
 against the exact theoretical widths, plus mean backtest coverage.

@@ -19,7 +19,6 @@ from .backtest import (
 )
 from .conformal import PredictionRegion, conformal_region
 from .etssim import (
-    EtsKind,
     EtsParams,
     aada_params,
     ana_params,
@@ -48,7 +47,6 @@ __all__ = [
     "__version__",
     "CheckReport",
     "CompareResult",
-    "EtsKind",
     "EtsParams",
     "ForecasterSpec",
     "HorizonConfig",

@@ -32,7 +32,7 @@ from .errors import (
     CsvParseError,
     DataError,
 )
-from .etssim import EtsKind, EtsParams, simulate_ets
+from .etssim import EtsParams, simulate_ets
 from .series import HorizonConfig, TimeSeries, split_sizes
 from .wnn import ForecasterSpec, Weighting, fpto_tune
 
@@ -367,9 +367,12 @@ def _report(args: argparse.Namespace) -> str:
 
 
 def _simulate(args: argparse.Namespace) -> str:
-    damped = {"beta": args.beta, "phi": args.phi} if args.model == EtsKind.AADA else {}
-    params = EtsParams(args.model, args.alpha, args.gamma, args.sigma2, args.period,
-                       init_level=args.init_level, init_trend=args.init_trend, **damped)
+    # --model picks the (beta, phi) preset; ana is the model without trend
+    beta, phi = (0.3, 0.82) if args.model == "aada" else (0.0, 0.0)
+    params = EtsParams(args.alpha, args.gamma, args.sigma2, args.period,
+                       beta if args.beta is None else args.beta,
+                       phi if args.phi is None else args.phi,
+                       args.init_level, args.init_trend)
     return series_to_csv(simulate_ets(params, args.length, args.seed).values)
 
 
@@ -453,12 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=None)
 
     simulate = commands.add_parser("simulate", help="simulate a seasonal smoothing model to CSV")
-    simulate.add_argument("--model", choices=[k.value for k in EtsKind], required=True)
+    simulate.add_argument("--model", choices=("ana", "aada"), required=True)
     simulate.add_argument("--length", type=_positive_int_arg, required=True)
     simulate.add_argument("--alpha", type=float, default=0.5)
-    simulate.add_argument("--beta", type=float, default=0.3)
+    simulate.add_argument("--beta", type=float, default=None)
     simulate.add_argument("--gamma", type=float, default=0.2)
-    simulate.add_argument("--phi", type=float, default=0.82)
+    simulate.add_argument("--phi", type=float, default=None)
     simulate.add_argument("--sigma2", type=float, default=1.0)
     simulate.add_argument("--period", type=_positive_int_arg, default=12)
     simulate.add_argument("--init-level", dest="init_level", type=float, default=100.0)
@@ -472,7 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "simulate":
+    if args.command == "simulate":
+        if args.model == "ana" and (args.beta is not None or args.phi is not None):
+            parser.error("--beta and --phi only apply to --model aada")
+    else:
         if "p" in args and (args.p is None) != (args.k is None):
             parser.error("--p and --k must be given together")
         args.confidences = args.confidences or [DEFAULT_CONFIDENCE]

@@ -1,9 +1,8 @@
 """Additive exponential-smoothing simulators and their exact interval widths.
 
-Two state-space forms are supported, both with additive errors and additive
-seasonality: one with a damped additive trend (AAdA) and one without trend
-(ANA). They are one model: ANA is AAdA with beta = phi = 0. Simulation
-follows the recursion
+One state-space form with additive errors, a damped additive trend and
+additive seasonality (AAdA). With beta = phi = 0 the trend drops out and it
+is the model without trend (ANA). Simulation follows the recursion
 
     a_t = l_{t-1} + phi*b_{t-1} + s_{t-m} + e_t
     l_t = l_{t-1} + phi*b_{t-1} + alpha*e_t
@@ -29,8 +28,8 @@ not a goal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from statistics import NormalDist
 
 import numpy as np
@@ -39,48 +38,40 @@ from .errors import InvalidParamsError
 from .series import TimeSeries, _freeze, _is_number, _open_unit, _positive_int
 
 
-class EtsKind(str, Enum):
-    ANA = "ana"    # additive error, no trend, additive seasonality
-    AADA = "aada"  # additive error, damped additive trend, additive seasonality
-
-
 @dataclass(frozen=True, eq=False)
 class EtsParams:
     """Parameters and initial states of an additive-seasonal smoothing model.
 
-    beta and phi are given for AAdA only; ANA stores beta = phi = 0.0.
+    The defaults beta = phi = 0 give the model without trend (ANA); any other
+    pair must lie in (0, 1) each and gives the damped trend (AAdA). sigma2,
+    init_level and init_trend are stored as finite floats.
     """
 
-    kind: EtsKind
     alpha: float
     gamma: float
     sigma2: float = 1.0
     period: int = 12
-    beta: float | None = None
-    phi: float | None = None
+    beta: float = 0.0
+    phi: float = 0.0
     init_level: float = 100.0
     init_trend: float = 1.0
     init_seasonal: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", EtsKind(self.kind))
         _open_unit("alpha", self.alpha)
         _open_unit("gamma", self.gamma)
-        if not _is_number(self.sigma2) or not self.sigma2 >= 0.0:
-            raise InvalidParamsError(f"sigma2 must be >= 0, got {self.sigma2!r}")
         object.__setattr__(self, "period", _positive_int("period", self.period))
-        if self.kind is EtsKind.AADA:
+        if not all(_is_number(v) and v == 0.0 for v in (self.beta, self.phi)):
             _open_unit("beta", self.beta)
             _open_unit("phi", self.phi)
-        elif self.beta is not None or self.phi is not None:
-            raise InvalidParamsError("beta and phi only apply to the damped-trend model")
-        else:
-            object.__setattr__(self, "beta", 0.0)
-            object.__setattr__(self, "phi", 0.0)
-        for name in ("init_level", "init_trend"):
+        for name in ("sigma2", "init_level", "init_trend"):
             value = getattr(self, name)
-            if not _is_number(value) or not math.isfinite(value):
-                raise InvalidParamsError(f"{name} must be a finite number, got {value!r}")
+            low = 0.0 if name == "sigma2" else -sys.float_info.max
+            # Python compares ints and floats exactly, so 10**400 fails here, not in float()
+            if not _is_number(value) or not low <= value <= sys.float_info.max:
+                rule = "a finite number >= 0" if low == 0.0 else "a finite number"
+                raise InvalidParamsError(f"{name} must be {rule}, got {value!r}")
+            object.__setattr__(self, name, float(value))
         raw = 10.0 * np.sin(2.0 * np.pi * np.arange(self.period) / self.period)
         object.__setattr__(self, "init_seasonal", _freeze(raw - raw.mean()))
 
@@ -92,14 +83,7 @@ def ana_params(
     period: int = 12,
     init_level: float = 100.0,
 ) -> EtsParams:
-    return EtsParams(
-        EtsKind.ANA,
-        alpha=alpha,
-        gamma=gamma,
-        sigma2=sigma2,
-        period=period,
-        init_level=init_level,
-    )
+    return EtsParams(alpha, gamma, sigma2, period, init_level=init_level)
 
 
 def aada_params(
@@ -112,17 +96,7 @@ def aada_params(
     init_level: float = 100.0,
     init_trend: float = 1.0,
 ) -> EtsParams:
-    return EtsParams(
-        EtsKind.AADA,
-        alpha=alpha,
-        gamma=gamma,
-        sigma2=sigma2,
-        period=period,
-        beta=beta,
-        phi=phi,
-        init_level=init_level,
-        init_trend=init_trend,
-    )
+    return EtsParams(alpha, gamma, sigma2, period, beta, phi, init_level, init_trend)
 
 
 def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:

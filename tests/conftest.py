@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from cpwnn import EtsKind
-
 _acceptance_lines: list[str] = []
 
 
@@ -25,15 +23,12 @@ def replay_states(params, values):
 
     Returns (level, trend, seasonal): level[t] and trend[t] are the states in
     force before values[t] is observed, and seasonal[t] is the whole m-slot
-    seasonal array at that point. The trend is zero for the model without one.
+    seasonal array at that point. With beta = phi = 0 (the model without
+    trend) the trend stays out of every mean.
     The one-step mean of values[t] is level[t] + phi*trend[t] + seasonal[t, t % m].
     """
-    damped = params.kind is EtsKind.AADA
-    phi = params.phi if damped else 0.0
-    beta = params.beta if damped else 0.0
-    m = params.period
-    level = params.init_level
-    trend = params.init_trend if damped else 0.0
+    phi, beta, m = params.phi, params.beta, params.period
+    level, trend = params.init_level, params.init_trend
     seasonal = params.init_seasonal.copy()
     T = len(values)
     levels, trends, seasonals = np.empty(T), np.empty(T), np.empty((T, m))

@@ -49,7 +49,7 @@ def test_criterion_1_theoretical_width_cells():
         for h, want in enumerate(expected, start=1):
             got = cw.theoretical_width(params, h, 0.95)
             if abs(got - want) > 0.01:
-                failures.append(f"{params.kind.value} h={h}: {got:.4f} vs {want}")
+                failures.append(f"beta={params.beta} phi={params.phi} h={h}: {got:.4f} vs {want}")
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 1.0
     _finish(1, ok, failures_or(f"12/12 width cells within ±0.01 in {elapsed:.3f}s", failures))
@@ -126,8 +126,7 @@ def test_oracle_control_meets_criterion_3_gates():
     problems = []
     for name, params, T in SCENARIOS:
         theoretical = np.array([cw.theoretical_width(params, h, 0.95) for h in (1, 2, 3)])
-        phi = params.phi if params.kind is cw.EtsKind.AADA else 0.0
-        trend_steps = np.cumsum(phi ** np.arange(1, n + 1))
+        trend_steps = np.cumsum(params.phi ** np.arange(1, n + 1))
         split = cw.split_sizes(T, n, delta)
         h = split.i1 + split.i2
         ends = T - n * np.arange(h, 0, -1)

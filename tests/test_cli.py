@@ -172,6 +172,34 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", model, "--length", "10", flag, "nan"]) == 4
         assert f"{flag[2:].replace('-', '_')} must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "-1"])
+    def test_sigma2_must_be_finite_and_non_negative(self, capsys, value):
+        assert main(["simulate", "--model", "ana", "--length", "5", f"--sigma2={value}"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma2 must be a finite number >= 0" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--beta", "nan", "--phi", "7"], ["--beta", "0.3"],
+                                       ["--phi", "0.9"], ["--beta", "0", "--phi", "0"]])
+    def test_ana_rejects_beta_and_phi(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", "ana", "--length", "3", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--beta and --phi only apply to --model aada" in captured.err
+
+    def test_aada_takes_beta_and_phi_over_its_preset(self, capsys):
+        aada = ["simulate", "--model", "aada", "--length", "5"]
+        assert main(aada) == 0
+        preset = capsys.readouterr().out
+        assert main([*aada, "--beta", "0.3", "--phi", "0.82"]) == 0
+        assert capsys.readouterr().out == preset
+        assert main([*aada, "--phi", "0.5"]) == 0
+        assert capsys.readouterr().out != preset
+        assert main([*aada, "--phi", "1"]) == 4
+        assert "phi must lie in (0, 1)" in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

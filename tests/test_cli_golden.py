@@ -1,9 +1,11 @@
 """Golden CLI outputs: `--no-timestamp` stdout of every subcommand and format.
 
 Each case runs `cpwnn.cli.main` on the committed milk series and compares its
-stdout byte for byte with `tests/golden/<case>.txt`. To re-record after an
-intended output change, run `python tests/test_cli_golden.py` from the repo
-root and say in the change log why the outputs moved.
+stdout byte for byte with `tests/golden/<case>.txt`. The `--help` of `cpwnn`
+and of each subcommand, at a fixed 80-column width, is pinned the same way in
+`tests/golden/help/<name>.txt`. To re-record after an intended output change,
+run `python tests/test_cli_golden.py` from the repo root and say in the change
+log why the outputs moved.
 """
 
 import contextlib
@@ -11,11 +13,13 @@ import io
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+HELP_DIR = GOLDEN_DIR / "help"
 MILK = "data/milk_uk_monthly.csv"
 
 # Tuned path with a small grid; fixed (p, k) at n=1 and n=6 with both
@@ -48,6 +52,7 @@ CASES = {
 CASES["simulate_aada"] = ["simulate", "--model", "aada", "--length", "60", "--seed", "3"]
 CASES["simulate_ana"] = ["simulate", "--model", "ana", "--length", "40", "--seed", "5",
                          "--period", "4", "--alpha", "0.3", "--gamma", "0.1"]
+HELP_CASES = {"cpwnn": [], **{name: [name] for name in (*COMMANDS, "simulate")}}
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -64,6 +69,18 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buffer.getvalue()
 
 
+def run_help(argv: list[str]) -> str:
+    """`--help` as printed at 80 columns; argparse sizes it from $COLUMNS."""
+    from cpwnn.cli import main
+
+    buffer = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(buffer):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+    assert exc.value.code == 0
+    return buffer.getvalue()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case):
     code, out = run_cli(CASES[case])
@@ -73,6 +90,12 @@ def test_stdout_matches_golden(case):
 
 def test_every_golden_file_has_a_case():
     assert {path.stem for path in GOLDEN_DIR.glob("*.txt")} == set(CASES)
+    assert {path.stem for path in HELP_DIR.glob("*.txt")} == set(HELP_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(HELP_CASES))
+def test_help_matches_golden(case):
+    assert run_help(HELP_CASES[case]) == (HELP_DIR / f"{case}.txt").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -84,3 +107,7 @@ if __name__ == "__main__":
             sys.exit(f"{case}: exit code {code}")
         (GOLDEN_DIR / f"{case}.txt").write_text(out, encoding="utf-8")
         print(f"recorded {case}")
+    HELP_DIR.mkdir(exist_ok=True)
+    for case, argv in sorted(HELP_CASES.items()):
+        (HELP_DIR / f"{case}.txt").write_text(run_help(argv), encoding="utf-8")
+        print(f"recorded help/{case}")

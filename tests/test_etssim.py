@@ -9,7 +9,6 @@ import pytest
 from conftest import replay_states
 
 from cpwnn import (
-    EtsKind,
     EtsParams,
     aada_params,
     ana_params,
@@ -43,10 +42,10 @@ class TestParams:
         with pytest.raises(InvalidParamsError):
             aada_params(0.5, 0.3, 0.2, phi=1.0)
         with pytest.raises(InvalidParamsError):
-            EtsParams(EtsKind.ANA, alpha=0.5, gamma=0.2, beta=0.3)
+            EtsParams(alpha=0.5, gamma=0.2, beta=0.3)
         with pytest.raises(InvalidParamsError, match="period must be a positive integer"):
             ana_params(0.5, 0.2, period=True)
-        with pytest.raises(InvalidParamsError, match="sigma2 must be >= 0"):
+        with pytest.raises(InvalidParamsError, match="sigma2 must be a finite number >= 0"):
             ana_params(0.5, 0.2, sigma2=float("nan"))
         with pytest.raises(InvalidParamsError, match="beta must lie in"):
             aada_params(0.5, None, 0.2, 0.9)
@@ -58,9 +57,9 @@ class TestParams:
     @pytest.mark.parametrize("value", ["100", None, True, float("nan"), float("inf")])
     def test_start_values_must_be_finite_numbers(self, name, value):
         with pytest.raises(InvalidParamsError, match=f"{name} must be a finite number"):
-            EtsParams(EtsKind.AADA, 0.5, 0.2, beta=0.3, phi=0.9, **{name: value})
+            EtsParams(0.5, 0.2, beta=0.3, phi=0.9, **{name: value})
         with pytest.raises(InvalidParamsError, match=f"{name} must be a finite number"):
-            EtsParams(EtsKind.ANA, 0.5, 0.2, **{name: value})
+            EtsParams(0.5, 0.2, **{name: value})
 
     def test_ana_is_the_damped_model_without_trend(self):
         params = ana_params(0.5, 0.2)
@@ -68,8 +67,44 @@ class TestParams:
 
     @pytest.mark.parametrize("sigma2", ["1", True])
     def test_sigma2_must_be_a_number(self, sigma2):
-        with pytest.raises(InvalidParamsError, match="sigma2 must be >= 0"):
+        with pytest.raises(InvalidParamsError, match="sigma2 must be a finite number >= 0"):
             ana_params(0.5, 0.2, sigma2=sigma2)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("sigma2", float("inf")), ("sigma2", 10**400), ("sigma2", -1e-300),
+         ("init_level", 10**400), ("init_trend", -(10**400)), ("init_level", -float("inf"))],
+        ids=["sigma2-inf", "sigma2-1e400", "sigma2-negative",
+             "init_level-1e400", "init_trend--1e400", "init_level--inf"],
+    )
+    def test_infinite_huge_or_negative_values_are_invalid(self, name, value):
+        with pytest.raises(InvalidParamsError, match=f"{name} must be a finite number"):
+            EtsParams(0.5, 0.2, **{name: value})
+
+    def test_numbers_are_stored_as_floats(self):
+        params = EtsParams(0.5, 0.2, sigma2=2, init_level=10**300, init_trend=-3)
+        for name, want in (("sigma2", 2.0), ("init_level", 1e300), ("init_trend", -3.0)):
+            assert type(getattr(params, name)) is float and getattr(params, name) == want
+
+    @pytest.mark.parametrize("beta, phi", [(0.0, 0.0), (0, 0), (0.3, 0.9), (1e-9, 1 - 1e-9)])
+    def test_trend_domain_accepts(self, beta, phi):
+        params = EtsParams(0.5, 0.2, beta=beta, phi=phi)
+        assert (params.beta, params.phi) == (beta, phi)
+
+    @pytest.mark.parametrize(
+        "beta, phi",
+        [(0.0, 0.5), (0.3, 0.0), (False, False), (0.0, False), (None, None),
+         (None, 0.5), (1.0, 0.5), (0.3, 1.0), (-0.1, 0.5), (float("nan"), 0.5)],
+    )
+    def test_trend_domain_rejects(self, beta, phi):
+        with pytest.raises(InvalidParamsError, match="(beta|phi) must lie in"):
+            EtsParams(0.5, 0.2, beta=beta, phi=phi)
+
+    def test_aada_with_zero_trend_is_ana(self):
+        flat, ana = aada_params(0.5, 0, 0.2, 0, init_trend=7.0), ana_params(0.5, 0.2)
+        assert (flat.beta, flat.phi) == (0, 0)
+        assert np.array_equal(simulate_ets(flat, 50, 3).values, simulate_ets(ana, 50, 3).values)
+        assert ets_forecast_variance(flat, 13) == ets_forecast_variance(ana, 13)
 
 
 class TestSimulate:
@@ -121,11 +156,7 @@ class TestSimulate:
 class TestForecastVariance:
     def test_h1_collapses_to_sigma2(self):
         for params in PARAM_SETS:
-            scaled = (
-                ana_params(params.alpha, params.gamma, sigma2=2.5)
-                if params.kind is EtsKind.ANA
-                else aada_params(params.alpha, params.beta, params.gamma, params.phi, sigma2=2.5)
-            )
+            scaled = aada_params(params.alpha, params.beta, params.gamma, params.phi, sigma2=2.5)
             assert ets_forecast_variance(scaled, 1) == pytest.approx(2.5)
 
     def test_ana_h2_value(self):
@@ -141,15 +172,11 @@ class TestForecastVariance:
             assert all(b >= a - 1e-12 for a, b in zip(variances, variances[1:]))
 
     @pytest.mark.parametrize("m", [1, 4, 7, 12])
-    @pytest.mark.parametrize("kind", list(EtsKind))
-    def test_matches_state_space_reference(self, kind, m):
+    @pytest.mark.parametrize("beta, phi", [(0.0, 0.0), (0.25, 0.85)], ids=["ana", "aada"])
+    def test_matches_state_space_reference(self, beta, phi, m):
         # c_j = w'F^(j-1)g over the state x = (l, b, s_{t-1}, ..., s_{t-m}),
         # built here from the recursion, not from the sum in the library
-        if kind is EtsKind.ANA:
-            params, beta, phi = ana_params(0.6, 0.3, sigma2=1.7, period=m), 0.0, 0.0
-        else:
-            beta, phi = 0.25, 0.85
-            params = aada_params(0.6, beta, 0.3, phi, sigma2=1.7, period=m)
+        params = EtsParams(0.6, 0.3, sigma2=1.7, period=m, beta=beta, phi=phi)
         size = 2 + m
         w = np.zeros(size)
         w[:2], w[-1] = (1.0, phi), 1.0
