@@ -37,7 +37,6 @@ from .series import HorizonConfig, TimeSeries, split_sizes
 from .wnn import ForecasterSpec, Weighting, fpto_tune
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
@@ -454,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--output", dest="output_path", default=None)
         sub.add_argument("--no-timestamp", action="store_true")
         sub.add_argument("--seed", type=int, default=None)
+        sub.set_defaults(subparser=sub)
 
     simulate = commands.add_parser("simulate", help="simulate a seasonal smoothing model to CSV")
     simulate.add_argument("--model", choices=("ana", "aada"), required=True)
@@ -468,19 +468,20 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--init-trend", dest="init_trend", type=float, default=1.0)
     simulate.add_argument("--output", dest="output_path", default=None)
     simulate.add_argument("--seed", type=int, default=0)
+    simulate.set_defaults(subparser=simulate)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a usage error after parsing prints the subcommand's usage line, as argparse does
     if args.command == "simulate":
         if args.model == "ana" and (args.beta is not None or args.phi is not None):
-            parser.error("--beta and --phi only apply to --model aada")
+            args.subparser.error("--beta and --phi only apply to --model aada")
     else:
         if "p" in args and (args.p is None) != (args.k is None):
-            parser.error("--p and --k must be given together")
+            args.subparser.error("--p and --k must be given together")
         args.confidences = args.confidences or [DEFAULT_CONFIDENCE]
     try:
         text = _simulate(args) if args.command == "simulate" else _report(args)

@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-Two branches matter to callers: DataError (the input itself is unusable;
-CLI exit code 3) and ConfigError (the requested configuration cannot be
-satisfied by the data at hand; CLI exit code 4).
+Two branches matter to callers. DataError is about the series' values: they
+are unreadable, non-finite or too large to forecast (CLI exit code 3).
+ConfigError is about the arguments: one is malformed, or the configuration
+cannot be satisfied by the data at hand (CLI exit code 4). Every other class
+subclasses exactly one of the two.
 """
 
 
@@ -15,7 +17,7 @@ class DataError(ForecastError):
 
 
 class ConfigError(ForecastError):
-    """Configuration is incompatible with the provided data."""
+    """An argument is malformed, or the configuration is infeasible for the data."""
 
 
 class EmptySeriesError(DataError):
@@ -27,14 +29,6 @@ class NonFiniteValueError(DataError):
         self.index = index
         self.value = value
         super().__init__(f"non-finite value {value!r} at position {index}")
-
-
-class InvalidPeriodError(DataError):
-    pass
-
-
-class LengthMismatchError(DataError):
-    pass
 
 
 class ZeroActualError(DataError):

@@ -34,7 +34,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, NonFiniteValueError
 from .series import TimeSeries, _freeze, _is_number, _open_unit, _positive_int
 
 
@@ -99,6 +99,7 @@ def aada_params(
     return EtsParams(alpha, gamma, sigma2, period, beta, phi, init_level, init_trend)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing path raises below instead
 def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
     """Simulate T observations; fully determined by (params, T, seed)."""
     T = _positive_int("T", T)
@@ -116,7 +117,10 @@ def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
         level = level + phi * trend + alpha * e
         trend = phi * trend + beta * e
         seasonal[slot] = seasonal[slot] + gamma * e
-    return TimeSeries(values, period=m)
+    try:
+        return TimeSeries(values, period=m)
+    except NonFiniteValueError as exc:
+        raise InvalidParamsError(f"the parameters make the path overflow: {exc}") from None
 
 
 def ets_forecast_variance(params: EtsParams, h: int) -> float:
@@ -129,7 +133,10 @@ def ets_forecast_variance(params: EtsParams, h: int) -> float:
         damping = phi * (1.0 + damping)
         c = alpha + beta * damping + (gamma if j % params.period == 0 else 0.0)
         squares.append(c * c)
-    return params.sigma2 * math.fsum(squares)
+    variance = params.sigma2 * math.fsum(squares)
+    if not math.isfinite(variance):
+        raise InvalidParamsError(f"the parameters make the {h}-step forecast variance overflow")
+    return variance
 
 
 def theoretical_width(params: EtsParams, h: int, confidence: float) -> float:

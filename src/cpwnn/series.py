@@ -19,8 +19,6 @@ from .errors import (
     EmptySeriesError,
     InsufficientCalibrationError,
     InvalidParamsError,
-    InvalidPeriodError,
-    LengthMismatchError,
     NonFiniteValueError,
     SeriesTooShortError,
     ZeroActualError,
@@ -70,12 +68,8 @@ class TimeSeries:
         if bad.size:
             i = int(bad[0])
             raise NonFiniteValueError(i, float(arr[i]))
-        if isinstance(self.period, bool) or not isinstance(self.period, (int, np.integer)) or self.period < 1:
-            raise InvalidPeriodError(
-                f"period must be a positive integer, got {self.period!r}"
-            )
+        object.__setattr__(self, "period", _positive_int("period", self.period))
         object.__setattr__(self, "values", _freeze(arr))
-        object.__setattr__(self, "period", int(self.period))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -138,12 +132,8 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """
     a = np.asarray(actual, dtype=float)
     f = np.asarray(predicted, dtype=float)
-    if a.ndim != 1 or f.ndim != 1 or a.shape != f.shape:
-        raise LengthMismatchError(
-            f"actual has length {a.size}, predicted has length {f.size}"
-        )
-    if a.size == 0:
-        raise LengthMismatchError("need at least one point")
+    if a.ndim != 1 or a.shape != f.shape or a.size == 0:
+        raise InvalidParamsError(f"mape needs equal, non-zero lengths, got {a.size} and {f.size}")
     return float(_mape_rows(a, f))
 
 

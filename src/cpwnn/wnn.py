@@ -22,7 +22,8 @@ reduction scores every cell. A refit asks for its one (p, k). The search holds
 blocks of a fixed bound in size. The cell minimising the mean fold MAPE wins;
 exact ties go to the first minimum in p-major, k-minor order (smaller p, then
 smaller k), so results are deterministic. Where every one of a forecast's k
-squared distances overflows, inverse-distance weighting raises DataError.
+squared distances overflows, inverse-distance weighting raises DataError, and so
+does uniform weighting where the sum of its k continuations overflows.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
@@ -281,11 +282,16 @@ def _neighbor_average(
 ) -> np.ndarray:
     """Per query, the weighted average of the k nearest continuations from `_nearest`.
 
-    Raises DataError where all k squared distances of a query overflowed to
-    +inf, so that its inverse-distance weights are all 0.
+    Raises DataError where a uniform average overflows, or where all k squared
+    distances of a query overflowed to +inf, so that its inverse-distance
+    weights are all 0.
     """
     if weighting is Weighting.UNIFORM:
-        return continuations[:, :k].mean(axis=1)
+        with np.errstate(over="ignore"):
+            average = continuations[:, :k].mean(axis=1)
+        if not np.all(np.isfinite(average)):
+            raise DataError("the average of neighbor continuations overflows; rescale the series")
+        return average
     w = 1.0 / (d2[:, :k] + _WEIGHT_EPS)
     total = w.sum(axis=1, keepdims=True)
     if not np.all(total > 0):

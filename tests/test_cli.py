@@ -96,12 +96,15 @@ class TestExitCodes:
             main(["check", "--input", "x.csv", "--bogus-flag"])
         assert exc.value.code == 2
 
-    def test_p_without_k_is_usage_error(self, tmp_path):
+    def test_p_without_k_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("t,value\n1,1.0\n")
         with pytest.raises(SystemExit) as exc:
             main(["check", "--input", str(path), "--p", "2"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cpwnn check ")
+        assert "cpwnn check: error: --p and --k must be given together" in err
 
     @pytest.mark.parametrize("fixed", [["--p", "3", "--k", "2"], ["--p", "3"], ["--k", "2"]])
     def test_tune_rejects_fixed_p_and_k(self, fixed):
@@ -124,12 +127,23 @@ class TestExitCodes:
         path.write_text("t,value\n1,1.0\n2,oops\n")
         assert main(["tune", "--input", str(path), "--folds", "2"]) == 3
 
-    @pytest.mark.parametrize("command", [["tune", "--format", "json"], ["forecast"]])
+    @pytest.mark.parametrize("command", [
+        ["tune", "--format", "json"],
+        ["forecast"],
+        ["forecast", "--weighting", "uniform", "--p", "2", "--k", "3"],
+        ["check", "--weighting", "uniform", "--p", "2", "--k", "3"],
+        ["tune", "--weighting", "uniform", "--format", "json"],
+    ])
     def test_overflowing_distances_are_data_error(self, tmp_path, capsys, command):
         # Squared distances of a series at 1e160 overflow to +inf, which leaves
-        # an inverse-distance forecast without a finite weight.
+        # an inverse-distance forecast without a finite weight; at 1e307 the sum
+        # of k uniform neighbors overflows too.
         path = tmp_path / "huge.csv"
-        values = np.round(np.random.default_rng(3).normal(10.0, 1.0, 120)) * 1e160
+        rng = np.random.default_rng(3)
+        if "uniform" in command:
+            values = np.round(rng.normal(10.0, 0.5, 120), 1) * 1e307
+        else:
+            values = np.round(rng.normal(10.0, 1.0, 120)) * 1e160
         path.write_text(series_to_csv(values))
         assert main([*command, "--input", str(path), "--folds", "6"]) == 3
         captured = capsys.readouterr()
@@ -172,6 +186,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", model, "--length", "10", flag, "nan"]) == 4
         assert f"{flag[2:].replace('-', '_')} must be a finite number" in capsys.readouterr().err
 
+    def test_overflowing_path_is_4(self, capsys):
+        code = main(["simulate", "--model", "aada", "--length", "3",
+                     "--init-level", "1e308", "--init-trend", "1e308"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the parameters make the path overflow" in captured.err
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "-1"])
     def test_sigma2_must_be_finite_and_non_negative(self, capsys, value):
         assert main(["simulate", "--model", "ana", "--length", "5", f"--sigma2={value}"]) == 4
@@ -187,6 +209,7 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("usage: cpwnn simulate ")
         assert "--beta and --phi only apply to --model aada" in captured.err
 
     def test_aada_takes_beta_and_phi_over_its_preset(self, capsys):

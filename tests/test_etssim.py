@@ -134,6 +134,12 @@ class TestSimulate:
         c = simulate_ets(params, 100, seed=8)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("init_trend", [1e308, -1e308])
+    def test_overflowing_path_is_invalid_params(self, init_trend):
+        params = aada_params(0.7, 0.3, 0.2, 0.82, init_level=1e308, init_trend=init_trend)
+        with pytest.raises(InvalidParamsError, match="parameters make the path overflow"):
+            simulate_ets(params, 40, seed=0)
+
     def test_period_metadata(self):
         series = simulate_ets(ana_params(0.5, 0.2, period=12), 50, seed=0)
         assert series.period == 12 and len(series) == 50
@@ -209,6 +215,14 @@ class TestForecastVariance:
             ets_forecast_variance(ana_params(0.5, 0.2), 2.5)
         with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
             theoretical_width(ana_params(0.5, 0.2), True, 0.9)
+
+    def test_overflowing_variance_is_invalid_params(self):
+        params = ana_params(0.5, 0.2, sigma2=1e308)
+        assert ets_forecast_variance(params, 1) == 1e308
+        with pytest.raises(InvalidParamsError, match="13-step forecast variance overflow"):
+            ets_forecast_variance(params, 13)
+        with pytest.raises(InvalidParamsError, match="13-step forecast variance overflow"):
+            theoretical_width(params, 13, 0.95)
 
 
 class TestTheoreticalWidth:

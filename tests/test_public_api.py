@@ -7,7 +7,9 @@ calls should go instead. The same holds one level down: every public
 property or method defined on an exported class must be used as `.name`
 somewhere in those sources. Likewise every exception class in `cpwnn.errors`
 must be used in code (raised, caught or otherwise named, not only imported
-or mentioned in a docstring) by a library module other than `errors.py`.
+or mentioned in a docstring) by a library module other than `errors.py`,
+and every class below the root and its two branches subclasses exactly one
+of `DataError` and `ConfigError`, the two that `cli.main` maps to exit codes.
 """
 
 import ast
@@ -69,3 +71,8 @@ ERROR_TYPES = [
 @pytest.mark.parametrize("name", ERROR_TYPES)
 def test_error_type_is_used_by_the_library(name):
     assert name in LIBRARY_NAMES, f"{name} is never raised or caught outside errors.py"
+    # cli.main maps only these two branches to exit codes; any other class escapes it
+    if name not in ("ForecastError", "DataError", "ConfigError"):
+        cls = getattr(errors, name)
+        branches = [b for b in (errors.DataError, errors.ConfigError) if issubclass(cls, b)]
+        assert len(branches) == 1, f"{name} is under {len(branches)} of DataError, ConfigError"

@@ -3,9 +3,11 @@
 Each run's whole stdout must match `tests/golden/scripts/<script>.txt` byte
 for byte. To re-record after an intended output change, run the script with
 the arguments below from the repo root and say in the change log why the
-output moved.
+output moved. The bundled milk series must also regenerate byte for byte
+from `scripts/make_milk_dataset.py`.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,3 +38,15 @@ def test_script_runs(script, args, header):
     assert proc.stdout.splitlines()[0] == header
     golden = ROOT / "tests" / "golden" / "scripts" / script.replace(".py", ".txt")
     assert proc.stdout == golden.read_text(encoding="utf-8")
+
+
+def test_milk_dataset_regenerates_byte_for_byte(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_milk_dataset", ROOT / "scripts" / "make_milk_dataset.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "milk_uk_monthly.csv"
+    monkeypatch.setattr(module, "OUT", out)  # never write under data/
+    module.main()
+    assert out.read_bytes() == (ROOT / "data" / "milk_uk_monthly.csv").read_bytes()
