@@ -98,11 +98,9 @@ def run_backtest(
     pool, the remaining i2 are the test block.
     """
     i1, i2, delta = split.i1, split.i2, split.delta
-    forecasts, actual = score_rows(series, spec, n, i1 + i2)
-    predicted = forecasts[:-1]
-    scores = np.abs(actual - predicted)
+    forecasts, actual, scores = score_rows(series, spec, n, i1 + i2)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)
-    test_mape = mape(actual[i1:].ravel(), predicted[i1:].ravel())
+    test_mape = mape(actual[i1:].ravel(), forecasts[i1:-1].ravel())
     config = {
         "forecaster": spec.describe(),
         "n": n,

@@ -34,13 +34,12 @@ from .errors import (
 )
 from .etssim import EtsParams, simulate_ets
 from .series import HorizonConfig, TimeSeries, split_sizes
-from .wnn import ForecasterSpec, Weighting, fpto_tune
+from .wnn import DEFAULT_GRID, ForecasterSpec, Weighting, fpto_tune
 
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
-DEFAULT_GRID = tuple(range(1, 13))
 DEFAULT_CONFIDENCE = 0.95
 
 

@@ -8,7 +8,8 @@ t = T-h*n, ..., T-2n, T-n. `score_rows` owns that window: it lays out the
 steps and forecasts every step plus the n unseen values after T with one
 `forecast_at` call of the spec (`WnnSpec` or `SeasonalNaiveSpec`), for the
 calibration scores here and the backtest in `backtest`, and returns
-(forecasts, actual). `forecast_at` owns the history check: it raises
+(forecasts, actual, scores). It owns the scores too: one that overflows
+raises DataError. `forecast_at` owns the history check: it raises
 `SeriesTooShortError` when the earliest prefix holds fewer than the spec's
 `min_history` observations. `kth_largest` is the one rank selection over
 score rows; the rank and its feasibility come from `series`.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidParamsError
+from .errors import DataError, InvalidParamsError
 from .series import HorizonConfig, TimeSeries, _feasible_rank, _freeze, _positive_int
 from .wnn import ForecasterSpec, Weighting
 
@@ -47,15 +48,16 @@ _FORECASTS = weakref.WeakKeyDictionary()
 
 def score_rows(
     series: TimeSeries, spec: ForecasterSpec, n: int, h: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score the h most recent steps, t = T-h*n, ..., T-n, oldest first.
 
-    Returns (forecasts, actual). forecasts has h+1 rows: the
+    Returns (forecasts, actual, scores). forecasts has h+1 rows: the
     forecast of values[t : t+n] made from values[:t] alone for each t, then
     the forecast of the n values after T from the whole series. actual holds
-    the h realized rows; the scores are |actual - forecasts[:-1]|. The
-    earliest prefix must hold spec.min_history observations: `forecast_at`
-    checks that, and a stored entry is for a larger h that already passed.
+    the h realized rows and scores their |actual - forecasts[:-1]|; a score
+    that overflows raises DataError. The earliest prefix must hold
+    spec.min_history observations: `forecast_at` checks that, and a stored
+    entry is for a larger h that already passed.
     """
     h = _positive_int("h", h)
     n = _positive_int("n", n)
@@ -67,8 +69,13 @@ def score_rows(
     if forecasts is None or len(forecasts) <= h:
         forecasts = _freeze(spec.forecast_at(values, ends, n))
         entries[spec, n] = forecasts
+    forecasts = forecasts[-(h + 1) :]
     actual = sliding_window_view(values, n)[ends[:-1]]
-    return forecasts[-(h + 1) :], actual
+    with np.errstate(over="ignore"):
+        scores = np.abs(actual - forecasts[:-1])
+    if not np.all(np.isfinite(scores)):
+        raise DataError("a score |actual - forecast| overflows; rescale the series")
+    return forecasts, actual, scores
 
 
 def kth_largest(rows: np.ndarray, s: int) -> np.ndarray:
@@ -138,6 +145,6 @@ def conformal_region(
     """
     s = _feasible_rank(delta, h)
     spec = ForecasterSpec.wnn(config, weighting)
-    forecasts, actual = score_rows(series, spec, config.n, h)
-    half = kth_largest(np.abs(actual - forecasts[:-1]), s)
+    forecasts, _, scores = score_rows(series, spec, config.n, h)
+    half = kth_largest(scores, s)
     return PredictionRegion(center=forecasts[-1], half_widths=half, delta=float(delta), rank=s)

@@ -142,12 +142,21 @@ def _mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
 
     `fpto_tune` scores every (p, k) cell of its grid at once: a (cells, folds, n)
     stack of forecasts against the (folds, n) actuals. A zero actual raises
-    ZeroActualError with its position in the first row that holds one.
+    ZeroActualError with its position in the first row that holds one, and a
+    row whose MAPE overflows raises DataError with the position of its largest
+    term.
     """
     zeros = np.flatnonzero(actual == 0.0)
     if zeros.size:
         raise ZeroActualError(int(zeros[0]) % actual.shape[-1])
-    return 100.0 * np.mean(np.abs((predicted - actual) / actual), axis=-1)
+    with np.errstate(over="ignore"):
+        terms = np.abs((predicted - actual) / actual)
+        rows = 100.0 * np.mean(terms, axis=-1)
+    bad = np.flatnonzero(~np.isfinite(rows))
+    if bad.size:
+        i = int(np.argmax(terms.reshape(-1, terms.shape[-1])[bad[0]]))
+        raise DataError(f"the percentage error at position {i} overflows; rescale the series")
+    return rows
 
 
 def _ceil_div(num: int, den: int) -> int:

@@ -21,9 +21,9 @@ the grid: one `_neighbor_average` per k averages them all, and one MAPE
 reduction scores every cell. A refit asks for its one (p, k). The search holds
 blocks of a fixed bound in size. The cell minimising the mean fold MAPE wins;
 exact ties go to the first minimum in p-major, k-minor order (smaller p, then
-smaller k), so results are deterministic. Where every one of a forecast's k
-squared distances overflows, inverse-distance weighting raises DataError, and so
-does uniform weighting where the sum of its k continuations overflows.
+smaller k), so results are deterministic. The search raises DataError where a
+window's squared norm about the center tops a sixteenth of the largest float,
+and uniform weighting where the sum of its k continuations overflows.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
@@ -52,6 +52,9 @@ _WEIGHT_EPS = 1e-8
 # Most screen values, copied candidate values or exact-distance differences the
 # search holds in one block (256 KB).
 _BLOCK_FLOATS = 1 << 15
+
+# The p and k grids that tuning searches unless told otherwise, in the CLI too.
+DEFAULT_GRID = tuple(range(1, 13))
 
 
 def _min_history(n: int, p: int, k: int) -> int:
@@ -161,7 +164,6 @@ class TuneResult:
     skipped: tuple[tuple[int, int, str], ...] = ()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing window keeps every candidate
 def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     """The kmax nearest candidate windows of length n*p for each query end, per (p, kmax).
 
@@ -198,10 +200,11 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     scales with the pair's own norms about c, not the series' range, so a
     spike only widens it for the windows that hold the spike; but rows whose
     queries sit at a level far from c, as on the minority side of a level
-    shift among the queries, keep every candidate near their level. If any
-    W of a window exceeds a sixteenth of the largest float, every candidate
-    of that window is kept. The kept candidates are ranked on their einsum
-    distance, which does not depend on which others were kept.
+    shift among the queries, keep every candidate near their level. The
+    kept candidates are ranked on their einsum distance, which does not
+    depend on which others were kept. Any W, of a query or a candidate, above
+    a sixteenth of the largest float raises DataError; below it every einsum
+    distance is at most about 2*(Q + W), a quarter of it, so none overflows.
 
     Rows are searched in blocks holding at most _BLOCK_FLOATS screen values
     (one row, if a row alone holds more), and candidates are copied for the
@@ -210,47 +213,46 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     """
     windows = [n * p for p, _ in cells]
     widest, top = windows[-1], int(ends.max())
-    # Row a of either view is the widest window ending just before values[a]
-    # (zero-padded), so its last L columns are the window of length L ending there.
-    ending = sliding_window_view(np.concatenate([np.zeros(widest), values]), widest)
     center = np.partition(values[ends - 1], len(ends) // 2)[len(ends) // 2]  # a median
-    padded = np.concatenate([np.zeros(widest), values[:top] - center])
-    centered = sliding_window_view(padded, widest)
     chunk = max(1, _BLOCK_FLOATS // widest)  # rows per squared chunk
     # norms[j, a] is |w|**2 of the centered window of length windows[j] ending
     # at a: the sum of the last windows[j] squares of row a.
     tails = 1.0 * (np.arange(widest) >= widest - np.array(windows)[:, None])
-    norms = np.empty((len(cells), len(centered)))
-    for lo in range(0, len(centered), chunk):
-        np.matmul(tails, np.square(centered[lo : lo + chunk]).T, out=norms[:, lo : lo + chunk])
+    norms = np.empty((len(cells), top + 1))
+    # Row a of either view is the widest window ending just before values[a]
+    # (zero-padded), so its last L columns are the window of length L ending there.
+    ending = sliding_window_view(np.concatenate([np.zeros(widest), values]), widest)
+    with np.errstate(over="ignore", invalid="ignore"):  # far values overflow; 0*inf is NaN
+        padded = np.concatenate([np.zeros(widest), values[:top] - center])
+        centered = sliding_window_view(padded, widest)
+        for lo in range(0, top + 1, chunk):
+            np.matmul(tails, np.square(centered[lo : lo + chunk]).T, out=norms[:, lo : lo + chunk])
+    if not norms.max() <= np.finfo(float).max / 16:
+        raise DataError("windows lie too far from the queries' level; rescale the series")
     step = max(1, _BLOCK_FLOATS // (top - n - windows[0] + 1))
     found = []
     for cell, ((_, kmax), window) in enumerate(zip(cells, windows)):
         alpha = 4 * (window + 3) * np.finfo(float).eps
         span = max(1, _BLOCK_FLOATS // window)  # candidate windows per copied chunk
-        overflow = not norms[cell].max() <= np.finfo(float).max / 16
         d2, continuations = np.empty((len(ends), kmax)), np.empty((len(ends), kmax, n))
         for start in range(0, len(ends), step):
             block = slice(start, start + step)
             e = ends[block]
             last = e - n - window  # each row's last candidate window start
             width = int(last.max()) + 1
-            if overflow:
-                keep = np.arange(width) <= last[:, None]
-            else:
-                q = -2.0 * centered[e, -window:]  # exact
-                screen = np.empty((len(e), width))
-                for lo in range(0, width, span):
-                    part = centered[window + lo : window + min(lo + span, width), -window:]
-                    np.matmul(q, part.copy().T, out=screen[:, lo : lo + span])
-                w_norms = norms[cell, window : window + width]
-                screen += (1 - alpha) * w_norms  # s - alpha*|w|**2
-                ragged = int(last.min()) + 1
-                np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
-                upper = screen + 2 * alpha * w_norms  # s + alpha*|w|**2
-                upper.partition(kmax - 1, axis=1)
-                margin = 2 * alpha * norms[cell, e] + window * 2.0**-1072
-                keep = screen <= (upper[:, kmax - 1] + margin)[:, None]
+            q = -2.0 * centered[e, -window:]  # exact
+            screen = np.empty((len(e), width))
+            for lo in range(0, width, span):
+                part = centered[window + lo : window + min(lo + span, width), -window:]
+                np.matmul(q, part.copy().T, out=screen[:, lo : lo + span])
+            w_norms = norms[cell, window : window + width]
+            screen += (1 - alpha) * w_norms  # s - alpha*|w|**2
+            ragged = int(last.min()) + 1
+            np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
+            upper = screen + 2 * alpha * w_norms  # s + alpha*|w|**2
+            upper.partition(kmax - 1, axis=1)
+            margin = 2 * alpha * norms[cell, e] + window * 2.0**-1072
+            keep = screen <= (upper[:, kmax - 1] + margin)[:, None]
             rows, near = np.divmod(np.flatnonzero(keep), width)
             exact = _distances(ending[:, -window:], near + window, e[rows])
             # Each row's first kmax by (distance, candidate); rows come sorted.
@@ -282,9 +284,9 @@ def _neighbor_average(
 ) -> np.ndarray:
     """Per query, the weighted average of the k nearest continuations from `_nearest`.
 
-    Raises DataError where a uniform average overflows, or where all k squared
-    distances of a query overflowed to +inf, so that its inverse-distance
-    weights are all 0.
+    Raises DataError where a uniform average overflows. Inverse-distance
+    weights are all positive, since `_nearest` keeps every squared distance
+    below a quarter of the largest float.
     """
     if weighting is Weighting.UNIFORM:
         with np.errstate(over="ignore"):
@@ -293,13 +295,7 @@ def _neighbor_average(
             raise DataError("the average of neighbor continuations overflows; rescale the series")
         return average
     w = 1.0 / (d2[:, :k] + _WEIGHT_EPS)
-    total = w.sum(axis=1, keepdims=True)
-    if not np.all(total > 0):
-        raise DataError(
-            "squared distances between windows overflow, so a forecast has no finite "
-            "inverse-distance weight; rescale the series"
-        )
-    w /= total
+    w /= w.sum(axis=1, keepdims=True)
     return np.matmul(w[:, None, :], continuations[:, :k])[:, 0]
 
 
@@ -321,8 +317,8 @@ def fpto_tune(
     series: TimeSeries,
     n: int,
     folds: int,
-    p_grid: Iterable[int] = range(1, 13),
-    k_grid: Iterable[int] = range(1, 13),
+    p_grid: Iterable[int] = DEFAULT_GRID,
+    k_grid: Iterable[int] = DEFAULT_GRID,
     weighting: Weighting | str = Weighting.INVERSE_DISTANCE,
 ) -> TuneResult:
     """Pick the (p, k) minimising the mean MAPE over rolling validation folds.

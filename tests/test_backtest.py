@@ -16,7 +16,12 @@ from cpwnn import (
     split_sizes,
     wnn_forecast,
 )
-from cpwnn.errors import InsufficientCalibrationError, InvalidParamsError, SeriesTooShortError
+from cpwnn.errors import (
+    DataError,
+    InsufficientCalibrationError,
+    InvalidParamsError,
+    SeriesTooShortError,
+)
 
 
 def selection_oracle(calib, test, delta):
@@ -153,6 +158,15 @@ class TestCheckCp:
         report = check_cp(series, HorizonConfig(n=3, p=4, k=4), split)
         assert report.half_widths.shape == (20, 3)
         assert 0.0 <= report.overall_coverage <= 100.0
+
+    def test_overflowing_score_is_data_error(self):
+        # Values of +-1e308 are finite, but a seasonal-naive forecast of the
+        # opposite sign is 2e308 away; the suite turns a numpy warning into a failure.
+        rng = np.random.default_rng(5)
+        series = TimeSeries(np.where(rng.random(120) < 0.5, 1.0, -1.0) * 1e308, 12)
+        split = SplitSpec(i1=20, i2=24, delta=0.05)
+        with pytest.raises(DataError, match="overflows; rescale the series"):
+            run_backtest(series, ForecasterSpec.seasonal_naive(12), 1, split)
 
 
 class TestCompareForecasters:

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 from pathlib import Path
@@ -5,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpwnn.cli import load_csv, main, series_to_csv
+from cpwnn.cli import build_parser, load_csv, main, series_to_csv
 from cpwnn.errors import ColumnNotFoundError, CsvParseError
-from cpwnn.wnn import SeasonalNaiveSpec, WnnSpec
+from cpwnn.wnn import DEFAULT_GRID, SeasonalNaiveSpec, WnnSpec, fpto_tune
 
 MILK = Path(__file__).resolve().parent.parent / "data" / "milk_uk_monthly.csv"
 
@@ -135,9 +136,8 @@ class TestExitCodes:
         ["tune", "--weighting", "uniform", "--format", "json"],
     ])
     def test_overflowing_distances_are_data_error(self, tmp_path, capsys, command):
-        # Squared distances of a series at 1e160 overflow to +inf, which leaves
-        # an inverse-distance forecast without a finite weight; at 1e307 the sum
-        # of k uniform neighbors overflows too.
+        # At 1e160 and at 1e307 the squared windows about the queries' level
+        # overflow, so the series has no nearest neighbors to rank.
         path = tmp_path / "huge.csv"
         rng = np.random.default_rng(3)
         if "uniform" in command:
@@ -146,6 +146,17 @@ class TestExitCodes:
             values = np.round(rng.normal(10.0, 1.0, 120)) * 1e160
         path.write_text(series_to_csv(values))
         assert main([*command, "--input", str(path), "--folds", "6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "rescale the series" in captured.err
+
+    def test_overflowing_mape_is_data_error(self, tmp_path, capsys):
+        # 10 / 1e-310 overflows, so the fold MAPE of every cell is not finite.
+        values = np.random.default_rng(1).normal(10.0, 1.0, 120)
+        values[::5] = 1e-310
+        path = tmp_path / "tiny.csv"
+        path.write_text(series_to_csv(values))
+        assert main(["tune", "--input", str(path), "--format", "json", "--no-timestamp"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "rescale the series" in captured.err
@@ -284,6 +295,12 @@ class TestCheckAndCompare:
         methods = [m["method"] for m in doc["results"]["levels"][0]["methods"]]
         assert any(m.startswith("wnn") for m in methods)
         assert any(m.startswith("seasonal-naive") for m in methods)
+
+    def test_default_grid_is_the_tuners(self):
+        defaults = inspect.signature(fpto_tune).parameters
+        assert defaults["p_grid"].default is defaults["k_grid"].default is DEFAULT_GRID
+        args = build_parser().parse_args(["check", "--input", "series.csv"])
+        assert args.p_grid is args.k_grid is DEFAULT_GRID
 
     def test_tune_text_output(self, milk_like_csv, capsys):
         code = main(["tune", "--input", str(milk_like_csv), "--n", "1", "--folds", "5",

@@ -32,8 +32,8 @@ def periodic_series(profile, reps, period=None):
 def wnn_scores(ts, config, h, weighting=Weighting.INVERSE_DISTANCE):
     """Score rows of the h most recent steps, oldest first, as `score_rows` gives them."""
     spec = ForecasterSpec.wnn(config, weighting)
-    forecasts, actual = score_rows(ts, spec, config.n, h)
-    return np.abs(actual - forecasts[:-1])
+    _, _, scores = score_rows(ts, spec, config.n, h)
+    return scores
 
 
 class TestNonconformityScores:
@@ -139,7 +139,7 @@ class TestForecastMemo:
     def test_stored_forecasts_are_read_only(self):
         ts = self.series()
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=2, k=3))
-        forecasts, _ = score_rows(ts, spec, 2, 6)
+        forecasts, _, _ = score_rows(ts, spec, 2, 6)
         with pytest.raises(ValueError):
             forecasts[0, 0] = 1e9
         assert not any(f.flags.writeable for f in conformal._FORECASTS[ts].values())

@@ -1,5 +1,6 @@
 """Runs of the study scripts, so an API change cannot break them silently.
 
+A RuntimeWarning fails a run, as it fails the suite (`pyproject.toml`).
 Each run's whole stdout must match `tests/golden/scripts/<script>.txt` byte
 for byte. To re-record after an intended output change, run the script with
 the arguments below from the repo root and say in the change log why the
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_script_runs(script, args, header):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )

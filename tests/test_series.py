@@ -85,6 +85,16 @@ class TestMape:
             mape([1.0, 0.0, 3.0], [1.0, 1.0, 3.0])
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("actual, predicted, position", [
+        ([1e-310, 1.0], [10.0, 1.0], 0),  # 10 / 1e-310 overflows
+        ([1.0, 1e-310, 2.0], [1.0, 10.0, 2.0], 1),
+        ([1e-300, 1e-300], [1e8, 1e8], 0),  # each term is finite, their sum is not
+    ])
+    def test_overflowing_term_is_data_error(self, actual, predicted, position):
+        with pytest.raises(DataError, match=f"at position {position} overflows") as exc:
+            mape(actual, predicted)
+        assert type(exc.value) is DataError
+
     @given(st.lists(st.floats(min_value=0.5, max_value=1e6), min_size=1, max_size=30))
     def test_self_mape_is_zero(self, xs):
         assert mape(xs, xs) == 0.0

@@ -197,6 +197,26 @@ class TestWnnForecast:
         shifted = wnn_forecast(TimeSeries(values + shift, 4), config)
         assert shifted == pytest.approx(base + shift, rel=1e-9, abs=1e-7)
 
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_one_far_spike_is_data_error(self, weighting):
+        # Every window holding the spike is about 1e160 from the queries, so
+        # its squared distance overflows: the series has no nearest neighbors.
+        values = np.random.default_rng(2).normal(10.0, 1.0, 200)
+        values[20] = 1e160
+        with pytest.raises(DataError, match="rescale the series"):
+            wnn_forecast(TimeSeries(values), HorizonConfig(1, 2, 3), weighting)
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_constant_level_near_the_largest_float(self, weighting):
+        # Every squared window about the level is 0, so the search accepts the
+        # series; the sum of k = 3 uniform neighbors still overflows.
+        ts = TimeSeries(np.full(40, 1.5e308), 4)
+        if weighting is Weighting.UNIFORM:
+            with pytest.raises(DataError, match="average of neighbor continuations overflows"):
+                wnn_forecast(ts, HorizonConfig(1, 2, 3), weighting)
+        else:
+            assert wnn_forecast(ts, HorizonConfig(1, 2, 3), weighting) == pytest.approx([1.5e308])
+
 
 class TestPointForecast:
     def test_seasonal_naive_repeats_last_period(self):
@@ -525,23 +545,19 @@ class TestScreenedSearchIsBitIdentical:
         assert list(result.trace) == want
 
     @pytest.mark.parametrize("weighting", list(Weighting))
-    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e-160])
+    @pytest.mark.parametrize("scale", [1e152, 1e154, 1e160, 1e-160])
     def test_overflowing_and_subnormal_squares(self, scale, weighting):
-        # At 1e154 and 1e160 squared distances overflow to +inf, and so do
-        # the squared windows, so the screen keeps every candidate. Where all k of a
-        # fold overflow, the reference's inverse-distance weights are 0/0 and
-        # its objective NaN; the tuner raises DataError there instead. Uniform
-        # averages stay finite. At 1e-160 the squares are subnormal.
+        # At 1e154 and 1e160 the squared windows about the queries' level
+        # pass a sixteenth of the largest float, so the search raises
+        # DataError for either weighting. At 1e152 they stay below it, and
+        # at 1e-160 they are subnormal: both match the reference.
         values = np.round(np.random.default_rng(3).normal(10.0, 1.0, 80)) * scale
-        with np.errstate(invalid="ignore"):
-            want = reference_trace(values, 1, 10, range(1, 7), range(1, 4), weighting)
-        overflowed = np.isnan([cell[2] for cell in want]).any()
-        assert overflowed == (scale > 1 and weighting is Weighting.INVERSE_DISTANCE)
         ts = TimeSeries(values, 4)
-        if overflowed:
+        if scale in (1e154, 1e160):
             with pytest.raises(DataError, match="rescale the series"):
                 fpto_tune(ts, 1, 10, range(1, 7), range(1, 4), weighting)
         else:
+            want = reference_trace(values, 1, 10, range(1, 7), range(1, 4), weighting)
             assert list(fpto_tune(ts, 1, 10, range(1, 7), range(1, 4), weighting).trace) == want
 
     @pytest.mark.parametrize("seed, p", [(209, 6), (219, 1)])
