@@ -5,17 +5,22 @@ score matrix, then appends its own scores to the matrix, so later steps
 calibrate on a strictly larger history (the matrix grows online; there is no
 fixed window). A component counts as covered when its absolute error is <=
 the half-width recorded for that step.
+
+Each column's pool is kept as one ascending list: the rank-th largest of m
+rows is ascending position m - rank, and each step's scores are inserted in
+order after its half-widths are recorded.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .conformal import kth_largest, score_rows
-from .errors import ForecastError, InvalidParamsError
+from .conformal import score_rows
+from .errors import DataError, ForecastError, InvalidParamsError
 from .series import HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, mape, rank_for
 from .wnn import ForecasterSpec, Weighting
 
@@ -40,13 +45,18 @@ class CheckReport:
             raise InvalidParamsError("half_widths and hits must be congruent 2-D arrays")
         if np.any(half < 0.0) or not np.all(np.isfinite(half)):
             raise InvalidParamsError("half-widths must be finite and non-negative")
+        with np.errstate(over="ignore"):
+            mean_width = 2.0 * half.mean(axis=0)
+            median_width = 2.0 * np.median(half, axis=0)
+        if not (np.isfinite(mean_width).all() and np.isfinite(median_width).all()):
+            raise DataError("a width overflows; rescale the series")
         return cls(
             half_widths=half,
             hits=hit,
             overall_coverage=float(100.0 * hit.sum() / hit.size),
             component_coverage=100.0 * hit.mean(axis=0),
-            mean_width=2.0 * half.mean(axis=0),
-            median_width=2.0 * np.median(half, axis=0),
+            mean_width=mean_width,
+            median_width=median_width,
             config=dict(config),
         )
 
@@ -67,9 +77,11 @@ def backtest_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the growing-calibration loop on precomputed score rows.
 
-    At step i the pool holds i1+i rows; the recorded half-width per column is
-    its rank-th largest entry with rank = floor(delta*(i1+i+1)), taken before
-    the step's own row joins the pool. Returns (half_widths, hits).
+    At step i the pool holds m = i1+i rows; the recorded half-width per column
+    is its rank-th largest entry with rank = rank_for(delta, m), which is
+    ascending position m - rank of the sorted pool. The step's own score is
+    inserted in order only after it is recorded. A non-finite score raises
+    InvalidParamsError. Returns (half_widths, hits).
     """
     calib = np.atleast_2d(np.asarray(calibration_rows, dtype=float))
     test = np.atleast_2d(np.asarray(test_rows, dtype=float))
@@ -77,14 +89,20 @@ def backtest_matrices(
     i2 = test.shape[0]
     if test.shape[1] != n:
         raise InvalidParamsError("calibration and test rows must have the same width")
-    # The rank only grows with the pool, so the first step decides feasibility.
+    if not (np.isfinite(calib).all() and np.isfinite(test).all()):
+        raise InvalidParamsError("score rows must be finite")
+    # The rank grows by at most 1 per added row, so the first step decides
+    # feasibility.
     _feasible_rank(delta, i1)
-    pool = np.empty((i1 + i2, n))
-    pool[:i1] = calib
+    positions = [m - rank_for(delta, m) for m in range(i1, i1 + i2)]
     half = np.empty((i2, n))
-    for i in range(i2):
-        half[i] = kth_largest(pool[: i1 + i], rank_for(delta, i1 + i))
-        pool[i1 + i] = test[i]
+    for j in range(n):
+        pool = sorted(calib[:, j].tolist())
+        widths = []
+        for position, score in zip(positions, test[:, j].tolist()):
+            widths.append(pool[position])
+            insort(pool, score)
+        half[:, j] = widths
     hits = (test <= half).astype(np.uint8)
     return half, hits
 

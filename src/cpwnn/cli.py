@@ -137,7 +137,12 @@ def _levels(args: argparse.Namespace, series: TimeSeries):
 
 def _overall_widths(report: dict) -> tuple[float, float]:
     """Mean and median full width of a backtest report over all its cells."""
-    return float(np.mean(report["mean_width"])), float(np.median(report["half_widths"]) * 2.0)
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(report["mean_width"]))
+        median = float(np.median(report["half_widths"]) * 2.0)
+    if not (np.isfinite(mean) and np.isfinite(median)):
+        raise DataError("a width overflows; rescale the series")
+    return mean, median
 
 
 # ---------------------------------------------------------------------------

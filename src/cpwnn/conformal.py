@@ -11,8 +11,8 @@ calibration scores here and the backtest in `backtest`, and returns
 (forecasts, actual, scores). It owns the scores too: one that overflows
 raises DataError. `forecast_at` owns the history check: it raises
 `SeriesTooShortError` when the earliest prefix holds fewer than the spec's
-`min_history` observations. `kth_largest` is the one rank selection over
-score rows; the rank and its feasibility come from `series`.
+`min_history` observations. `kth_largest` selects the region's rank over
+the score rows; the rank and its feasibility come from `series`.
 
 Scores do not depend on the significance level, only the rank does, so the
 forecasts are computed once per (series, spec, n), for the largest h asked

@@ -99,12 +99,19 @@ def min_calibration_count(delta: float) -> int:
 
 
 def _feasible_rank(delta: float, h: int) -> int:
-    """rank_for(delta, h) for a valid h and delta; InsufficientCalibrationError below 1."""
+    """rank_for(delta, h) for a valid h and delta; InsufficientCalibrationError below 1.
+
+    A delta within float dust of 1 rounds the rank past h: InvalidParamsError.
+    """
     h = _positive_int("h", h)
     _open_unit("delta", delta)
     s = rank_for(delta, h)
     if s < 1:
         raise InsufficientCalibrationError(h, min_calibration_count(delta))
+    if s > h:
+        raise InvalidParamsError(
+            f"delta = {delta!r} is too close to 1: its rank {s} exceeds h = {h}"
+        )
     return s
 
 

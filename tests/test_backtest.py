@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpwnn import (
     CheckReport,
@@ -25,23 +27,21 @@ from cpwnn.errors import (
 
 
 def selection_oracle(calib, test, delta):
-    """Recompute the half-width matrix per step from scratch, column by column."""
-    calib = [list(row) for row in np.atleast_2d(calib)]
-    test = np.atleast_2d(test)
-    i1 = len(calib)
-    n = len(calib[0])
-    pool = list(calib)
-    half = []
+    """Recompute the half-width matrix per step from scratch, column by column.
+
+    Each step sorts the first i1+i rows of every column in descending order
+    and reads entry s-1, s = floor(delta*(i1+i+1)).
+    """
+    calib = np.atleast_2d(np.asarray(calib, dtype=float))
+    test = np.atleast_2d(np.asarray(test, dtype=float))
+    i1 = calib.shape[0]
+    pool = np.vstack([calib, test])
+    half = np.empty(test.shape)
     for i in range(test.shape[0]):
         s = int(np.floor(delta * (i1 + i + 1) + 1e-9))
-        row = []
-        for j in range(n):
-            column = sorted((r[j] for r in pool), reverse=True)
-            row.append(column[s - 1])
-        half.append(row)
-        pool.append(list(test[i]))
-    hits = (test <= np.asarray(half)).astype(int)
-    return np.asarray(half), hits
+        half[i] = -np.sort(-pool[: i1 + i], axis=0)[s - 1]
+    hits = (test <= half).astype(int)
+    return half, hits
 
 
 class TestBacktestMatrices:
@@ -71,8 +71,61 @@ class TestBacktestMatrices:
             test = np.abs(rng.standard_normal((i2, n)))
             half, hits = backtest_matrices(calib, test, delta)
             want_half, want_hits = selection_oracle(calib, test, delta)
-            assert np.allclose(half, want_half)
+            assert np.array_equal(half, want_half)
             assert np.array_equal(hits, want_hits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        i1=st.integers(1, 40),
+        i2=st.integers(1, 40),
+        n=st.integers(1, 6),
+        integer=st.booleans(),
+        drift=st.floats(1.0, 4.0),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(i1=19, i2=1, n=1, integer=True, drift=1.0, fraction=0.0, seed=0)
+    @example(i1=5, i2=30, n=6, integer=True, drift=4.0, fraction=1.0, seed=1)
+    def test_property_matches_selection_oracle(self, i1, i2, n, integer, drift, fraction, seed):
+        # Integer-valued scores tie often; a drift > 1 ramps the test scores
+        # above the calibration scale, so later steps rank mostly test rows.
+        # Any feasible delta: from the smallest with rank 1 at i1, up to 0.99.
+        rng = np.random.default_rng(seed)
+        if integer:
+            calib = rng.integers(0, 5, (i1, n)).astype(float)
+            test = np.round(rng.integers(0, 5, (i2, n)) * np.linspace(1.0, drift, i2)[:, None])
+        else:
+            calib = np.abs(rng.standard_normal((i1, n)))
+            test = np.abs(rng.standard_normal((i2, n))) * np.linspace(1.0, drift, i2)[:, None]
+        lowest = 1.0 / (i1 + 1)
+        delta = lowest + fraction * (0.99 - lowest)
+        half, hits = backtest_matrices(calib, test, delta)
+        want_half, want_hits = selection_oracle(calib, test, delta)
+        assert np.array_equal(half, want_half)
+        assert np.array_equal(hits, want_hits)
+
+    def test_long_drifting_block_matches_selection_oracle(self):
+        rng = np.random.default_rng(12)
+        calib = np.abs(rng.standard_normal((1600, 1)))
+        test = np.abs(rng.standard_normal((2000, 1))) * np.linspace(1.0, 3.0, 2000)[:, None]
+        half, hits = backtest_matrices(calib, test, 0.05)
+        want_half, want_hits = selection_oracle(calib, test, 0.05)
+        assert np.array_equal(half, want_half)
+        assert np.array_equal(hits, want_hits)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("which", ["calibration", "test"])
+    def test_non_finite_score_is_rejected(self, bad, which):
+        calib = [[1.0], [2.0], [3.0]]
+        test = [[1.0], [2.0]]
+        (calib if which == "calibration" else test)[1][0] = bad
+        with pytest.raises(InvalidParamsError, match="score rows must be finite"):
+            backtest_matrices(calib, test, 0.5)
+
+    def test_delta_whose_rank_exceeds_the_pool(self):
+        # floor(delta*3 + dust) = 3 > 2 rows: no score has that rank
+        with pytest.raises(InvalidParamsError, match="too close to 1"):
+            backtest_matrices([[1.0], [2.0]], [[1.0]], 1.0 - 1e-12)
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(1)
@@ -167,6 +220,16 @@ class TestCheckCp:
         split = SplitSpec(i1=20, i2=24, delta=0.05)
         with pytest.raises(DataError, match="overflows; rescale the series"):
             run_backtest(series, ForecasterSpec.seasonal_naive(12), 1, split)
+
+    def test_overflowing_width_is_data_error(self):
+        # Every half-width is finite, but the sum behind a mean width is not;
+        # the suite turns numpy's overflow warning into a failure.
+        series = TimeSeries(np.random.default_rng(5).random(120) * 1e308 + 1e300, 12)
+        split = SplitSpec(i1=20, i2=24, delta=0.05)
+        with pytest.raises(DataError, match="a width overflows; rescale the series"):
+            run_backtest(series, ForecasterSpec.seasonal_naive(12), 1, split)
+        with pytest.raises(DataError, match="a width overflows; rescale the series"):
+            CheckReport.from_matrices([[1e308], [1e308]], [[1], [1]], {})
 
 
 class TestCompareForecasters:

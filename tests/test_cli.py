@@ -161,6 +161,38 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error:" in captured.err and "rescale the series" in captured.err
 
+    def test_overflowing_width_is_recorded_per_spec(self, tmp_path, capsys):
+        # Finite scores near the largest float: the seasonal-naive half-widths
+        # are finite, but their column sum is not, so that row names the
+        # overflow and the JSON stays valid (no Infinity token).
+        path = tmp_path / "huge.csv"
+        path.write_text(series_to_csv(np.random.default_rng(5).random(120) * 1e308 + 1e300))
+        code = main(["compare", "--input", str(path), "--weighting", "uniform",
+                     "--p", "2", "--k", "1", "--format", "json", "--no-timestamp"])
+        assert code == 0
+        captured = capsys.readouterr()
+
+        def reject(token):
+            raise ValueError(f"invalid JSON token {token}")
+
+        (level,) = json.loads(captured.out, parse_constant=reject)["results"]["levels"]
+        errors = {m["method"]: m["error"] for m in level["methods"]}
+        assert errors["seasonal-naive(m=12)"] == "a width overflows; rescale the series"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_overflowing_overall_width_is_data_error(self, tmp_path, capsys, fmt):
+        # One test step (i2 = 1) and n = 12 columns: each column's mean width
+        # is finite, but the overall mean over the columns overflows.
+        path = tmp_path / "huge.csv"
+        path.write_text(series_to_csv(np.random.default_rng(5).random(60) * 0.8e308 + 1e300))
+        code = main(["compare", "--input", str(path), "--n", "12", "--confidence", "0.5",
+                     "--weighting", "uniform", "--p", "1", "--k", "1", "--format", fmt])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a width overflows; rescale the series\n"
+
 
 class TestSimulateCommand:
     def test_writes_csv(self, tmp_path):

@@ -287,6 +287,12 @@ class TestConformalRegion:
         with pytest.raises(InvalidParamsError):
             conformal_region(ts, HorizonConfig(n=4, p=1, k=1), 8, 0.0)
 
+    def test_delta_whose_rank_exceeds_h(self):
+        # floor(delta*9 + dust) = 9 > h = 8: no score has that rank
+        ts = periodic_series([4.0, 9.0, 6.0, 1.0], 15)
+        with pytest.raises(InvalidParamsError, match="too close to 1: its rank 9 exceeds h = 8"):
+            conformal_region(ts, HorizonConfig(n=4, p=1, k=1), 8, 1.0 - 1e-12)
+
     @pytest.mark.parametrize("h,delta", [(20.5, 0.1), (True, 0.5), (True, 0.1), (2.5, 0.1)])
     def test_h_validated(self, h, delta):
         # (True, 0.1) and (2.5, 0.1) are typed before the rank rule sees them
