@@ -43,8 +43,8 @@ class EtsParams:
     """Parameters and initial states of an additive-seasonal smoothing model.
 
     The defaults beta = phi = 0 give the model without trend (ANA); any other
-    pair must lie in (0, 1) each and gives the damped trend (AAdA). sigma2,
-    init_level and init_trend are stored as finite floats.
+    pair must lie in (0, 1) each and gives the damped trend (AAdA). Every
+    field but period and init_seasonal is stored as a finite float.
     """
 
     alpha: float
@@ -64,6 +64,8 @@ class EtsParams:
         if not all(_is_number(v) and v == 0.0 for v in (self.beta, self.phi)):
             _open_unit("beta", self.beta)
             _open_unit("phi", self.phi)
+        for name in ("alpha", "gamma", "beta", "phi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("sigma2", "init_level", "init_trend"):
             value = getattr(self, name)
             low = 0.0 if name == "sigma2" else -sys.float_info.max
@@ -99,7 +101,6 @@ def aada_params(
     return EtsParams(alpha, gamma, sigma2, period, beta, phi, init_level, init_trend)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing path raises below instead
 def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
     """Simulate T observations; fully determined by (params, T, seed)."""
     T = _positive_int("T", T)
@@ -107,13 +108,14 @@ def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
     shocks = rng.standard_normal(T) * math.sqrt(params.sigma2)
     m = params.period
     alpha, beta, gamma, phi = params.alpha, params.beta, params.gamma, params.phi
-    seasonal = params.init_seasonal.copy()
+    # Python floats round as numpy's float64 scalars do, faster, and overflow to
+    # inf or nan without a warning; an overflowing path raises below instead.
+    seasonal = params.init_seasonal.tolist()
     level, trend = params.init_level, params.init_trend
-    values = np.empty(T)
-    for t in range(T):
+    values = []
+    for t, e in enumerate(shocks.tolist()):
         slot = t % m
-        e = shocks[t]
-        values[t] = level + phi * trend + seasonal[slot] + e
+        values.append(level + phi * trend + seasonal[slot] + e)
         level = level + phi * trend + alpha * e
         trend = phi * trend + beta * e
         seasonal[slot] = seasonal[slot] + gamma * e

@@ -10,14 +10,15 @@ Tuning evaluates a (p, k) grid by rolling-origin validation: fold i trains on
 everything before the last i*n observations and scores the n observations
 that follow. One neighbor search, `_nearest`, serves the tuner and every
 refit. For each window n*p asked for, one matrix product of the queries and
-the candidate windows, centered on the queries' median level, screens out
-every candidate that cannot be among a query's max(k) nearest, with a margin
-per pair that bounds the product's rounding error for any summation order
-(`_nearest` derives it). The kept candidates are ranked on exact einsum
-distances, so the neighbors are the same bits as a full sort of every
-candidate's einsum distance. The tuner asks for every p of the grid in one
-search. A larger p never takes more k, so the p that take a k are a prefix of
-the grid: one `_neighbor_average` per k averages them all, and one MAPE
+the candidate windows, centered on the queries' median level and scaled by a
+power of two, screens out every candidate that cannot be among a query's
+max(k) nearest, with a margin per pair that bounds the product's rounding
+error for any summation order (`_nearest` derives it). The screen runs in
+float32; the kept candidates are ranked on exact float64 einsum distances,
+so the neighbors are the same bits as a full sort of every candidate's
+einsum distance. The tuner asks for every p of the grid in one search. A
+larger p never takes more k, so the p that take a k are a prefix of the
+grid: one `_neighbor_average` per k averages them all, and one MAPE
 reduction scores every cell. A refit asks for its one (p, k). The search holds
 blocks of a fixed bound in size. The cell minimising the mean fold MAPE wins;
 exact ties go to the first minimum in p-major, k-minor order (smaller p, then
@@ -35,6 +36,7 @@ every caller; the tuner skips a (p, k) cell by the same `_min_history`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -50,7 +52,8 @@ from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
 _WEIGHT_EPS = 1e-8
 
 # Most screen values, copied candidate values or exact-distance differences the
-# search holds in one block (256 KB).
+# search holds in one block: 128 KB of the float32 screen's, 256 KB of float64
+# differences.
 _BLOCK_FLOATS = 1 << 15
 
 # The p and k grids that tuning searches unless told otherwise, in the CLI too.
@@ -178,38 +181,58 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
 
     One matrix product per block of queries and window L = n*p screens the
     candidates. Every value is centered on c, a median of the queries' last
-    values, and a query q and a candidate window w of the centered values give
-    the screen value s = |w|**2 - 2*q.w, which is d - |q|**2 and so ranks a
-    row's candidates as their squared distance d does.
+    values, and scaled by 2**shift, a power of two that puts every scaled
+    |w|**2 below 2**120 (`np.ldexp`, exact but for underflow). A query q and
+    a candidate window w of these values give the screen value
+    s = |w|**2 - 2*q.w, which is d - |q|**2 in scaled units and so ranks a
+    row's candidates as their squared distance d does. The screen runs in
+    float32 on float32 copies; `norms`, the float64 sums |w|**2, and the
+    einsum distances that rank the kept candidates stay float64, so the
+    neighbors are float64's.
 
-    The margin is per pair, with u = eps/2, Q = |q|**2 and W = |w|**2.
-    Centering rounds each value by at most u relative, which moves d by at
-    most ~4*u*(Q + W). s is within ~(2*L + 2)*u*(Q + W) of its exact value
-    for any summation order, since gamma_L = L*u/(1 - L*u) bounds the
-    relative error of a sum of L products (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1) and 2*|q.w| <= Q + W. `_distances`'s
-    einsum is within gamma_(L+2) relative of the exact d <= 2*(Q + W), so
-    within ~(2*L + 6)*u*(Q + W). So every einsum distance lies within
-    alpha*(Q + W) of s + Q, where alpha = 4*(L + 3)*eps is twice the sum,
-    (2*L + 6)*eps; the slack covers second-order terms and the rounding of
-    the bounds below. Let U be a row's kmax-th smallest s + alpha*W: kmax
-    candidates have an einsum distance of at most U + Q + alpha*Q, so each of
-    the row's true kmax nearest, ties included, has s - alpha*W <=
-    U + 2*alpha*Q. The screen keeps every candidate that meets this, plus
-    L*2**-1072 for the absolute error of products that underflow. The margin
+    The margin is per pair, with eps float32's epsilon, u = eps/2,
+    Q = |q|**2 and W = |w|**2 in scaled units. s is within ~(2*L + 6)*u*(Q + W)
+    of its exact value for any summation order: centering and rounding to
+    float32 move each value by at most ~u relative, and so s + Q by
+    ~4*u*(Q + W); gamma_L = L*u/(1 - L*u) bounds the relative error of a sum
+    of L products (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1), so the product is within gamma_L*(Q + W), as
+    2*|q.w| <= Q + W; W's float64 sum and its rounding to float32 add at
+    most (gamma_L64 + u)*W, and the sums a few roundings.
+    `_distances`'s float64 einsum is within gamma_(L+2) relative of the exact
+    d <= 2*(Q + W), so within ~(2*L + 6)*u64*(Q + W). So every einsum
+    distance lies within alpha*(Q + W) of s + Q, where
+    alpha = 4*(L + 3)*eps is at least twice the two bounds' sum for every L
+    below 2**23 (L*u <= 1/2); the slack covers second-order terms and the
+    rounding of the bounds below.
+    Let U be a row's kmax-th smallest s + alpha*W: kmax candidates have an
+    einsum distance of at most U + Q + alpha*Q, so each of the row's true
+    kmax nearest, ties included, has s - alpha*W <= U + 2*alpha*Q. The screen
+    keeps every candidate that meets this, plus two absolute terms for
+    underflow. One is 8*L times float32's smallest normal number, 2**-126,
+    for products that underflow or flush to zero. The other is the einsum's
+    own L*2**-1072 in scaled units, L*2**(2*shift - 1072), capped at 2**124:
+    the cap keeps every candidate anyway, since every scaled s and U lies
+    within 2**123 of 0, and keeps the float32 margin finite. The margin
     scales with the pair's own norms about c, not the series' range, so a
     spike only widens it for the windows that hold the spike; but rows whose
     queries sit at a level far from c, as on the minority side of a level
-    shift among the queries, keep every candidate near their level. The
-    kept candidates are ranked on their einsum distance, which does not
-    depend on which others were kept. Any W, of a query or a candidate, above
-    a sixteenth of the largest float raises DataError; below it every einsum
-    distance is at most about 2*(Q + W), a quarter of it, so none overflows.
+    shift among the queries, keep every candidate near their level. The kept
+    candidates are ranked on their einsum distance, which does not depend on
+    which others were kept. Any W, of a query or a candidate, above a
+    sixteenth of the largest float (unscaled) raises DataError; below it
+    every einsum distance is at most about 2*(Q + W), a quarter of it, so
+    none overflows.
+
+    float32 stops being selective where the windows' norms about c dwarf the
+    distances between them, as on a high-amplitude sinusoid with little
+    noise: alpha*Q then exceeds the gaps, the screen keeps every window of
+    the query's phase, and the einsum ranks them all.
 
     Rows are searched in blocks holding at most _BLOCK_FLOATS screen values
-    (one row, if a row alone holds more), and candidates are copied for the
-    product a chunk of at most _BLOCK_FLOATS values at a time. Columns past a
-    row's last candidate are +inf, so they never lower its U and never pass.
+    (one row, if a row alone holds more), and candidates are copied lag-major
+    for the product a chunk of at most _BLOCK_FLOATS values at a time. Columns past a row's last candidate are
+    +inf, so they never lower its U and never pass.
     """
     windows = [n * p for p, _ in cells]
     widest, top = windows[-1], int(ends.max())
@@ -221,18 +244,25 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     norms = np.empty((len(cells), top + 1))
     # Row a of either view is the widest window ending just before values[a]
     # (zero-padded), so its last L columns are the window of length L ending there.
-    ending = sliding_window_view(np.concatenate([np.zeros(widest), values]), widest)
+    ending = _windows(np.concatenate([np.zeros(widest), values]), widest)
     with np.errstate(over="ignore", invalid="ignore"):  # far values overflow; 0*inf is NaN
         padded = np.concatenate([np.zeros(widest), values[:top] - center])
-        centered = sliding_window_view(padded, widest)
+        centered = _windows(padded, widest)
         for lo in range(0, top + 1, chunk):
             np.matmul(tails, np.square(centered[lo : lo + chunk]).T, out=norms[:, lo : lo + chunk])
     if not norms.max() <= np.finfo(float).max / 16:
         raise DataError("windows lie too far from the queries' level; rescale the series")
+    # Every scaled |value| < 2**(60 - b) with widest <= 4**b, so every scaled |w|**2 < 2**120.
+    shift = 60 - math.frexp(np.abs(padded).max())[1] - ((widest - 1).bit_length() + 1) // 2
+    screened = _windows(np.ldexp(padded, shift).astype(np.float32), widest)
+    scaled = np.ldexp(norms, 2 * shift).astype(np.float32)
+    single = np.finfo(np.float32)
     step = max(1, _BLOCK_FLOATS // (top - n - windows[0] + 1))
     found = []
     for cell, ((_, kmax), window) in enumerate(zip(cells, windows)):
-        alpha = 4 * (window + 3) * np.finfo(float).eps
+        alpha = 4 * (window + 3) * float(single.eps)
+        einsum = min(window * 2.0 ** min(2 * shift - 1072, 124), 2.0**124)  # capped: finite
+        floor = window * 8 * float(single.tiny) + einsum  # the margin's absolute terms
         span = max(1, _BLOCK_FLOATS // window)  # candidate windows per copied chunk
         d2, continuations = np.empty((len(ends), kmax)), np.empty((len(ends), kmax, n))
         for start in range(0, len(ends), step):
@@ -240,28 +270,40 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
             e = ends[block]
             last = e - n - window  # each row's last candidate window start
             width = int(last.max()) + 1
-            q = -2.0 * centered[e, -window:]  # exact
-            screen = np.empty((len(e), width))
+            q = -2 * screened[e, -window:]  # exact
+            screen = np.empty((len(e), width), np.float32)
             for lo in range(0, width, span):
-                part = centered[window + lo : window + min(lo + span, width), -window:]
-                np.matmul(q, part.copy().T, out=screen[:, lo : lo + span])
-            w_norms = norms[cell, window : window + width]
+                part = screened[window + lo : window + min(lo + span, width), -window:]
+                np.matmul(q, np.ascontiguousarray(part.T), out=screen[:, lo : lo + span])
+            w_norms = scaled[cell, window : window + width]
             screen += (1 - alpha) * w_norms  # s - alpha*|w|**2
             ragged = int(last.min()) + 1
             np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
             upper = screen + 2 * alpha * w_norms  # s + alpha*|w|**2
             upper.partition(kmax - 1, axis=1)
-            margin = 2 * alpha * norms[cell, e] + window * 2.0**-1072
+            margin = 2 * alpha * scaled[cell, e] + floor
             keep = screen <= (upper[:, kmax - 1] + margin)[:, None]
             rows, near = np.divmod(np.flatnonzero(keep), width)
             exact = _distances(ending[:, -window:], near + window, e[rows])
-            # Each row's first kmax by (distance, candidate); rows come sorted.
-            order = np.lexsort((near, exact, rows))
+            # Each row's first kmax by distance; rows come sorted, and within a
+            # row flatnonzero gave the candidates in ascending order, which the
+            # stable lexsort keeps among equal distances.
+            order = np.lexsort((exact, rows))
             chosen = order[np.searchsorted(rows, np.arange(len(e)))[:, None] + np.arange(kmax)]
             d2[block] = exact[chosen]
             continuations[block] = ending[near[chosen] + window + n, -n:]
         found.append((d2, continuations))
     return found
+
+
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Every window of width values of the contiguous 1-D array a, one per row, as a view.
+
+    The same view as sliding_window_view, without the argument checks that
+    make that cost some twenty times as much, which a one-end search would
+    pay three times.
+    """
+    return np.ndarray((len(a) - width + 1, width), a.dtype, a, 0, a.strides * 2)
 
 
 def _distances(windows: np.ndarray, candidates: np.ndarray, queries: np.ndarray):

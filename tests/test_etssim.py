@@ -140,6 +140,16 @@ class TestSimulate:
         with pytest.raises(InvalidParamsError, match="parameters make the path overflow"):
             simulate_ets(params, 40, seed=0)
 
+    @pytest.mark.parametrize("init_trend", [1e308, -1e308])
+    def test_overflowing_path_with_numpy_rates_is_invalid_params(self, init_trend):
+        # The loop runs on Python floats, which overflow without a warning;
+        # numpy rates are stored as floats, so no state becomes a numpy scalar.
+        rates = map(np.float64, (0.7, 0.3, 0.2, 0.82))
+        params = aada_params(*rates, init_level=1e308, init_trend=init_trend)
+        assert all(type(v) is float for v in (params.alpha, params.beta, params.gamma, params.phi))
+        with pytest.raises(InvalidParamsError, match="parameters make the path overflow"):
+            simulate_ets(params, 40, seed=0)
+
     def test_period_metadata(self):
         series = simulate_ets(ana_params(0.5, 0.2, period=12), 50, seed=0)
         assert series.period == 12 and len(series) == 50

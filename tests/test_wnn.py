@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -562,11 +568,58 @@ class TestScreenedSearchIsBitIdentical:
 
     @pytest.mark.parametrize("seed, p", [(209, 6), (219, 1)])
     def test_subnormal_products(self, seed, p):
-        # Products of values near 1e-160 are subnormal, so their absolute
-        # error decides these rows: the margin's L*2**-1072 term keeps them.
+        # The einsum's products of values near 1e-160 are subnormal, so their
+        # absolute error decides these rows: the margin's L*2**-1072 term,
+        # carried into the screen's scaled units, keeps them.
         values = np.round(np.random.default_rng(seed).normal(10.0, 1.0, 80)) * 1e-160
         ends = np.arange(60, 81)
         assert_same_nearest(values, ends, 1, p, 3)
+
+    @pytest.mark.parametrize("spike", [1e30, 1e40])
+    def test_one_spike_far_above_the_noise(self, spike):
+        # The spike sets the scale, which puts the noise near 2**-40 (1e30) or
+        # 2**-73 (1e40) in the float32 screen. At 1e30 the margin's relative
+        # terms decide; at 1e40 the noise's products are subnormal in float32
+        # and the absolute term keeps every candidate.
+        values = np.random.default_rng(30).normal(size=400)
+        values[150] = spike
+        assert_same_nearest(values, np.arange(250, 401), 1, 12, 5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float32_rounding_at_the_kth_neighbor(self, seed):
+        # Two windows lie 1 from the query, within an ulp of each other, and
+        # every other window about 1e4 away. float32 rounds their screen
+        # values apart by about eps32*(Q + W), some 0.01 here, so only a
+        # margin at float32's eps keeps both, and the float32 screen stays
+        # selective: two pairs for the one row.
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, 100.0, 120)
+        values[20:24] = values[-4:] + [1.0, 0.0, 0.0, 0.0]
+        values[60:64] = values[-4:] + [0.0, 1.0, 0.0, 0.0]
+        assert_same_nearest(values, np.array([120]), 1, 4, 1)
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("scale", [1e-200, 1e-310])
+    def test_tiny_data_through_the_tuner(self, scale, weighting):
+        # Scaled by 2**shift the screen tells these windows apart, but every
+        # einsum distance underflows to 0, so all of them tie. The einsum's
+        # absolute term, carried into scaled units, keeps the tied windows;
+        # capped, it raises no overflow warning.
+        values = np.round(np.random.default_rng(4).normal(10.0, 1.0, 80)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fpto_tune(TimeSeries(values, 4), 1, 10, range(1, 7), range(1, 4), weighting)
+        want = reference_trace(values, 1, 10, range(1, 7), range(1, 4), weighting)
+        assert list(result.trace) == want
+
+    def test_sinusoid_with_little_noise(self):
+        # The windows' norms about the center dwarf the distances between
+        # them, so float32's margin, alpha*|q|**2, exceeds the gaps and the
+        # screen keeps about 135 candidates a row, every window of the query's
+        # phase; the exact ranking still picks the reference's neighbors.
+        noise = np.random.default_rng(8).normal(size=2000)
+        values = 100.0 * np.sin(2.0 * np.pi * np.arange(2000) / 12) + 0.01 * noise
+        assert_same_nearest(values, np.arange(1280, 2001), 1, 12, 5)
 
     def test_einsum_ties_far_from_the_query(self):
         # The query is twelve 0s and 1s, and the center is among them; every
@@ -708,3 +761,56 @@ class TestScreenSelectivity:
         ends, kmax = np.arange(1280, 2001), 5
         kept = self.kept_per_row(monkeypatch, selective_series("shift_among_queries"), ends, kmax)
         assert kept[ends >= 1500 + 12].mean() <= 2 * kmax
+
+
+def _openblas_with_dynamic_arch():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
+        return False
+    config = blas.get("openblas configuration", "")
+    return "openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in config
+
+
+HASH_NEAREST = """
+import hashlib
+import numpy as np
+from cpwnn import etssim, wnn
+
+params = etssim.aada_params(0.5, 0.1, 0.2, 0.9, init_level=1000.0)
+long = etssim.simulate_ets(params, 2000, 1).values
+tune = etssim.simulate_ets(etssim.ana_params(0.5, 0.2), 240, 2).values
+noise = np.random.default_rng(8).normal(size=2000)
+sinusoid = 100.0 * np.sin(2.0 * np.pi * np.arange(2000) / 12) + 0.01 * noise
+searches = [
+    (long, np.arange(1280, 2001), 1, [(12, 5)]),
+    (tune, 240 - 3 * np.arange(19), 3, [(p, 12) for p in range(1, 13)]),
+    (sinusoid, np.arange(1280, 2001), 1, [(12, 5)]),
+]
+digest = hashlib.sha256()
+for values, ends, n, cells in searches:
+    for d2, continuations in wnn._nearest(values, ends, n, cells):
+        digest.update(d2.tobytes() + continuations.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not _openblas_with_dynamic_arch(), reason="needs OpenBLAS with DYNAMIC_ARCH")
+def test_neighbors_do_not_depend_on_the_blas_kernel():
+    # The screen's products go through BLAS, whose summation and FMA order
+    # follow the kernel picked for the CPU; the margin covers any order, so
+    # the neighbors of a scoring_long-shaped search, a tuner-shaped search
+    # and a search whose screen keeps many candidates are the same bits
+    # under Prescott's kernel as under the default one.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    digests = []
+    for coretype in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_NEAREST],
+            env=dict(env, PYTHONPATH=path, **coretype),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
