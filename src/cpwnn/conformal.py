@@ -31,7 +31,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, InvalidParamsError
 from .series import HorizonConfig, TimeSeries, _feasible_rank, _freeze, _positive_int
@@ -70,7 +69,7 @@ def score_rows(
         forecasts = _freeze(spec.forecast_at(values, ends, n))
         entries[spec, n] = forecasts
     forecasts = forecasts[-(h + 1) :]
-    actual = sliding_window_view(values, n)[ends[:-1]]
+    actual = values[ends[0] :].reshape(h, n)
     with np.errstate(over="ignore"):
         scores = np.abs(actual - forecasts[:-1])
     if not np.all(np.isfinite(scores)):

@@ -13,18 +13,20 @@ refit. For each window n*p asked for, one matrix product of the queries and
 the candidate windows, centered on the queries' median level and scaled by a
 power of two, screens out every candidate that cannot be among a query's
 max(k) nearest, with a margin per pair that bounds the product's rounding
-error for any summation order (`_nearest` derives it). The screen runs in
-float32; the kept candidates are ranked on exact float64 einsum distances,
-so the neighbors are the same bits as a full sort of every candidate's
-einsum distance. The tuner asks for every p of the grid in one search. A
-larger p never takes more k, so the p that take a k are a prefix of the
-grid: one `_neighbor_average` per k averages them all, and one MAPE
-reduction scores every cell. A refit asks for its one (p, k). The search holds
-blocks of a fixed bound in size. The cell minimising the mean fold MAPE wins;
-exact ties go to the first minimum in p-major, k-minor order (smaller p, then
-smaller k), so results are deterministic. The search raises DataError where a
-window's squared norm about the center tops a sixteenth of the largest float,
-and uniform weighting where the sum of its k continuations overflows.
+error for any summation order (`_nearest` derives it). A row of many
+candidates takes its bound from the minima of groups of them, not from a
+partition of every candidate. The screen runs in float32; the kept
+candidates are ranked on exact float64 einsum distances, so the neighbors
+are the same bits as a full sort of every candidate's einsum distance. The
+tuner asks for every p of the grid in one search. A larger p never takes more
+k, so the p that take a k are a prefix of the grid: one `_neighbor_average`
+per k averages them all, and one MAPE reduction scores every cell. A refit
+asks for its one (p, k). The search holds blocks of a fixed bound in size. The
+cell minimising the mean fold MAPE wins; exact ties go to the first minimum in
+p-major, k-minor order (smaller p, then smaller k), so results are
+deterministic. The search raises DataError where a window's squared norm about
+the center tops a sixteenth of the largest float, and uniform weighting where
+the sum of its k continuations overflows.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
@@ -42,7 +44,6 @@ from enum import Enum
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, GridInfeasibleError, InvalidParamsError, SeriesTooShortError
 from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
@@ -53,7 +54,8 @@ _WEIGHT_EPS = 1e-8
 
 # Most screen values, copied candidate values or exact-distance differences the
 # search holds in one block: 128 KB of the float32 screen's, 256 KB of float64
-# differences.
+# differences. The padded bound array beside the screen holds up to slabs - 1
+# (at most 7) more columns a row.
 _BLOCK_FLOATS = 1 << 15
 
 # The p and k grids that tuning searches unless told otherwise, in the CLI too.
@@ -205,9 +207,10 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     alpha = 4*(L + 3)*eps is at least twice the two bounds' sum for every L
     below 2**23 (L*u <= 1/2); the slack covers second-order terms and the
     rounding of the bounds below.
-    Let U be a row's kmax-th smallest s + alpha*W: kmax candidates have an
-    einsum distance of at most U + Q + alpha*Q, so each of the row's true
-    kmax nearest, ties included, has s - alpha*W <= U + 2*alpha*Q. The screen
+    Let U be at least kmax of a row's computed s + alpha*W, as taken below:
+    those kmax candidates have an einsum distance of at most U + Q + alpha*Q,
+    so each of the row's true kmax nearest, ties included, has
+    s - alpha*W <= U + 2*alpha*Q. The screen
     keeps every candidate that meets this, plus two absolute terms for
     underflow. One is 8*L times float32's smallest normal number, 2**-126,
     for products that underflow or flush to zero. The other is the einsum's
@@ -229,10 +232,27 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     noise: alpha*Q then exceeds the gaps, the screen keeps every window of
     the query's phase, and the einsum ranks them all.
 
+    U is the kmax-th smallest of the row's group minima, which spares a
+    partition of every candidate. A block is width columns wide, its longest
+    row's candidates, and folds into slabs = max(1, min(8, width // (16*kmax)))
+    slabs of groups = ceil(width / slabs) columns: column c lies in group
+    c mod groups, and the padding past width is +inf. Each group minimum is
+    one candidate's own s + alpha*W, exactly, so the kmax smallest are those
+    of kmax distinct candidates and U is at least all of them, as above. U
+    is never below the kmax-th smallest over every candidate, so the screen
+    keeps a superset of what that would keep, and the exact ranking of the
+    kept candidates picks the same neighbors.
+    Every row has kmax finite group minima: its first kmax columns are
+    candidates, in distinct groups as groups >= kmax. A block narrower than
+    32*kmax, as every block of the tuner's fold rows, keeps one group per
+    column, so U is each row's exact kmax-th smallest; wider blocks trade a
+    few more kept pairs for a partition 1/slabs as wide.
+
     Rows are searched in blocks holding at most _BLOCK_FLOATS screen values
     (one row, if a row alone holds more), and candidates are copied lag-major
-    for the product a chunk of at most _BLOCK_FLOATS values at a time. Columns past a row's last candidate are
-    +inf, so they never lower its U and never pass.
+    for the product a chunk of at most _BLOCK_FLOATS values at a time.
+    Columns past a row's last candidate are +inf, so they never lower its U
+    and never pass.
     """
     windows = [n * p for p, _ in cells]
     widest, top = windows[-1], int(ends.max())
@@ -264,6 +284,9 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
         einsum = min(window * 2.0 ** min(2 * shift - 1072, 124), 2.0**124)  # capped: finite
         floor = window * 8 * float(single.tiny) + einsum  # the margin's absolute terms
         span = max(1, _BLOCK_FLOATS // window)  # candidate windows per copied chunk
+        w_norms = scaled[cell, window:]
+        down, up = (1 - alpha) * w_norms, 2 * alpha * w_norms  # to s - alpha*W, then s + alpha*W
+        margins = 2 * alpha * scaled[cell, ends] + floor
         d2, continuations = np.empty((len(ends), kmax)), np.empty((len(ends), kmax, n))
         for start in range(0, len(ends), step):
             block = slice(start, start + step)
@@ -275,14 +298,19 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
             for lo in range(0, width, span):
                 part = screened[window + lo : window + min(lo + span, width), -window:]
                 np.matmul(q, np.ascontiguousarray(part.T), out=screen[:, lo : lo + span])
-            w_norms = scaled[cell, window : window + width]
-            screen += (1 - alpha) * w_norms  # s - alpha*|w|**2
+            screen += down[:width]  # s - alpha*|w|**2
             ragged = int(last.min()) + 1
             np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
-            upper = screen + 2 * alpha * w_norms  # s + alpha*|w|**2
+            # Column c of slab c // groups is in group c % groups; the padding is +inf.
+            slabs = max(1, min(8, width // (16 * kmax)))
+            groups = -(-width // slabs)
+            upper = np.empty((len(e), slabs * groups), np.float32)
+            np.add(screen, up[:width], out=upper[:, :width])  # s + alpha*|w|**2
+            upper[:, width:] = np.inf
+            if slabs > 1:
+                upper = upper.reshape(len(e), slabs, groups).min(axis=1)  # each group's minimum
             upper.partition(kmax - 1, axis=1)
-            margin = 2 * alpha * scaled[cell, e] + floor
-            keep = screen <= (upper[:, kmax - 1] + margin)[:, None]
+            keep = screen <= (upper[:, kmax - 1] + margins[block])[:, None]
             rows, near = np.divmod(np.flatnonzero(keep), width)
             exact = _distances(ending[:, -window:], near + window, e[rows])
             # Each row's first kmax by distance; rows come sorted, and within a
@@ -399,7 +427,7 @@ def fpto_tune(
     if not cells:
         raise GridInfeasibleError(skipped)
     # Only now are the ends known to be non-negative.
-    actual = sliding_window_view(values, n)[ends]
+    actual = values[T - n * folds :].reshape(folds, n)[::-1]  # row i: fold i + 1
     searched = _nearest(values, ends, n, [(p, feasible[-1]) for p, feasible in cells])
     # A larger p never takes more k, so the smallest p takes every k and the p
     # that take the j-th k are a prefix of cells: one average per k serves them.

@@ -22,6 +22,7 @@ from cpwnn import (
     fpto_tune,
     mape,
     run_backtest,
+    split_sizes,
     wnn_forecast,
 )
 from cpwnn.errors import (
@@ -714,6 +715,45 @@ class TestScreenedSearchIsBitIdentical:
         assert_same_nearest(values, np.arange(200, 261), n, 20, 5)
 
 
+class TestGroupMinimumBound:
+    """Blocks at least 32*kmax candidates wide bound each row from group
+    minima; against the one-query-at-a-time reference, with ==."""
+
+    def test_period_equal_to_the_group_count(self):
+        # One block of 16 rows screens 1,988 candidates each, folded into 8
+        # slabs of 249 columns, so 249 groups. With period 249 every window
+        # of the query's phase lies in one group, so the bound comes from the
+        # other phases' minima: the loosest it gets, 32 pairs a row against 7
+        # for the kmax-th smallest over every candidate.
+        T, window, kmax = 2000, 12, 5
+        width = T - 1 - window + 1
+        assert wnn._BLOCK_FLOATS // width == 16 and width // (16 * kmax) >= 8
+        assert -(-width // 8) == 249
+        rng = np.random.default_rng(41)
+        values = np.tile(rng.normal(size=249), 9)[:T] + 1e-3 * rng.normal(size=T)
+        assert_same_nearest(values, np.arange(T - 15, T + 1), 1, 12, kmax)
+
+    @pytest.mark.parametrize("kmax", [1, 3])
+    def test_first_row_holds_exactly_kmax_candidates(self, kmax):
+        # At T = 300 a block holds 113 rows. Ends from the minimum history
+        # give the first block rows of kmax to kmax + 112 candidates, grouped
+        # (7 slabs of 17 columns at kmax 1, 2 of 58 at kmax 3): only the first
+        # kmax columns of the first row are candidates, one per group.
+        T, window = 300, 12
+        assert wnn._BLOCK_FLOATS // (T - 1 - window + 1) == 113
+        values = np.round(np.random.default_rng(43).normal(10.0, 1.0, T), 1)
+        ends = np.arange(wnn._min_history(1, 12, kmax), T + 1)
+        assert_same_nearest(values, ends, 1, 12, kmax)
+
+    def test_rounded_values_tie_at_the_kth_across_groups(self):
+        # Windows of six rounded values: about 13 windows a row tie at the
+        # kth distance, spread over about 12 groups, and the stable order
+        # takes the earliest of them.
+        values = np.round(np.random.default_rng(42).normal(10.0, 1.0, 2000))
+        d2, _ = assert_same_nearest(values, np.arange(1280, 2001), 1, 6, 5)
+        assert np.mean(d2[:, -2] == d2[:, -1]) > 0.5
+
+
 def selective_series(kind):
     rng = np.random.default_rng(8)
     if kind == "scoring_long":
@@ -734,7 +774,8 @@ class TestScreenSelectivity:
     (T = 2000, ends 1280 .. 2000, n = 1, p = 12, k = 5) and series far from 0."""
 
     @staticmethod
-    def kept_per_row(monkeypatch, values, ends, kmax):
+    def recorded_queries(monkeypatch):
+        """The query end of every pair handed to `_distances`, one array per call."""
         queries = []
         distances = wnn._distances
 
@@ -743,6 +784,10 @@ class TestScreenSelectivity:
             return distances(windows, candidates, rows)
 
         monkeypatch.setattr(wnn, "_distances", recorded)
+        return queries
+
+    def kept_per_row(self, monkeypatch, values, ends, kmax):
+        queries = self.recorded_queries(monkeypatch)
         assert_same_nearest(values, ends, 1, 12, kmax)
         return np.bincount(np.concatenate(queries), minlength=ends.max() + 1)[ends]
 
@@ -761,6 +806,34 @@ class TestScreenSelectivity:
         ends, kmax = np.arange(1280, 2001), 5
         kept = self.kept_per_row(monkeypatch, selective_series("shift_among_queries"), ends, kmax)
         assert kept[ends >= 1500 + 12].mean() <= 2 * kmax
+
+    @pytest.mark.parametrize(
+        "params, T, seed",
+        [
+            (etssim.ana_params(0.5, 0.2), 300, 100_000),
+            (etssim.ana_params(0.8, 0.4), 400, 100_001),
+            (etssim.aada_params(0.7, 0.3, 0.2, 0.82), 300, 100_002),
+            (etssim.aada_params(0.8, 0.2, 0.1, 0.9), 400, 100_003),
+        ],
+        ids=["ana-300", "ana-400", "aada-300", "aada-400"],
+    )
+    def test_tuner_rows_keep_the_exact_bound(self, monkeypatch, params, T, seed):
+        # The sim_study tune (the first round at seed 1): n = 3 on the
+        # training block, the default grid, so every p searches its fold rows
+        # with kmax = 12. Those rows hold fewer than 32*kmax candidates, so
+        # each takes its U from every candidate, not from group minima, and
+        # keeps about kmax pairs.
+        n, kmax, grid = 3, 12, wnn.DEFAULT_GRID
+        split = split_sizes(T, n, 0.05)
+        folds = split.i1
+        series = etssim.simulate_ets(params, T, seed)
+        values = series.values[: T - n * split.i2]
+        queries = self.recorded_queries(monkeypatch)
+        result = fpto_tune(TimeSeries(values, series.period), n, folds)
+        assert len(result.trace) == len(grid) * len(grid)
+        assert sum(map(len, queries)) <= 1.25 * kmax * len(grid) * folds
+        want = reference_trace(values, n, folds, grid, grid, Weighting.INVERSE_DISTANCE)
+        assert list(result.trace) == want
 
 
 def _openblas_with_dynamic_arch():
