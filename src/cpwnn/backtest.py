@@ -41,13 +41,13 @@ class CheckReport:
     def from_matrices(cls, half_widths, hits, config: dict) -> "CheckReport":
         half = np.asarray(half_widths, dtype=float)
         hit = np.asarray(hits, dtype=np.uint8)
-        if half.ndim != 2 or half.shape != hit.shape:
-            raise InvalidParamsError("half_widths and hits must be congruent 2-D arrays")
+        if half.ndim != 2 or half.shape != hit.shape or not len(half):
+            raise InvalidParamsError("half_widths and hits must be congruent 2-D arrays with rows")
         if np.any(half < 0.0) or not np.all(np.isfinite(half)):
             raise InvalidParamsError("half-widths must be finite and non-negative")
         with np.errstate(over="ignore"):
             mean_width = 2.0 * half.mean(axis=0)
-            median_width = 2.0 * np.median(half, axis=0)
+            median_width = 2.0 * _median(half, axis=0)
         if not (np.isfinite(mean_width).all() and np.isfinite(median_width).all()):
             raise DataError("a width overflows; rescale the series")
         return cls(
@@ -72,6 +72,20 @@ class CheckReport:
         }
 
 
+def _median(values, axis=None):
+    """np.median's bits from one sort, without the numpy.ma import np.median makes.
+
+    An odd count takes its middle element itself, an even count
+    (lo + hi) / 2 of its middle pair; averaging an element with itself would
+    overflow near the largest float.
+    """
+    ordered = np.sort(values, axis=axis)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def backtest_matrices(
     calibration_rows, test_rows, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +108,8 @@ def backtest_matrices(
     # The rank grows by at most 1 per added row, so the first step decides
     # feasibility.
     _feasible_rank(delta, i1)
-    positions = [m - rank_for(delta, m) for m in range(i1, i1 + i2)]
+    sizes = np.arange(i1, i1 + i2)  # the pool's m at each step
+    positions = (sizes - rank_for(delta, sizes)).tolist()
     half = np.empty((i2, n))
     for j in range(n):
         pool = sorted(calib[:, j].tolist())

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .backtest import check_cp, compare_forecasters
+from .backtest import _median, check_cp, compare_forecasters
 from .conformal import conformal_region
 from .errors import (
     ColumnNotFoundError,
@@ -139,7 +139,7 @@ def _overall_widths(report: dict) -> tuple[float, float]:
     """Mean and median full width of a backtest report over all its cells."""
     with np.errstate(over="ignore"):
         mean = float(np.mean(report["mean_width"]))
-        median = float(np.median(report["half_widths"]) * 2.0)
+        median = float(_median(report["half_widths"]) * 2.0)
     if not (np.isfinite(mean) and np.isfinite(median)):
         raise DataError("a width overflows; rescale the series")
     return mean, median

@@ -88,9 +88,14 @@ class HorizonConfig:
             object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
 
 
-def rank_for(delta: float, h: int) -> int:
-    """Order-statistic rank floor(delta*(h+1)), guarded against float dust."""
-    return int(math.floor(delta * (h + 1) + _DUST))
+def rank_for(delta: float, h: int | np.ndarray) -> int | np.ndarray:
+    """Order-statistic rank floor(delta*(h+1)), guarded against float dust.
+
+    h is an int, or an integer array for one rank per entry by the same IEEE
+    operations.
+    """
+    rank = np.floor(delta * (h + 1) + _DUST)
+    return rank.astype(int) if np.ndim(rank) else int(rank)
 
 
 def min_calibration_count(delta: float) -> int:

@@ -21,8 +21,10 @@ are the same bits as a full sort of every candidate's einsum distance. The
 tuner asks for every p of the grid in one search. A larger p never takes more
 k, so the p that take a k are a prefix of the grid: one `_neighbor_average`
 per k averages them all, and one MAPE reduction scores every cell. A refit
-asks for its one (p, k). The search holds blocks of a fixed bound in size. The
-cell minimising the mean fold MAPE wins; exact ties go to the first minimum in
+asks for its one (p, k). The search screens blocks of queries of a fixed
+bound in size and ranks their kept pairs in batches of at least one
+distance chunk, so at most about two blocks' worth wait at once. The cell
+minimising the mean fold MAPE wins; exact ties go to the first minimum in
 p-major, k-minor order (smaller p, then smaller k), so results are
 deterministic. The search raises DataError where a window's squared norm about
 the center tops a sixteenth of the largest float, and uniform weighting where
@@ -55,7 +57,8 @@ _WEIGHT_EPS = 1e-8
 # Most screen values, copied candidate values or exact-distance differences the
 # search holds in one block: 128 KB of the float32 screen's, 256 KB of float64
 # differences. The padded bound array beside the screen holds up to slabs - 1
-# (at most 7) more columns a row.
+# (at most 7) more columns a row, and the kept pairs waiting to be ranked are
+# fewer than _BLOCK_FLOATS // window plus one block's.
 _BLOCK_FLOATS = 1 << 15
 
 # The p and k grids that tuning searches unless told otherwise, in the CLI too.
@@ -248,11 +251,18 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     column, so U is each row's exact kmax-th smallest; wider blocks trade a
     few more kept pairs for a partition 1/slabs as wide.
 
-    Rows are searched in blocks holding at most _BLOCK_FLOATS screen values
+    Rows are screened in blocks holding at most _BLOCK_FLOATS screen values
     (one row, if a row alone holds more), and candidates are copied lag-major
     for the product a chunk of at most _BLOCK_FLOATS values at a time.
     Columns past a row's last candidate are +inf, so they never lower its U
-    and never pass.
+    and never pass. A block only screens: its kept (row, candidate) pairs,
+    numbered by the search's rows, wait in a batch, which is ranked once it
+    holds at least one distance chunk of _BLOCK_FLOATS // L pairs, or once the
+    cell's last block is screened. Ranking is one `_distances`, one stable
+    lexsort by (row, distance) and one searchsorted over the whole batch, so
+    at most one chunk plus one block's kept pairs wait, about one
+    _BLOCK_FLOATS more than a block. The queries -2*q are gathered once per
+    cell, and so are the continuations of the chosen windows.
     """
     windows = [n * p for p, _ in cells]
     widest, top = windows[-1], int(ends.max())
@@ -283,18 +293,19 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
         alpha = 4 * (window + 3) * float(single.eps)
         einsum = min(window * 2.0 ** min(2 * shift - 1072, 124), 2.0**124)  # capped: finite
         floor = window * 8 * float(single.tiny) + einsum  # the margin's absolute terms
-        span = max(1, _BLOCK_FLOATS // window)  # candidate windows per copied chunk
+        span = max(1, _BLOCK_FLOATS // window)  # candidate windows per chunk, pairs per batch
         w_norms = scaled[cell, window:]
         down, up = (1 - alpha) * w_norms, 2 * alpha * w_norms  # to s - alpha*W, then s + alpha*W
         margins = 2 * alpha * scaled[cell, ends] + floor
-        d2, continuations = np.empty((len(ends), kmax)), np.empty((len(ends), kmax, n))
+        queries = -2 * screened[ends, -window:]  # exact
+        lasts = ends - n - window  # each row's last candidate window start
+        d2, starts = np.empty((len(ends), kmax)), np.empty((len(ends), kmax), np.intp)
+        pending, held, first = [], 0, 0  # the batch's kept pairs, their count, its first row
         for start in range(0, len(ends), step):
             block = slice(start, start + step)
-            e = ends[block]
-            last = e - n - window  # each row's last candidate window start
+            q, last = queries[block], lasts[block]
             width = int(last.max()) + 1
-            q = -2 * screened[e, -window:]  # exact
-            screen = np.empty((len(e), width), np.float32)
+            screen = np.empty((len(q), width), np.float32)
             for lo in range(0, width, span):
                 part = screened[window + lo : window + min(lo + span, width), -window:]
                 np.matmul(q, np.ascontiguousarray(part.T), out=screen[:, lo : lo + span])
@@ -304,23 +315,32 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
             # Column c of slab c // groups is in group c % groups; the padding is +inf.
             slabs = max(1, min(8, width // (16 * kmax)))
             groups = -(-width // slabs)
-            upper = np.empty((len(e), slabs * groups), np.float32)
+            upper = np.empty((len(q), slabs * groups), np.float32)
             np.add(screen, up[:width], out=upper[:, :width])  # s + alpha*|w|**2
             upper[:, width:] = np.inf
             if slabs > 1:
-                upper = upper.reshape(len(e), slabs, groups).min(axis=1)  # each group's minimum
+                upper = upper.reshape(len(q), slabs, groups).min(axis=1)  # each group's minimum
             upper.partition(kmax - 1, axis=1)
             keep = screen <= (upper[:, kmax - 1] + margins[block])[:, None]
             rows, near = np.divmod(np.flatnonzero(keep), width)
-            exact = _distances(ending[:, -window:], near + window, e[rows])
+            if start:  # the search's row numbers
+                rows += start
+            pending.append((rows, near))
+            held += len(rows)
+            stop = min(start + step, len(ends))
+            if held < span and stop < len(ends):
+                continue
+            if len(pending) > 1:
+                rows, near = map(np.concatenate, zip(*pending))
+            exact = _distances(ending[:, -window:], near + window, ends[rows])
             # Each row's first kmax by distance; rows come sorted, and within a
             # row flatnonzero gave the candidates in ascending order, which the
             # stable lexsort keeps among equal distances.
             order = np.lexsort((exact, rows))
-            chosen = order[np.searchsorted(rows, np.arange(len(e)))[:, None] + np.arange(kmax)]
-            d2[block] = exact[chosen]
-            continuations[block] = ending[near[chosen] + window + n, -n:]
-        found.append((d2, continuations))
+            chosen = order[np.searchsorted(rows, np.arange(first, stop))[:, None] + np.arange(kmax)]
+            d2[first:stop], starts[first:stop] = exact[chosen], near[chosen]
+            pending, held, first = [], 0, stop
+        found.append((d2, ending[starts + (window + n), -n:]))
     return found
 
 

@@ -18,6 +18,7 @@ from cpwnn import (
     split_sizes,
     wnn_forecast,
 )
+from cpwnn.backtest import _median
 from cpwnn.errors import (
     DataError,
     InsufficientCalibrationError,
@@ -112,6 +113,20 @@ class TestBacktestMatrices:
         want_half, want_hits = selection_oracle(calib, test, 0.05)
         assert np.array_equal(half, want_half)
         assert np.array_equal(hits, want_hits)
+
+    def test_ranks_where_the_dust_guard_decides(self):
+        # The pools grow from m = 99 to 200 rows, so delta*(m + 1) is the
+        # integer j or 2*j in exact arithmetic at m = 99 and 199; in floating
+        # point it falls just below it for some j (0.29 * 100 < 29).
+        deltas = [j / 100 for j in range(1, 100)]
+        assert any(delta * 100 < round(delta * 100) for delta in deltas)
+        rng = np.random.default_rng(13)
+        calib, test = rng.random((99, 2)), rng.random((102, 2))
+        for delta in deltas:
+            half, hits = backtest_matrices(calib, test, delta)
+            want_half, want_hits = selection_oracle(calib, test, delta)
+            assert np.array_equal(half, want_half)
+            assert np.array_equal(hits, want_hits)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("which", ["calibration", "test"])
@@ -230,6 +245,25 @@ class TestCheckCp:
             run_backtest(series, ForecasterSpec.seasonal_naive(12), 1, split)
         with pytest.raises(DataError, match="a width overflows; rescale the series"):
             CheckReport.from_matrices([[1e308], [1e308]], [[1], [1]], {})
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 8])
+    def test_median_width_is_numpys(self, rows):
+        rng = np.random.default_rng(rows)
+        for half in (
+            rng.random((rows, 3)),
+            rng.integers(1, 1000, (rows, 3)) * 5e-324,  # subnormal
+            2e307 * (1.0 - 0.1 * rng.random((rows, 3))),  # row sums near the largest float
+        ):
+            report = CheckReport.from_matrices(half, np.ones(half.shape), {})
+            assert np.array_equal(report.median_width, 2.0 * np.median(half, axis=0))
+
+    def test_an_odd_median_is_its_middle_element(self):
+        # Averaging the middle element with itself would overflow.
+        assert _median(np.full(3, 1.7e308)) == 1.7e308 == np.median(np.full(3, 1.7e308))
+
+    def test_a_report_without_rows_is_invalid(self):
+        with pytest.raises(InvalidParamsError, match="with rows"):
+            CheckReport.from_matrices(np.empty((0, 2)), np.empty((0, 2)), {})
 
 
 class TestCompareForecasters:

@@ -1,6 +1,9 @@
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +342,23 @@ class TestCheckAndCompare:
                      "--p-grid", "1:4", "--k-grid", "1,2"])
         assert code == 0
         assert "p* =" in capsys.readouterr().out
+
+
+def test_check_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on a process's first call; the reports take
+    # their medians by sorting, so a check run never loads it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\nfrom cpwnn.cli import main\n"
+        f"code = main(['check', '--input', {str(MILK)!r}, '--n', '3', '--format', 'json'])\n"
+        "sys.exit(code or 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith(b"{")
 
 
 class TestScoringWork:

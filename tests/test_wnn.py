@@ -683,21 +683,14 @@ class TestScreenedSearchIsBitIdentical:
     def test_tied_rows_keep_more_pairs_than_one_distance_chunk(self, monkeypatch):
         # Period 2 with rare spikes: nearly every candidate of a phase ties at
         # the kmax-th distance and passes the screen, so the exact distances
-        # of a block's kept pairs come in several chunks of _BLOCK_FLOATS.
+        # of a batch's kept pairs come in several chunks of _BLOCK_FLOATS.
         values = np.tile([1.0, 2.0], 1500)
         values[::97] += 1.0
         n, window, kmax = 1, 12, 3
         ends = np.arange(2980, 3001)
-        kept = []
-        distances = wnn._distances
-
-        def recorded(windows, candidates, queries):
-            kept.append(len(candidates))
-            return distances(windows, candidates, queries)
-
-        monkeypatch.setattr(wnn, "_distances", recorded)
+        queries = recorded_distances(monkeypatch)
         [got] = wnn._nearest(values, ends, n, [(window, kmax)])
-        assert max(kept) > 2 * wnn._BLOCK_FLOATS // window
+        assert max(map(len, queries)) > 2 * wnn._BLOCK_FLOATS // window
         want = reference_nearest(values, ends, window, n, kmax)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -754,6 +747,68 @@ class TestGroupMinimumBound:
         assert np.mean(d2[:, -2] == d2[:, -1]) > 0.5
 
 
+def recorded_distances(monkeypatch):
+    """The query end of every pair handed to `_distances`, one array per call."""
+    queries = []
+    distances = wnn._distances
+
+    def recorded(windows, candidates, rows):
+        queries.append(rows)
+        return distances(windows, candidates, rows)
+
+    monkeypatch.setattr(wnn, "_distances", recorded)
+    return queries
+
+
+class TestBatchedRanking:
+    """Row blocks only screen; their kept pairs are ranked in batches of at
+    least one distance chunk. Against the one-query-at-a-time reference, with ==."""
+
+    def test_shuffled_ends_over_several_blocks_and_batches(self, monkeypatch):
+        # Rounded values tie at the kth distance; 16 rows a block, so the 721
+        # shuffled ends make 46 blocks, ranked in a few batches.
+        values = np.round(np.random.default_rng(44).normal(10.0, 1.0, 2000))
+        ends = np.random.default_rng(45).permutation(np.arange(1280, 2001))
+        queries = recorded_distances(monkeypatch)
+        assert_same_nearest(values, ends, 1, 6, 5)
+        assert 1 < len(queries) < 46 // 4
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_one_batch_spans_many_blocks(self, monkeypatch, weighting):
+        # At 600 floats a block holds one row, and a batch 600 // 12 = 50
+        # pairs: about ten rows of 5 or 6 kept pairs each.
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 600)
+        values = selective_series("scoring_long")
+        ends = np.random.default_rng(46).permutation(np.arange(1800, 2001))
+        queries = recorded_distances(monkeypatch)
+        want = assert_same_nearest(values, ends, 1, 12, 5)
+        assert 1 < len(queries) <= len(ends) // 5
+        spec = ForecasterSpec.wnn(HorizonConfig(n=1, p=12, k=5), weighting)
+        want_forecasts = wnn._neighbor_average(*want, 5, weighting)
+        assert np.array_equal(spec.forecast_at(values, ends, 1), want_forecasts)
+
+    def test_every_block_ranks_its_own_pairs(self, monkeypatch):
+        # At 24 floats a block holds one row, and a batch 24 // 4 = 6 pairs,
+        # no more than a row of kmax = 6 keeps: every block is ranked alone.
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 24)
+        values = np.round(np.random.default_rng(47).normal(10.0, 1.0, 300))
+        ends = np.random.default_rng(48).permutation(np.arange(240, 301))
+        queries = recorded_distances(monkeypatch)
+        assert_same_nearest(values, ends, 1, 4, 6)
+        assert [len(set(rows.tolist())) for rows in queries] == [1] * len(ends)
+
+    @pytest.mark.parametrize("block_floats", [600, wnn._BLOCK_FLOATS])
+    def test_several_cells_with_unsorted_ends(self, monkeypatch, block_floats):
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", block_floats)
+        values = np.round(np.random.default_rng(49).normal(10.0, 1.0, 900), 1)
+        ends = np.random.default_rng(50).choice(np.arange(300, 901), 250, replace=False)
+        n, cells = 2, [(1, 9), (3, 6), (5, 6), (12, 2)]
+        found = wnn._nearest(values, ends, n, cells)
+        for (p, kmax), got in zip(cells, found):
+            want = reference_nearest(values, ends, n * p, n, kmax)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def selective_series(kind):
     rng = np.random.default_rng(8)
     if kind == "scoring_long":
@@ -773,23 +828,18 @@ class TestScreenSelectivity:
     """How many pairs the screen hands `_distances`, on the scoring_long search
     (T = 2000, ends 1280 .. 2000, n = 1, p = 12, k = 5) and series far from 0."""
 
-    @staticmethod
-    def recorded_queries(monkeypatch):
-        """The query end of every pair handed to `_distances`, one array per call."""
-        queries = []
-        distances = wnn._distances
-
-        def recorded(windows, candidates, rows):
-            queries.append(rows)
-            return distances(windows, candidates, rows)
-
-        monkeypatch.setattr(wnn, "_distances", recorded)
-        return queries
-
     def kept_per_row(self, monkeypatch, values, ends, kmax):
-        queries = self.recorded_queries(monkeypatch)
+        queries = recorded_distances(monkeypatch)
         assert_same_nearest(values, ends, 1, 12, kmax)
         return np.bincount(np.concatenate(queries), minlength=ends.max() + 1)[ends]
+
+    def test_scoring_long_ranks_in_at_most_two_batches(self, monkeypatch):
+        # 46 row blocks of 16 rows keep about 5.7 pairs a row: two batches,
+        # neither much above one distance chunk of 32768 // 12 = 2730 pairs.
+        queries = recorded_distances(monkeypatch)
+        assert_same_nearest(selective_series("scoring_long"), np.arange(1280, 2001), 1, 12, 5)
+        assert len(queries) <= 2
+        assert all(len(rows) < 2 * (wnn._BLOCK_FLOATS // 12) for rows in queries)
 
     @pytest.mark.parametrize(
         "kind", ["scoring_long", "walk_at_1e8", "spikes_of_1e8", "level_shift"]
@@ -828,7 +878,7 @@ class TestScreenSelectivity:
         folds = split.i1
         series = etssim.simulate_ets(params, T, seed)
         values = series.values[: T - n * split.i2]
-        queries = self.recorded_queries(monkeypatch)
+        queries = recorded_distances(monkeypatch)
         result = fpto_tune(TimeSeries(values, series.period), n, folds)
         assert len(result.trace) == len(grid) * len(grid)
         assert sum(map(len, queries)) <= 1.25 * kmax * len(grid) * folds
