@@ -237,6 +237,8 @@ def _check(args: argparse.Namespace) -> tuple[dict, dict]:
         }
         for conf, split in _levels(args, series)
     ]
+    for level in levels:  # every format fails alike on an overflowing overall width
+        _overall_widths(level["report"])
     return described, {"levels": levels}
 
 
@@ -301,6 +303,10 @@ def _compare(args: argparse.Namespace) -> tuple[dict, dict]:
         }
         for conf, split in _levels(args, series)
     ]
+    for level in levels:  # every format fails alike on an overflowing overall width
+        for method in level["methods"]:
+            if method["report"] is not None:
+                _overall_widths(method["report"])
     return described, {"levels": levels}
 
 

@@ -9,21 +9,25 @@ the earlier window first, and k=1 returns the nearest continuation bit-exactly.
 Tuning evaluates a (p, k) grid by rolling-origin validation: fold i trains on
 everything before the last i*n observations and scores the n observations
 that follow. One neighbor search, `_nearest`, serves the tuner and every
-refit. For each window n*p asked for, one matrix product of the queries and
-the candidate windows, centered on the queries' median level and scaled by a
-power of two, screens out every candidate that cannot be among a query's
-max(k) nearest, with a margin per pair that bounds the product's rounding
-error for any summation order (`_nearest` derives it). A row of many
-candidates takes its bound from the minima of groups of them, not from a
-partition of every candidate. The screen runs in float32; the kept
-candidates are ranked on exact float64 einsum distances, so the neighbors
-are the same bits as a full sort of every candidate's einsum distance. The
-tuner asks for every p of the grid in one search. A larger p never takes more
-k, so the p that take a k are a prefix of the grid: one `_neighbor_average`
-per k averages them all, and one MAPE reduction scores every cell. A refit
-asks for its one (p, k). The search screens blocks of queries of a fixed
-bound in size and ranks their kept pairs in batches of at least one
-distance chunk, so at most about two blocks' worth wait at once. The cell
+refit. Its rows are the (cell, end) pairs of every (p, max(k)) cell asked
+for, cell-major, and all of them share one candidate axis, the end of a
+candidate window. One matrix product per block of rows, of the queries
+zero-padded to the widest window and the candidate windows, centered on the
+queries' median level and scaled by a power of two, screens out every
+candidate that cannot be among a query's max(k) nearest, with a margin per
+pair that bounds the product's rounding error for any summation order
+(`_nearest` derives it). A row of many candidates takes its bound from the
+minima of groups of them, not from a partition of every candidate. The
+screen runs in float32; the kept candidates are ranked on exact float64
+einsum distances, so the neighbors are the same bits as a full sort of every
+candidate's einsum distance. The tuner asks for every p of the grid in one
+search. A larger p never takes more k, so the p that take a k are a prefix
+of the grid, whose rows lead the search's: one `_neighbor_average` per k
+averages a leading slice of them, and one MAPE reduction scores every cell.
+A refit asks for its one (p, k) and runs the same code. The search screens
+blocks of rows of a fixed bound in size, whatever their cells, and ranks the
+kept pairs of all cells together, in batches of at least one distance chunk,
+so at most about two blocks' worth wait at once. The cell
 minimising the mean fold MAPE wins; exact ties go to the first minimum in
 p-major, k-minor order (smaller p, then smaller k), so results are
 deterministic. The search raises DataError where a window's squared norm about
@@ -54,11 +58,19 @@ from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
 # dominates the average instead of dividing by zero.
 _WEIGHT_EPS = 1e-8
 
-# Most screen values, copied candidate values or exact-distance differences the
-# search holds in one block: 128 KB of the float32 screen's, 256 KB of float64
-# differences. The padded bound array beside the screen holds up to slabs - 1
-# (at most 7) more columns a row, and the kept pairs waiting to be ranked are
-# fewer than _BLOCK_FLOATS // window plus one block's.
+# Most screen values, exact-distance differences, padded sort values or
+# copied squares the search holds in one block or chunk: 128 KB of the
+# float32 screen's, 256 KB of float64 differences, sort values or squares
+# (one row's or window's, if one alone holds more). The padded bound array
+# beside the screen holds up to slabs - 1 (at most 7) more columns a row, and
+# the kept pairs waiting to be ranked are fewer than
+# _BLOCK_FLOATS // (the shortest window) plus one block's. Besides these, the
+# search holds, for its whole length: the float64 norms and their float32
+# screen terms, three arrays of one value per cell and window end; one
+# float32 query per row, as wide as the widest window; and one lag-major
+# float32 copy of every candidate window, as wide as the widest window, so
+# about 4*T*n*max(p) bytes (235 KB for a scoring_long n=6 search, 115 MB
+# for T=1e5 and n*p=288).
 _BLOCK_FLOATS = 1 << 15
 
 # The p and k grids that tuning searches unless told otherwise, in the CLI too.
@@ -137,7 +149,7 @@ class WnnSpec(ForecasterSpec):
         config = self.config
         if config.n != n:
             raise InvalidParamsError(f"forecaster is configured for n={config.n}, asked for n={n}")
-        [(d2, continuations)] = _nearest(values, ends, n, [(config.p, config.k)])
+        d2, continuations = _nearest(values, ends, n, [(config.p, config.k)])
         return _neighbor_average(d2, continuations, config.k, self.weighting)
 
 
@@ -180,12 +192,21 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     the n values that follow, lies inside values[:e]; each e must hold
     _min_history(n, p, kmax) values at every p, which `forecast_at` and
     `fpto_tune` check before they search. On ties the earlier window wins, the
-    order of a full stable sort. Returns one (d2, continuations) per cell:
-    squared distances of shape (len(ends), kmax) and continuations of shape
-    (len(ends), kmax, n), nearest first.
+    order of a full stable sort. The search's rows are the (cell, end) pairs,
+    cell-major: row j*len(ends) + i is ends[i] at cells[j]. Returns squared
+    distances of shape (rows, K) and continuations of shape (rows, K, n),
+    nearest first, K being the largest kmax; only the first kmax columns of a
+    cell's rows are its neighbors.
 
-    One matrix product per block of queries and window L = n*p screens the
-    candidates. Every value is centered on c, a median of the queries' last
+    One matrix product per block of rows screens the candidates. Every row
+    shares one candidate axis, the end a of a candidate window: column i of a
+    block is the window ending at base + i, base being the shortest window
+    n*p. A row of window L = n*p zero-pads its query to the widest window, so
+    its product sums the L products of its own window and zeros, which add
+    exactly: its rounding is that of a sum of L products in some order, and
+    the margin below, which takes L, Q and W from the row's cell, holds as
+    written. Columns a < L are +inf for such a row: no window of length L
+    ends there. Every value is centered on c, a median of the queries' last
     values, and scaled by 2**shift, a power of two that puts every scaled
     |w|**2 below 2**120 (`np.ldexp`, exact but for underflow). A query q and
     a candidate window w of these values give the screen value
@@ -235,9 +256,10 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     noise: alpha*Q then exceeds the gaps, the screen keeps every window of
     the query's phase, and the einsum ranks them all.
 
-    U is the kmax-th smallest of the row's group minima, which spares a
-    partition of every candidate. A block is width columns wide, its longest
-    row's candidates, and folds into slabs = max(1, min(8, width // (16*kmax)))
+    U is the kmax-th smallest of the row's group minima, with kmax the row's
+    cell's, which spares a partition of every candidate. A block is width
+    columns wide, to its longest row's last candidate, and with kmax the
+    largest of its rows' folds into slabs = max(1, min(8, width // (16*kmax)))
     slabs of groups = ceil(width / slabs) columns: column c lies in group
     c mod groups, and the padding past width is +inf. Each group minimum is
     one candidate's own s + alpha*W, exactly, so the kmax smallest are those
@@ -245,41 +267,53 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     is never below the kmax-th smallest over every candidate, so the screen
     keeps a superset of what that would keep, and the exact ranking of the
     kept candidates picks the same neighbors.
-    Every row has kmax finite group minima: its first kmax columns are
-    candidates, in distinct groups as groups >= kmax. A block narrower than
-    32*kmax, as every block of the tuner's fold rows, keeps one group per
-    column, so U is each row's exact kmax-th smallest; wider blocks trade a
-    few more kept pairs for a partition 1/slabs as wide.
+    Every row has kmax finite group minima: its first kmax candidates lie in
+    consecutive columns, so in distinct groups as groups >= kmax. A block
+    narrower than 32*kmax, as every block of the sim_study tuner's fold rows,
+    keeps one group per column, so U is each row's exact kmax-th smallest;
+    wider blocks trade a few more kept pairs for a partition 1/slabs as wide.
 
     Rows are screened in blocks holding at most _BLOCK_FLOATS screen values
-    (one row, if a row alone holds more), and candidates are copied lag-major
-    for the product a chunk of at most _BLOCK_FLOATS values at a time.
+    (one row, if a row alone holds more), which may split a cell's rows and
+    hold rows of several cells. The rows of one cell in a block take the
+    cell's (1 - alpha)*W and 2*alpha*W by broadcasting, and its margin and
+    kmax are theirs; one partition at the block's distinct kmax - 1 serves
+    every row, and each row reads its U at its own kmax - 1. The candidate
+    windows are copied lag-major once per search, for every block's product.
     Columns past a row's last candidate are +inf, so they never lower its U
-    and never pass. A block only screens: its kept (row, candidate) pairs,
-    numbered by the search's rows, wait in a batch, which is ranked once it
-    holds at least one distance chunk of _BLOCK_FLOATS // L pairs, or once the
-    cell's last block is screened. Ranking is one `_distances`, one stable
-    lexsort by (row, distance) and one searchsorted over the whole batch, so
-    at most one chunk plus one block's kept pairs wait, about one
-    _BLOCK_FLOATS more than a block. The queries -2*q are gathered once per
-    cell, and so are the continuations of the chosen windows.
+    and never pass.
+    A block only screens: its kept (row, candidate) pairs, numbered by the
+    search's rows, wait in a batch, which is ranked once it holds at least
+    one distance chunk of the shortest window, _BLOCK_FLOATS // base pairs,
+    or once the last block is screened.
+    The rows come cell-major, so each cell's pairs are one slice of the
+    batch: ranking is one `_distances` per cell over its slice, which gives
+    the einsum distances of a one-cell search bit for bit, and one `_rank`,
+    a stable sort per row over the pairs of every cell of the batch. At most
+    one chunk plus one block's kept pairs wait, fewer than 2*_BLOCK_FLOATS.
+    The continuations of the chosen windows are gathered once for all cells:
+    a window's continuation depends only on where it ends.
     """
     windows = [n * p for p, _ in cells]
-    widest, top = windows[-1], int(ends.max())
-    center = np.partition(values[ends - 1], len(ends) // 2)[len(ends) // 2]  # a median
-    chunk = max(1, _BLOCK_FLOATS // widest)  # rows per squared chunk
+    kmaxes = [kmax for _, kmax in cells]
+    widest, top, count = windows[-1], int(ends.max()), len(ends)
+    base = windows[0]  # the end of the earliest candidate window of any cell
+    center = np.partition(values[ends - 1], count // 2)[count // 2]  # a median
+    chunk = max(1, _BLOCK_FLOATS // widest)  # windows per chunk of _BLOCK_FLOATS values
     # norms[j, a] is |w|**2 of the centered window of length windows[j] ending
-    # at a: the sum of the last windows[j] squares of row a.
+    # at a: the sum of the last windows[j] rows of column a of squares.
     tails = 1.0 * (np.arange(widest) >= widest - np.array(windows)[:, None])
     norms = np.empty((len(cells), top + 1))
-    # Row a of either view is the widest window ending just before values[a]
-    # (zero-padded), so its last L columns are the window of length L ending there.
+    # Row a of ending (and of screened below) is the widest window ending just
+    # before values[a] (zero-padded), so its last L columns are the window of
+    # length L ending there.
     ending = _windows(np.concatenate([np.zeros(widest), values]), widest)
     with np.errstate(over="ignore", invalid="ignore"):  # far values overflow; 0*inf is NaN
         padded = np.concatenate([np.zeros(widest), values[:top] - center])
-        centered = _windows(padded, widest)
-        for lo in range(0, top + 1, chunk):
-            np.matmul(tails, np.square(centered[lo : lo + chunk]).T, out=norms[:, lo : lo + chunk])
+        squares = _windows(np.square(padded), top + 1)  # the same windows, lag-major
+        for lo in range(0, top + 1, chunk):  # chunk columns copied at a time, for BLAS
+            part = np.ascontiguousarray(squares[:, lo : lo + chunk])
+            np.matmul(tails, part, out=norms[:, lo : lo + chunk])
     if not norms.max() <= np.finfo(float).max / 16:
         raise DataError("windows lie too far from the queries' level; rescale the series")
     # Every scaled |value| < 2**(60 - b) with widest <= 4**b, so every scaled |w|**2 < 2**120.
@@ -287,61 +321,77 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     screened = _windows(np.ldexp(padded, shift).astype(np.float32), widest)
     scaled = np.ldexp(norms, 2 * shift).astype(np.float32)
     single = np.finfo(np.float32)
-    step = max(1, _BLOCK_FLOATS // (top - n - windows[0] + 1))
-    found = []
-    for cell, ((_, kmax), window) in enumerate(zip(cells, windows)):
-        alpha = 4 * (window + 3) * float(single.eps)
-        einsum = min(window * 2.0 ** min(2 * shift - 1072, 124), 2.0**124)  # capped: finite
-        floor = window * 8 * float(single.tiny) + einsum  # the margin's absolute terms
-        span = max(1, _BLOCK_FLOATS // window)  # candidate windows per chunk, pairs per batch
-        w_norms = scaled[cell, window:]
-        down, up = (1 - alpha) * w_norms, 2 * alpha * w_norms  # to s - alpha*W, then s + alpha*W
-        margins = 2 * alpha * scaled[cell, ends] + floor
-        queries = -2 * screened[ends, -window:]  # exact
-        lasts = ends - n - window  # each row's last candidate window start
-        d2, starts = np.empty((len(ends), kmax)), np.empty((len(ends), kmax), np.intp)
-        pending, held, first = [], 0, 0  # the batch's kept pairs, their count, its first row
-        for start in range(0, len(ends), step):
-            block = slice(start, start + step)
-            q, last = queries[block], lasts[block]
-            width = int(last.max()) + 1
-            screen = np.empty((len(q), width), np.float32)
-            for lo in range(0, width, span):
-                part = screened[window + lo : window + min(lo + span, width), -window:]
-                np.matmul(q, np.ascontiguousarray(part.T), out=screen[:, lo : lo + span])
-            screen += down[:width]  # s - alpha*|w|**2
-            ragged = int(last.min()) + 1
-            np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
-            # Column c of slab c // groups is in group c % groups; the padding is +inf.
-            slabs = max(1, min(8, width // (16 * kmax)))
-            groups = -(-width // slabs)
-            upper = np.empty((len(q), slabs * groups), np.float32)
-            np.add(screen, up[:width], out=upper[:, :width])  # s + alpha*|w|**2
-            upper[:, width:] = np.inf
-            if slabs > 1:
-                upper = upper.reshape(len(q), slabs, groups).min(axis=1)  # each group's minimum
-            upper.partition(kmax - 1, axis=1)
-            keep = screen <= (upper[:, kmax - 1] + margins[block])[:, None]
-            rows, near = np.divmod(np.flatnonzero(keep), width)
-            if start:  # the search's row numbers
-                rows += start
-            pending.append((rows, near))
-            held += len(rows)
-            stop = min(start + step, len(ends))
-            if held < span and stop < len(ends):
-                continue
-            if len(pending) > 1:
-                rows, near = map(np.concatenate, zip(*pending))
-            exact = _distances(ending[:, -window:], near + window, ends[rows])
-            # Each row's first kmax by distance; rows come sorted, and within a
-            # row flatnonzero gave the candidates in ascending order, which the
-            # stable lexsort keeps among equal distances.
-            order = np.lexsort((exact, rows))
-            chosen = order[np.searchsorted(rows, np.arange(first, stop))[:, None] + np.arange(kmax)]
-            d2[first:stop], starts[first:stop] = exact[chosen], near[chosen]
-            pending, held, first = [], 0, stop
-        found.append((d2, ending[starts + (window + n), -n:]))
-    return found
+    alphas = [4 * (L + 3) * float(single.eps) for L in windows]
+    einsum = 2.0 ** min(2 * shift - 1072, 124)
+    floors = [L * 8 * float(single.tiny) + min(L * einsum, 2.0**124) for L in windows]
+    # Per cell, the factors to s - alpha*W and to s + alpha*W and the margin's
+    # absolute terms, the einsum's capped to stay finite.
+    terms = np.array([(1 - a, 2 * a, f) for a, f in zip(alphas, floors)], np.float32)
+    # To s - alpha*W and then s + alpha*W, by window end a; no window of
+    # length L ends before L, so those columns of down are +inf.
+    down, up = terms[:, :1] * scaled, terms[:, 1:2] * scaled
+    for j, L in enumerate(windows):
+        down[j, :L] = np.inf
+    # Rows are (cell, end) pairs, cell-major; each query is zero-padded to the widest window.
+    margins = (up[:, ends] + terms[:, 2:]).ravel()
+    queries = (screened[ends] * (-2 * tails).astype(np.float32)[:, None]).reshape(-1, widest)
+    row_ends = np.concatenate([ends] * len(cells))
+    lasts = row_ends - (n + base)  # each row's last candidate column
+    firsts = np.arange(0, len(queries) + count, count)  # each cell's first row, and the end
+    # Column c of a block is the candidate window ending at base + c, lag-major.
+    lagged = np.ascontiguousarray(screened[base : top - n + 1].T)
+    step = max(1, _BLOCK_FLOATS // lagged.shape[1])  # rows per block
+    span = max(1, _BLOCK_FLOATS // base)  # pairs per batch
+    kmax = max(kmaxes)
+    d2, starts = np.empty((len(queries), kmax)), np.empty((len(queries), kmax), np.intp)
+    pending, held, first = [], 0, 0  # the batch's kept pairs, their count, its first row
+    for start in range(0, len(queries), step):
+        stop = min(start + step, len(queries))
+        last = lasts[start:stop]
+        width = int(last.max()) + 1
+        screen = np.matmul(queries[start:stop], lagged[:, :width])  # -2*q.w
+        ragged = int(last.min()) + 1
+        np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
+        # The block's cells and their rows in it; column c of slab c // groups
+        # is in group c % groups.
+        spanned = range(start // count, (stop - 1) // count + 1)
+        owns = [
+            (j, slice(max(j * count, start) - start, min(j * count + count, stop) - start))
+            for j in spanned
+        ]
+        slabs = max(1, min(8, width // (16 * max(kmaxes[spanned.start : spanned.stop]))))
+        groups = -(-width // slabs)
+        upper = np.empty((stop - start, slabs * groups), np.float32)
+        for j, own in owns:  # cell j's rows of the block take its row of down and up
+            screen[own] += down[j, base : base + width]  # s - alpha*|w|**2
+            np.add(screen[own], up[j, base : base + width], out=upper[own, :width])
+        upper[:, width:] = np.inf
+        if slabs > 1:
+            upper = upper.reshape(len(upper), slabs, groups).min(axis=1)  # each group's minimum
+        upper.partition(sorted({kmaxes[j] - 1 for j in spanned}), axis=1)
+        bounds = margins[start:stop].copy()
+        for j, own in owns:  # each row's U, at its cell's kmax - 1, plus its margin
+            bounds[own] += upper[own, kmaxes[j] - 1]
+        keep = screen <= bounds[:, None]
+        rows, near = np.divmod(keep.ravel().nonzero()[0], width)
+        if start:  # the search's row numbers
+            rows += start
+        pending.append((rows, near))
+        held += len(rows)
+        if held < span and stop < len(queries):
+            continue
+        if len(pending) > 1:
+            rows, near = map(np.concatenate, zip(*pending))
+        # One exact distance pass per cell of the batch, over its slice of the pairs.
+        exact, near, query = np.empty(len(rows)), near + base, row_ends[rows]
+        spanned = range(first // count, (stop - 1) // count + 1)
+        cuts = np.searchsorted(rows, firsts[spanned.start : spanned.stop + 1]).tolist()
+        for j, lo, hi in zip(spanned, cuts, cuts[1:]):
+            exact[lo:hi] = _distances(ending[:, -windows[j] :], near[lo:hi], query[lo:hi])
+        chosen = _rank(rows - first, exact, stop - first, kmax)
+        d2[first:stop], starts[first:stop] = exact[chosen], near[chosen]
+        pending, held, first = [], 0, stop
+    return d2, ending[starts + n, -n:]
 
 
 def _windows(a: np.ndarray, width: int) -> np.ndarray:
@@ -352,6 +402,39 @@ def _windows(a: np.ndarray, width: int) -> np.ndarray:
     pay three times.
     """
     return np.ndarray((len(a) - width + 1, width), a.dtype, a, 0, a.strides * 2)
+
+
+def _rank(rows: np.ndarray, exact: np.ndarray, count: int, kmax: int) -> np.ndarray:
+    """Per row 0 .. count-1 of the pairs, the indices of its kmax least exact distances.
+
+    rows come sorted, and within a row the pairs come in candidate order;
+    every row holds at least one pair. Each row's distances fill one row of a
+    matrix padded with +inf, and one stable sort per row orders them, so equal
+    distances keep the earlier candidate first. Rows are sorted in chunks
+    whose matrix holds at most _BLOCK_FLOATS values (one row, if a row alone
+    holds more). Returns shape (count, kmax), nearest first; past a row's own
+    pairs, the indices are of other pairs.
+    """
+    kept = np.bincount(rows, minlength=count)
+    offsets = kept.cumsum() - kept  # each row's first pair
+    chosen = np.empty((count, kmax), np.intp)
+    lo = 0
+    while lo < count:
+        hi, wide = count, int(kept[lo:].max())  # a matrix as wide as its rows' most pairs
+        if (hi - lo) * wide > _BLOCK_FLOATS:  # the most rows from lo whose matrix fits
+            most = np.maximum.accumulate(kept[lo : lo + max(1, _BLOCK_FLOATS // kept[lo])])
+            sizes = most * np.arange(1, len(most) + 1)  # of the matrices of rows lo .. lo + i
+            hi = lo + max(1, int(np.count_nonzero(sizes <= _BLOCK_FLOATS)))
+            wide = int(most[hi - lo - 1])
+        pairs = slice(offsets[lo], offsets[hi - 1] + kept[hi - 1])
+        matrix = np.empty((hi - lo, max(wide, kmax)))
+        matrix.fill(np.inf)
+        # Row-major, the first kept[r] slots of row r take its pairs in order.
+        matrix[np.arange(matrix.shape[1]) < kept[lo:hi, None]] = exact[pairs]
+        order = np.argsort(matrix, axis=1, kind="stable")[:, :kmax]
+        np.minimum(order + offsets[lo:hi, None], pairs.stop - 1, out=chosen[lo:hi])
+        lo = hi
+    return chosen
 
 
 def _distances(windows: np.ndarray, candidates: np.ndarray, queries: np.ndarray):
@@ -419,9 +502,10 @@ def fpto_tune(
     One `_nearest` search screens the neighbors of every feasible p with a
     provably safe margin and ranks the survivors on exact einsum distances,
     so each p's neighbors are those of a refit at that p, bit for bit.
-    Each k is averaged once over every p that takes it, and one MAPE reduction
-    scores every cell; each row still sums the same values in the same order,
-    so the objectives are those of one cell at a time, bit for bit.
+    Each k is averaged once over every p that takes it, a leading slice of the
+    search's rows, and one MAPE reduction scores every cell; each row still
+    sums the same values in the same order, so the objectives are those of
+    one cell at a time, bit for bit.
     """
     weighting = Weighting(weighting)
     n = _positive_int("n", n)
@@ -448,16 +532,15 @@ def fpto_tune(
         raise GridInfeasibleError(skipped)
     # Only now are the ends known to be non-negative.
     actual = values[T - n * folds :].reshape(folds, n)[::-1]  # row i: fold i + 1
-    searched = _nearest(values, ends, n, [(p, feasible[-1]) for p, feasible in cells])
+    d2, continuations = _nearest(values, ends, n, [(p, feasible[-1]) for p, feasible in cells])
     # A larger p never takes more k, so the smallest p takes every k and the p
-    # that take the j-th k are a prefix of cells: one average per k serves them.
+    # that take the j-th k are a prefix of cells, whose rows lead the search's.
     keys, forecasts = [], []
     for j, k in enumerate(cells[0][1]):
-        group = [(p, found) for (p, feasible), found in zip(cells, searched) if len(feasible) > j]
-        d2 = np.concatenate([d[:, :k] for _, (d, _) in group])
-        continuations = np.concatenate([c[:, :k] for _, (_, c) in group])
-        forecasts.append(_neighbor_average(d2, continuations, k, weighting))
-        keys.extend((p, k) for p, _ in group)
+        group = [p for p, feasible in cells if len(feasible) > j]
+        rows = len(group) * folds
+        forecasts.append(_neighbor_average(d2[:rows], continuations[:rows], k, weighting))
+        keys.extend((p, k) for p in group)
     stacked = np.concatenate(forecasts).reshape(-1, folds, n)  # one (folds, n) per cell
     objectives = np.mean(_mape_rows(actual, stacked), axis=1)
     trace = sorted((p, k, float(o)) for (p, k), o in zip(keys, objectives))  # p-major, k-minor

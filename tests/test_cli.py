@@ -183,10 +183,11 @@ class TestExitCodes:
         assert errors["seasonal-naive(m=12)"] == "a width overflows; rescale the series"
         assert captured.err == ""
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_overflowing_overall_width_is_data_error(self, tmp_path, capsys, fmt):
         # One test step (i2 = 1) and n = 12 columns: each column's mean width
-        # is finite, but the overall mean over the columns overflows.
+        # is finite, but the overall mean over the columns overflows. JSON
+        # reports no overall width, yet fails as the other formats do.
         path = tmp_path / "huge.csv"
         path.write_text(series_to_csv(np.random.default_rng(5).random(60) * 0.8e308 + 1e300))
         code = main(["compare", "--input", str(path), "--n", "12", "--confidence", "0.5",

@@ -96,9 +96,16 @@ def reference_nearest(values, ends, window, n, kmax):
     return d2, continuations
 
 
+def nearest_per_cell(values, ends, n, cells):
+    """`_nearest`'s stacked rows split into one (d2, continuations) per cell."""
+    d2, continuations = wnn._nearest(values, ends, n, cells)
+    rows = [slice(j * len(ends), (j + 1) * len(ends)) for j in range(len(cells))]
+    return [(d2[r, :kmax], continuations[r, :kmax]) for r, (_, kmax) in zip(rows, cells)]
+
+
 def assert_same_nearest(values, ends, n, p, kmax):
     """`_nearest` at one (p, kmax) gives the reference's neighbors, with ==."""
-    [got] = wnn._nearest(values, ends, n, [(p, kmax)])
+    got = wnn._nearest(values, ends, n, [(p, kmax)])
     want = reference_nearest(values, ends, n * p, n, kmax)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     return want
@@ -481,7 +488,7 @@ class TestBatchedSearchIsBitIdentical:
         ends = np.arange(2400, 3001)
         rows_per_block = wnn._BLOCK_FLOATS // (ends[-1] - window - n + 1)
         assert len(ends) > 2 * rows_per_block and len(ends) % rows_per_block
-        [got] = wnn._nearest(values, ends, n, [(window, kmax)])
+        got = wnn._nearest(values, ends, n, [(window, kmax)])
         want = reference_nearest(values, ends, window, n, kmax)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         spec = ForecasterSpec.wnn(HorizonConfig(n=n, p=window, k=kmax), weighting)
@@ -689,7 +696,7 @@ class TestScreenedSearchIsBitIdentical:
         n, window, kmax = 1, 12, 3
         ends = np.arange(2980, 3001)
         queries = recorded_distances(monkeypatch)
-        [got] = wnn._nearest(values, ends, n, [(window, kmax)])
+        got = wnn._nearest(values, ends, n, [(window, kmax)])
         assert max(map(len, queries)) > 2 * wnn._BLOCK_FLOATS // window
         want = reference_nearest(values, ends, window, n, kmax)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -803,10 +810,96 @@ class TestBatchedRanking:
         values = np.round(np.random.default_rng(49).normal(10.0, 1.0, 900), 1)
         ends = np.random.default_rng(50).choice(np.arange(300, 901), 250, replace=False)
         n, cells = 2, [(1, 9), (3, 6), (5, 6), (12, 2)]
-        found = wnn._nearest(values, ends, n, cells)
+        found = nearest_per_cell(values, ends, n, cells)
         for (p, kmax), got in zip(cells, found):
             want = reference_nearest(values, ends, n * p, n, kmax)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def recorded_ranks(monkeypatch):
+    """The pairs each row of a batch holds, one array per `_rank` call (one batch)."""
+    kept = []
+    rank = wnn._rank
+
+    def recorded(rows, exact, count, kmax):
+        kept.append(np.bincount(rows, minlength=count))
+        return rank(rows, exact, count, kmax)
+
+    monkeypatch.setattr(wnn, "_rank", recorded)
+    return kept
+
+
+class TestCellMajorRows:
+    """One search screens and ranks the (cell, end) rows of every cell together;
+    against the one-query-at-a-time reference, with ==."""
+
+    def test_a_block_splits_a_cell_and_holds_rows_of_three_cells(self, monkeypatch):
+        # Four cells of 5 unsorted ends are 20 rows, each screening the 199
+        # candidate ends 1 .. 199. At 1,592 floats a block holds 8 rows, so
+        # rows 8 .. 15 are the last 2 of cell 1, all of cell 2 and the first
+        # of cell 3; each cell's kmax differs, so a block partitions at several.
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 1592)
+        values = np.round(np.random.default_rng(51).normal(10.0, 1.0, 200), 1)
+        ends = np.array([200, 161, 199, 150, 187])
+        n, cells = 1, [(1, 7), (2, 3), (3, 5), (4, 1)]
+        assert 1592 // (200 - n - 1 + 1) == 8
+        for (p, kmax), got in zip(cells, nearest_per_cell(values, ends, n, cells)):
+            want = reference_nearest(values, ends, n * p, n, kmax)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_tuner_cells_of_different_kmax(self, monkeypatch, weighting):
+        # Shortest fold 60 - 10 = 50: p = 1 and 4 take every k, p = 8 and 12
+        # skip k = 45, so their kmax is 30. The 40 rows screen the 58
+        # candidate ends 1 .. 58; at 900 floats a block holds 15 rows, and the
+        # second block holds rows of p = 4 (kmax 45) and p = 8 (kmax 30).
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 900)
+        values = _bit_test_series("rounded", 61)[:60]
+        n, folds, p_grid, k_grid = 1, 10, [1, 4, 8, 12], [1, 3, 20, 30, 45]
+        assert 900 // (59 - n - 1 + 1) == 15
+        result = fpto_tune(TimeSeries(values, 4), n, folds, p_grid, k_grid, weighting)
+        assert list(result.trace) == reference_trace(values, n, folds, p_grid, k_grid, weighting)
+        assert [(p, k) for p, k, _ in result.skipped] == [(8, 45), (12, 45)]
+
+    def test_candidates_are_copied_once_per_search(self, monkeypatch):
+        # At 96 floats a block holds one row, so the 10 rows of the two cells
+        # screen in 10 blocks, and every block reads the one lag-major float32
+        # copy of the 299 candidate windows (ends 1 .. 299) of the widest cell.
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 96)
+        copies = []
+        contiguous = np.ascontiguousarray
+
+        def recorded(a):
+            if a.dtype == np.float32:
+                copies.append(a.shape)
+            return contiguous(a)
+
+        monkeypatch.setattr(np, "ascontiguousarray", recorded)
+        values = np.round(np.random.default_rng(53).normal(10.0, 1.0, 300), 1)
+        ends = np.array([300, 240, 299, 120, 64])
+        n, cells = 1, [(1, 4), (12, 3)]
+        found = nearest_per_cell(values, ends, n, cells)
+        monkeypatch.undo()
+        assert copies == [(12, 299)]
+        for (p, kmax), got in zip(cells, found):
+            want = reference_nearest(values, ends, n * p, n, kmax)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["rising", "falling"])
+    def test_level_shift_in_one_batch(self, monkeypatch, order):
+        # The level shifts by 1e8 at t = 450 among the queries, so the rows
+        # before it keep about 450 pairs and those after it about 5. At 4,000
+        # floats one batch holds rows of both kinds, and its padded matrix,
+        # as wide as its most kept pairs, would not fit: the sort splits it
+        # into chunks of rows.
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 4000)
+        values = np.random.default_rng(52).normal(size=600)
+        values[450:] += 1e8
+        ends = np.arange(383, 601)[::order]
+        kept = recorded_ranks(monkeypatch)
+        assert_same_nearest(values, ends, 1, 4, 5)
+        mixed = [rows for rows in kept if rows.min() <= 7 and rows.max() > 400]
+        assert mixed and all(len(rows) * rows.max() > 4000 for rows in mixed)
 
 
 def selective_series(kind):
@@ -822,6 +915,16 @@ def selective_series(kind):
     else:  # the level shifts by 1e8 at t = 1000, or at t = 1500 among the queries
         values[1000 if kind == "level_shift" else 1500 :] += 1e8
     return values
+
+
+# The first round of the sim_study workload: (ETS parameters, length, seed).
+TUNER_ROUND = [
+    (etssim.ana_params(0.5, 0.2), 300, 100_000),
+    (etssim.ana_params(0.8, 0.4), 400, 100_001),
+    (etssim.aada_params(0.7, 0.3, 0.2, 0.82), 300, 100_002),
+    (etssim.aada_params(0.8, 0.2, 0.1, 0.9), 400, 100_003),
+]
+TUNER_IDS = ["ana-300", "ana-400", "aada-300", "aada-400"]
 
 
 class TestScreenSelectivity:
@@ -857,16 +960,7 @@ class TestScreenSelectivity:
         kept = self.kept_per_row(monkeypatch, selective_series("shift_among_queries"), ends, kmax)
         assert kept[ends >= 1500 + 12].mean() <= 2 * kmax
 
-    @pytest.mark.parametrize(
-        "params, T, seed",
-        [
-            (etssim.ana_params(0.5, 0.2), 300, 100_000),
-            (etssim.ana_params(0.8, 0.4), 400, 100_001),
-            (etssim.aada_params(0.7, 0.3, 0.2, 0.82), 300, 100_002),
-            (etssim.aada_params(0.8, 0.2, 0.1, 0.9), 400, 100_003),
-        ],
-        ids=["ana-300", "ana-400", "aada-300", "aada-400"],
-    )
+    @pytest.mark.parametrize("params, T, seed", TUNER_ROUND, ids=TUNER_IDS)
     def test_tuner_rows_keep_the_exact_bound(self, monkeypatch, params, T, seed):
         # The sim_study tune (the first round at seed 1): n = 3 on the
         # training block, the default grid, so every p searches its fold rows
@@ -884,6 +978,18 @@ class TestScreenSelectivity:
         assert sum(map(len, queries)) <= 1.25 * kmax * len(grid) * folds
         want = reference_trace(values, n, folds, grid, grid, Weighting.INVERSE_DISTANCE)
         assert list(result.trace) == want
+
+    @pytest.mark.parametrize("params, T, seed", TUNER_ROUND, ids=TUNER_IDS)
+    def test_tuner_ranks_in_at_most_three_batches(self, monkeypatch, params, T, seed):
+        # The sim_study tune searches the 12 cells of the default grid
+        # together: its kept pairs are ranked in a few batches, not once per cell.
+        n = 3
+        split = split_sizes(T, n, 0.05)
+        series = etssim.simulate_ets(params, T, seed)
+        kept = recorded_ranks(monkeypatch)
+        result = fpto_tune(TimeSeries(series.values[: T - n * split.i2], series.period), n, split.i1)
+        assert len(result.trace) == len(wnn.DEFAULT_GRID) ** 2
+        assert 1 <= len(kept) <= 3
 
 
 def _openblas_with_dynamic_arch():
@@ -912,8 +1018,8 @@ searches = [
 ]
 digest = hashlib.sha256()
 for values, ends, n, cells in searches:
-    for d2, continuations in wnn._nearest(values, ends, n, cells):
-        digest.update(d2.tobytes() + continuations.tobytes())
+    d2, continuations = wnn._nearest(values, ends, n, cells)
+    digest.update(d2.tobytes() + continuations.tobytes())
 print(digest.hexdigest())
 """
 
