@@ -52,11 +52,14 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
 
     column is a header name, or a digit string giving a 0-based column index.
     """
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, newline="", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, newline="", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     # a spreadsheet export may start with a UTF-8 byte-order mark
     rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     if not rows:
@@ -500,7 +503,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             Path(args.output_path).write_text(text, encoding="utf-8")
         return EXIT_OK
-    except (FileNotFoundError, DataError) as exc:
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:

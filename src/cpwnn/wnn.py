@@ -11,8 +11,8 @@ everything before the last i*n observations and scores the n observations
 that follow. One neighbor search, `_nearest`, serves the tuner and every
 refit. Its rows are the (cell, end) pairs of every (p, max(k)) cell asked
 for, cell-major, and all of them share one candidate axis, the end of a
-candidate window. One matrix product per block of rows, of the queries
-zero-padded to the widest window and the candidate windows, centered on the
+candidate window. One matrix product per block of rows of one cell, of the
+queries and the candidate windows over that cell's window, centered on the
 queries' median level and scaled by a power of two, screens out every
 candidate that cannot be among a query's max(k) nearest, with a margin per
 pair that bounds the product's rounding error for any summation order
@@ -25,9 +25,9 @@ search. A larger p never takes more k, so the p that take a k are a prefix
 of the grid, whose rows lead the search's: one `_neighbor_average` per k
 averages a leading slice of them, and one MAPE reduction scores every cell.
 A refit asks for its one (p, k) and runs the same code. The search screens
-blocks of rows of a fixed bound in size, whatever their cells, and ranks the
-kept pairs of all cells together, in batches of at least one distance chunk,
-so at most about two blocks' worth wait at once. The cell
+each cell's rows in blocks of a fixed bound in size and ranks the kept pairs
+of every cell together, in batches of at least one distance chunk that may
+span cells, so at most about two blocks' worth wait at once. The cell
 minimising the mean fold MAPE wins; exact ties go to the first minimum in
 p-major, k-minor order (smaller p, then smaller k), so results are
 deterministic. The search raises DataError where a window's squared norm about
@@ -65,12 +65,12 @@ _WEIGHT_EPS = 1e-8
 # beside the screen holds up to slabs - 1 (at most 7) more columns a row, and
 # the kept pairs waiting to be ranked are fewer than
 # _BLOCK_FLOATS // (the shortest window) plus one block's. Besides these, the
-# search holds, for its whole length: the float64 norms and their float32
-# screen terms, three arrays of one value per cell and window end; one
-# float32 query per row, as wide as the widest window; and one lag-major
-# float32 copy of every candidate window, as wide as the widest window, so
-# about 4*T*n*max(p) bytes (235 KB for a scoring_long n=6 search, 115 MB
-# for T=1e5 and n*p=288).
+# search holds, for its whole length: per cell and window end, the float64
+# norms and their float32 scaled copy; per window end, the screen terms of
+# the cell being screened; one float32 query per end, as wide as the widest
+# window; and one lag-major float32 copy of every candidate window, as wide
+# as the widest window, so about 4*T*n*max(p) bytes (235 KB for a
+# scoring_long n=6 search, 115 MB for T=1e5 and n*p=288).
 _BLOCK_FLOATS = 1 << 15
 
 # The p and k grids that tuning searches unless told otherwise, in the CLI too.
@@ -198,18 +198,16 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     nearest first, K being the largest kmax; only the first kmax columns of a
     cell's rows are its neighbors.
 
-    One matrix product per block of rows screens the candidates. Every row
-    shares one candidate axis, the end a of a candidate window: column i of a
-    block is the window ending at base + i, base being the shortest window
-    n*p. A row of window L = n*p zero-pads its query to the widest window, so
-    its product sums the L products of its own window and zeros, which add
-    exactly: its rounding is that of a sum of L products in some order, and
-    the margin below, which takes L, Q and W from the row's cell, holds as
-    written. Columns a < L are +inf for such a row: no window of length L
-    ends there. Every value is centered on c, a median of the queries' last
-    values, and scaled by 2**shift, a power of two that puts every scaled
-    |w|**2 below 2**120 (`np.ldexp`, exact but for underflow). A query q and
-    a candidate window w of these values give the screen value
+    One matrix product per block of rows screens the candidates, and a block
+    holds rows of one cell, of window L = n*p. Every cell shares one candidate
+    axis, the end a of a candidate window: column i of a block is the window
+    ending at base + i, base being the shortest window of the search. The
+    product reads the last L lags of the queries and of the candidate
+    windows, and columns a < L are +inf: no window of length L ends there.
+    Every value is centered on c, a median of the queries' last values, and
+    scaled by 2**shift, a power of two that puts every scaled |w|**2 below
+    2**120 (`np.ldexp`, exact but for underflow). A query q and a candidate
+    window w of these values give the screen value
     s = |w|**2 - 2*q.w, which is d - |q|**2 in scaled units and so ranks a
     row's candidates as their squared distance d does. The screen runs in
     float32 on float32 copies; `norms`, the float64 sums |w|**2, and the
@@ -258,8 +256,8 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
 
     U is the kmax-th smallest of the row's group minima, with kmax the row's
     cell's, which spares a partition of every candidate. A block is width
-    columns wide, to its longest row's last candidate, and with kmax the
-    largest of its rows' folds into slabs = max(1, min(8, width // (16*kmax)))
+    columns wide, to its longest row's last candidate, and with its cell's
+    kmax folds into slabs = max(1, min(8, width // (16*kmax)))
     slabs of groups = ceil(width / slabs) columns: column c lies in group
     c mod groups, and the padding past width is +inf. Each group minimum is
     one candidate's own s + alpha*W, exactly, so the kmax smallest are those
@@ -273,19 +271,16 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     keeps one group per column, so U is each row's exact kmax-th smallest;
     wider blocks trade a few more kept pairs for a partition 1/slabs as wide.
 
-    Rows are screened in blocks holding at most _BLOCK_FLOATS screen values
-    (one row, if a row alone holds more), which may split a cell's rows and
-    hold rows of several cells. The rows of one cell in a block take the
-    cell's (1 - alpha)*W and 2*alpha*W by broadcasting, and its margin and
-    kmax are theirs; one partition at the block's distinct kmax - 1 serves
-    every row, and each row reads its U at its own kmax - 1. The candidate
-    windows are copied lag-major once per search, for every block's product.
-    Columns past a row's last candidate are +inf, so they never lower its U
-    and never pass.
+    Each cell's rows are screened in blocks holding at most _BLOCK_FLOATS
+    screen values (one row, if a row alone holds more). A cell's
+    (1 - alpha)*W and 2*alpha*W, by candidate, and its rows' margins are made
+    once, for all its blocks. The candidate windows are copied lag-major once
+    per search, for every block's product. Columns past a row's last
+    candidate are +inf, so they never lower its U and never pass.
     A block only screens: its kept (row, candidate) pairs, numbered by the
-    search's rows, wait in a batch, which is ranked once it holds at least
-    one distance chunk of the shortest window, _BLOCK_FLOATS // base pairs,
-    or once the last block is screened.
+    search's rows, wait in a batch, which may span cells and is ranked once
+    it holds at least one distance chunk of the shortest window,
+    _BLOCK_FLOATS // base pairs, or once the last block is screened.
     The rows come cell-major, so each cell's pairs are one slice of the
     batch: ranking is one `_distances` per cell over its slice, which gives
     the einsum distances of a one-cell search bit for bit, and one `_rank`,
@@ -295,7 +290,6 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     a window's continuation depends only on where it ends.
     """
     windows = [n * p for p, _ in cells]
-    kmaxes = [kmax for _, kmax in cells]
     widest, top, count = windows[-1], int(ends.max()), len(ends)
     base = windows[0]  # the end of the earliest candidate window of any cell
     center = np.partition(values[ends - 1], count // 2)[count // 2]  # a median
@@ -321,76 +315,60 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     screened = _windows(np.ldexp(padded, shift).astype(np.float32), widest)
     scaled = np.ldexp(norms, 2 * shift).astype(np.float32)
     single = np.finfo(np.float32)
-    alphas = [4 * (L + 3) * float(single.eps) for L in windows]
     einsum = 2.0 ** min(2 * shift - 1072, 124)
-    floors = [L * 8 * float(single.tiny) + min(L * einsum, 2.0**124) for L in windows]
-    # Per cell, the factors to s - alpha*W and to s + alpha*W and the margin's
-    # absolute terms, the einsum's capped to stay finite.
-    terms = np.array([(1 - a, 2 * a, f) for a, f in zip(alphas, floors)], np.float32)
-    # To s - alpha*W and then s + alpha*W, by window end a; no window of
-    # length L ends before L, so those columns of down are +inf.
-    down, up = terms[:, :1] * scaled, terms[:, 1:2] * scaled
-    for j, L in enumerate(windows):
-        down[j, :L] = np.inf
-    # Rows are (cell, end) pairs, cell-major; each query is zero-padded to the widest window.
-    margins = (up[:, ends] + terms[:, 2:]).ravel()
-    queries = (screened[ends] * (-2 * tails).astype(np.float32)[:, None]).reshape(-1, widest)
-    row_ends = np.concatenate([ends] * len(cells))
-    lasts = row_ends - (n + base)  # each row's last candidate column
-    firsts = np.arange(0, len(queries) + count, count)  # each cell's first row, and the end
+    queries = -2 * screened[ends]  # -2*q, exactly; a cell's product reads its last L lags
+    lasts = ends - (n + base)  # each end's last candidate column
     # Column c of a block is the candidate window ending at base + c, lag-major.
     lagged = np.ascontiguousarray(screened[base : top - n + 1].T)
     step = max(1, _BLOCK_FLOATS // lagged.shape[1])  # rows per block
     span = max(1, _BLOCK_FLOATS // base)  # pairs per batch
-    kmax = max(kmaxes)
-    d2, starts = np.empty((len(queries), kmax)), np.empty((len(queries), kmax), np.intp)
+    row_ends = np.concatenate([ends] * len(cells))
+    firsts = np.arange(0, len(row_ends) + count, count)  # each cell's first row, and the end
+    K = max(kmax for _, kmax in cells)
+    d2, starts = np.empty((len(row_ends), K)), np.empty((len(row_ends), K), np.intp)
     pending, held, first = [], 0, 0  # the batch's kept pairs, their count, its first row
-    for start in range(0, len(queries), step):
-        stop = min(start + step, len(queries))
-        last = lasts[start:stop]
-        width = int(last.max()) + 1
-        screen = np.matmul(queries[start:stop], lagged[:, :width])  # -2*q.w
-        ragged = int(last.min()) + 1
-        np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
-        # The block's cells and their rows in it; column c of slab c // groups
-        # is in group c % groups.
-        spanned = range(start // count, (stop - 1) // count + 1)
-        owns = [
-            (j, slice(max(j * count, start) - start, min(j * count + count, stop) - start))
-            for j in spanned
-        ]
-        slabs = max(1, min(8, width // (16 * max(kmaxes[spanned.start : spanned.stop]))))
-        groups = -(-width // slabs)
-        upper = np.empty((stop - start, slabs * groups), np.float32)
-        for j, own in owns:  # cell j's rows of the block take its row of down and up
-            screen[own] += down[j, base : base + width]  # s - alpha*|w|**2
-            np.add(screen[own], up[j, base : base + width], out=upper[own, :width])
-        upper[:, width:] = np.inf
-        if slabs > 1:
-            upper = upper.reshape(len(upper), slabs, groups).min(axis=1)  # each group's minimum
-        upper.partition(sorted({kmaxes[j] - 1 for j in spanned}), axis=1)
-        bounds = margins[start:stop].copy()
-        for j, own in owns:  # each row's U, at its cell's kmax - 1, plus its margin
-            bounds[own] += upper[own, kmaxes[j] - 1]
-        keep = screen <= bounds[:, None]
-        rows, near = np.divmod(keep.ravel().nonzero()[0], width)
-        if start:  # the search's row numbers
-            rows += start
-        pending.append((rows, near))
-        held += len(rows)
-        if held < span and stop < len(queries):
-            continue
-        if len(pending) > 1:
+    for j, (L, (_, kmax)) in enumerate(zip(windows, cells)):
+        alpha = 4 * (L + 3) * float(single.eps)
+        # The margin's absolute terms, the einsum's capped to stay finite.
+        floor = L * 8 * float(single.tiny) + min(L * einsum, 2.0**124)
+        # To s - alpha*W and then s + alpha*W, by candidate column, in float32;
+        # no window of length L ends before L, so those columns of down are +inf.
+        down, up = (1 - alpha) * scaled[j, base:], 2 * alpha * scaled[j, base:]
+        down[: L - base] = np.inf
+        margins = up[ends - base] + floor
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            last = lasts[start:stop]
+            width = int(last.max()) + 1
+            screen = np.matmul(queries[start:stop, -L:], lagged[-L:, :width])  # -2*q.w
+            ragged = int(last.min()) + 1
+            np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
+            screen += down[:width]  # s - alpha*|w|**2
+            # Column c of slab c // groups is in group c % groups.
+            slabs = max(1, min(8, width // (16 * kmax)))
+            groups = -(-width // slabs)
+            upper = np.empty((stop - start, slabs * groups), np.float32)
+            np.add(screen, up[:width], out=upper[:, :width])
+            upper[:, width:] = np.inf
+            if slabs > 1:
+                upper = upper.reshape(len(upper), slabs, groups).min(axis=1)  # each group's minimum
+            upper.partition(kmax - 1, axis=1)
+            keep = screen <= (upper[:, kmax - 1] + margins[start:stop])[:, None]
+            rows, near = np.divmod(keep.ravel().nonzero()[0], width)
+            pending.append((rows + j * count + start, near))  # the search's row numbers
+            held += len(rows)
+            done = j * count + stop  # the search's rows screened so far
+            if held < span and done < len(row_ends):
+                continue
             rows, near = map(np.concatenate, zip(*pending))
-        # One exact distance pass per cell of the batch, over its slice of the pairs.
-        exact, near, query = np.empty(len(rows)), near + base, row_ends[rows]
-        spanned = range(first // count, (stop - 1) // count + 1)
-        cuts = np.searchsorted(rows, firsts[spanned.start : spanned.stop + 1]).tolist()
-        for j, lo, hi in zip(spanned, cuts, cuts[1:]):
-            exact[lo:hi] = _distances(ending[:, -windows[j] :], near[lo:hi], query[lo:hi])
-        chosen = _rank(rows - first, exact, stop - first, kmax)
-        d2[first:stop], starts[first:stop] = exact[chosen], near[chosen]
-        pending, held, first = [], 0, stop
+            # One exact distance pass per cell of the batch, over its slice of the pairs.
+            exact, near, query = np.empty(len(rows)), near + base, row_ends[rows]
+            cuts = np.searchsorted(rows, firsts[first // count : j + 2]).tolist()
+            for window, lo, hi in zip(windows[first // count : j + 1], cuts, cuts[1:]):
+                exact[lo:hi] = _distances(ending[:, -window:], near[lo:hi], query[lo:hi])
+            chosen = _rank(rows - first, exact, done - first, K)
+            d2[first:done], starts[first:done] = exact[chosen], near[chosen]
+            pending, held, first = [], 0, done
     return d2, ending[starts + n, -n:]
 
 

@@ -91,9 +91,20 @@ class TestLoadCsv:
 
 
 class TestExitCodes:
-    def test_missing_file_is_data_error(self, capsys):
-        assert main(["check", "--input", "/nonexistent.csv", "--p", "2", "--k", "2"]) == 3
-        assert "error:" in capsys.readouterr().err
+    def test_missing_file_is_data_error(self, tmp_path, capsys):
+        # A missing file, a directory read or written as a file, and a byte
+        # that is not UTF-8: each one error line, no traceback.
+        undecodable = tmp_path / "bytes.csv"
+        undecodable.write_bytes(b"t,value\n1,\xff\n")
+        for argv in (
+            ["check", "--input", "/nonexistent.csv", "--p", "2", "--k", "2"],
+            ["tune", "--input", str(tmp_path)],
+            ["simulate", "--model", "ana", "--length", "5", "--output", str(tmp_path)],
+            ["tune", "--input", str(undecodable)],
+        ):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -833,26 +834,31 @@ class TestCellMajorRows:
     """One search screens and ranks the (cell, end) rows of every cell together;
     against the one-query-at-a-time reference, with ==."""
 
-    def test_a_block_splits_a_cell_and_holds_rows_of_three_cells(self, monkeypatch):
-        # Four cells of 5 unsorted ends are 20 rows, each screening the 199
+    def test_blocks_split_each_cell_and_one_batch_ranks_four_cells(self, monkeypatch):
+        # Four cells of 12 unsorted ends are 48 rows, each screening the 199
         # candidate ends 1 .. 199. At 1,592 floats a block holds 8 rows, so
-        # rows 8 .. 15 are the last 2 of cell 1, all of cell 2 and the first
-        # of cell 3; each cell's kmax differs, so a block partitions at several.
+        # each cell screens in two blocks, of 8 rows and of 4; the kept pairs
+        # of all four cells, each of its own kmax, fall short of one distance
+        # chunk of 1,592 pairs, so one batch ranks every row.
         monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 1592)
         values = np.round(np.random.default_rng(51).normal(10.0, 1.0, 200), 1)
-        ends = np.array([200, 161, 199, 150, 187])
+        ends = np.array([200, 161, 199, 150, 187, 20, 120, 175, 9, 198, 64, 143])
         n, cells = 1, [(1, 7), (2, 3), (3, 5), (4, 1)]
         assert 1592 // (200 - n - 1 + 1) == 8
+        kept = recorded_ranks(monkeypatch)
         for (p, kmax), got in zip(cells, nearest_per_cell(values, ends, n, cells)):
             want = reference_nearest(values, ends, n * p, n, kmax)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert len(kept) == 1 and len(kept[0]) == 48
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     def test_tuner_cells_of_different_kmax(self, monkeypatch, weighting):
         # Shortest fold 60 - 10 = 50: p = 1 and 4 take every k, p = 8 and 12
         # skip k = 45, so their kmax is 30. The 40 rows screen the 58
-        # candidate ends 1 .. 58; at 900 floats a block holds 15 rows, and the
-        # second block holds rows of p = 4 (kmax 45) and p = 8 (kmax 30).
+        # candidate ends 1 .. 58; at 900 floats a block holds 15 rows, so each
+        # cell's 10 fold rows screen in one block at its own kmax, and a batch
+        # of at least 900 pairs ranks the rows of two cells: p = 1 and 4,
+        # then p = 8 and 12.
         monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 900)
         values = _bit_test_series("rounded", 61)[:60]
         n, folds, p_grid, k_grid = 1, 10, [1, 4, 8, 12], [1, 3, 20, 30, 45]
@@ -884,6 +890,29 @@ class TestCellMajorRows:
         for (p, kmax), got in zip(cells, found):
             want = reference_nearest(values, ends, n * p, n, kmax)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_tuner_products_read_each_cells_own_window(self, monkeypatch):
+        # The sim_study tune of the first round: n = 3 on the training block
+        # and the default grid. Each cell's fold rows fit one block, and its
+        # float32 screen product sums the cell's own n*p lags, 3 at p = 1 up
+        # to 36 at p = 12, not the widest window's 36 at every p.
+        params, T, seed = TUNER_ROUND[0]
+        n = 3
+        split = split_sizes(T, n, 0.05)
+        series = etssim.simulate_ets(params, T, seed)
+        inner = []
+        matmul = np.matmul
+
+        def recorded(a, b, **kwargs):
+            if a.dtype == np.float32:
+                inner.append((a.shape[-1], b.shape[0]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        result = fpto_tune(TimeSeries(series.values[: T - n * split.i2], series.period), n, split.i1)
+        monkeypatch.undo()
+        assert len(result.trace) == len(wnn.DEFAULT_GRID) ** 2
+        assert inner == [(n * p, n * p) for p in wnn.DEFAULT_GRID]
 
     @pytest.mark.parametrize("order", [1, -1], ids=["rising", "falling"])
     def test_level_shift_in_one_batch(self, monkeypatch, order):
@@ -990,6 +1019,46 @@ class TestScreenSelectivity:
         result = fpto_tune(TimeSeries(series.values[: T - n * split.i2], series.period), n, split.i1)
         assert len(result.trace) == len(wnn.DEFAULT_GRID) ** 2
         assert 1 <= len(kept) <= 3
+
+
+@st.composite
+def searches(draw):
+    """A `_nearest` call and the block bound to run it at: 1-4 cells of
+    differing kmax, sorted or shuffled ends, on a rounded, spiked or shifted series."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    ps = draw(st.lists(st.integers(1, 12), min_size=count, max_size=count, unique=True))
+    kmaxes = draw(st.lists(st.integers(1, 9), min_size=count, max_size=count, unique=True))
+    cells = sorted(zip(ps, kmaxes))
+    need = max(wnn._min_history(n, p, kmax) for p, kmax in cells)
+    T = draw(st.integers(need, need + 250))
+    ends = draw(st.lists(st.integers(need, T), min_size=1, max_size=40))
+    ends = np.array(sorted(ends) if draw(st.booleans()) else ends)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["rounded", "spiked", "shifted"]))
+    if kind == "rounded":  # ties at the kth distance
+        values = np.round(rng.normal(10.0, 1.0, T))
+    else:
+        values = rng.normal(size=T)
+        if kind == "spiked":
+            values[rng.integers(0, T, 3)] += 1e8
+        else:
+            values[draw(st.integers(0, T - 1)) :] += 1e8
+    block_floats = draw(st.sampled_from([60, 600, 4000, wnn._BLOCK_FLOATS]))
+    return values, ends, n, cells, block_floats
+
+
+# Function-scoped fixtures such as monkeypatch do not reset between the
+# examples of one @given test, so the block bound is patched per example.
+@settings(max_examples=200, deadline=None)
+@given(searches())
+def test_random_searches_match_the_reference(search):
+    values, ends, n, cells, block_floats = search
+    with mock.patch.object(wnn, "_BLOCK_FLOATS", block_floats):
+        found = nearest_per_cell(values, ends, n, cells)
+    for (p, kmax), got in zip(cells, found):
+        want = reference_nearest(values, ends, n * p, n, kmax)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _openblas_with_dynamic_arch():
