@@ -67,7 +67,7 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
     header = [cell.strip() for cell in rows[0]]
     if column in header:
         index = header.index(column)
-    elif isinstance(column, str) and column.isdigit() and int(column) < len(header):
+    elif isinstance(column, str) and column.isdecimal() and int(column) < len(header):
         index = int(column)
     else:
         raise ColumnNotFoundError(column, header)

@@ -8,31 +8,21 @@ the earlier window first, and k=1 returns the nearest continuation bit-exactly.
 
 Tuning evaluates a (p, k) grid by rolling-origin validation: fold i trains on
 everything before the last i*n observations and scores the n observations
-that follow. One neighbor search, `_nearest`, serves the tuner and every
-refit. Its rows are the (cell, end) pairs of every (p, max(k)) cell asked
-for, cell-major, and all of them share one candidate axis, the end of a
-candidate window. One matrix product per block of rows of one cell, of the
-queries and the candidate windows over that cell's window, centered on the
-queries' median level and scaled by a power of two, screens out every
-candidate that cannot be among a query's max(k) nearest, with a margin per
-pair that bounds the product's rounding error for any summation order
-(`_nearest` derives it). A row of many candidates takes its bound from the
-minima of groups of them, not from a partition of every candidate. The
-screen runs in float32; the kept candidates are ranked on exact float64
-einsum distances, so the neighbors are the same bits as a full sort of every
-candidate's einsum distance. The tuner asks for every p of the grid in one
-search. A larger p never takes more k, so the p that take a k are a prefix
-of the grid, whose rows lead the search's: one `_neighbor_average` per k
-averages a leading slice of them, and one MAPE reduction scores every cell.
-A refit asks for its one (p, k) and runs the same code. The search screens
-each cell's rows in blocks of a fixed bound in size and ranks the kept pairs
-of every cell together, in batches of at least one distance chunk that may
-span cells, so at most about two blocks' worth wait at once. The cell
-minimising the mean fold MAPE wins; exact ties go to the first minimum in
-p-major, k-minor order (smaller p, then smaller k), so results are
-deterministic. The search raises DataError where a window's squared norm about
-the center tops a sixteenth of the largest float, and uniform weighting where
-the sum of its k continuations overflows.
+that follow. One neighbor search, `_nearest`, serves the tuner, every p of the
+grid in one call, and every refit; its docstring has the mechanics and the
+proof. Its neighbors are those of a full stable sort of every candidate's
+float64 einsum distance, whatever the BLAS kernel, so the tuner's trace is
+the same bits as refitting one cell at a time. It raises DataError where a
+window's squared norm about the queries' median level tops a sixteenth of
+the largest float; `_BLOCK_FLOATS` states its memory bound. Its float32
+screen stops being selective, and the search slows, on a high-amplitude
+sinusoid with little noise and on the far side of a level shift among the
+queries. A larger p never takes more k, so one `_neighbor_average` per k
+averages the rows of every p that takes it, and one MAPE reduction scores
+every cell. The cell minimising the mean fold MAPE wins; exact ties go to the
+first minimum in p-major, k-minor order (smaller p, then smaller k), so
+results are deterministic. Uniform weighting raises DataError where the sum
+of a row's k continuations overflows.
 
 Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
 made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
@@ -68,9 +58,12 @@ _WEIGHT_EPS = 1e-8
 # search holds, for its whole length: per cell and window end, the float64
 # norms and their float32 scaled copy; per window end, the screen terms of
 # the cell being screened; one float32 query per end, as wide as the widest
-# window; and one lag-major float32 copy of every candidate window, as wide
-# as the widest window, so about 4*T*n*max(p) bytes (235 KB for a
-# scoring_long n=6 search, 115 MB for T=1e5 and n*p=288).
+# window; one lag-major float32 copy of every candidate window, as wide as
+# the widest window, so about 4*T*n*max(p) bytes (235 KB for a scoring_long
+# n=6 search, 115 MB for T=1e5 and n*p=288); and every row block's mask of
+# the columns past each row's last candidate. Together the masks hold one
+# bool per row for the spread of its block's last candidates: at most
+# _BLOCK_FLOATS for sorted ends, at most one per (end, candidate) for any.
 _BLOCK_FLOATS = 1 << 15
 
 # The p and k grids that tuning searches unless told otherwise, in the CLI too.
@@ -272,11 +265,15 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     wider blocks trade a few more kept pairs for a partition 1/slabs as wide.
 
     Each cell's rows are screened in blocks holding at most _BLOCK_FLOATS
-    screen values (one row, if a row alone holds more). A cell's
-    (1 - alpha)*W and 2*alpha*W, by candidate, and its rows' margins are made
-    once, for all its blocks. The candidate windows are copied lag-major once
-    per search, for every block's product. Columns past a row's last
-    candidate are +inf, so they never lower its U and never pass.
+    screen values (one row, if a row alone holds more). Every cell splits
+    its rows alike, since the rows per block depend only on the candidate
+    count, so the row blocks are made once per search: each block's rows,
+    its width, its ragged bound (the columns before it are candidates of
+    every row) and its mask of the columns past each row's last candidate.
+    A cell's (1 - alpha)*W and 2*alpha*W, by candidate, and its rows' margins
+    are made once, for all its blocks. The candidate windows are copied
+    lag-major once per search, for every block's product. Columns past a
+    row's last candidate are +inf, so they never lower its U and never pass.
     A block only screens: its kept (row, candidate) pairs, numbered by the
     search's rows, wait in a batch, which may span cells and is ranked once
     it holds at least one distance chunk of the shortest window,
@@ -321,6 +318,12 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     # Column c of a block is the candidate window ending at base + c, lag-major.
     lagged = np.ascontiguousarray(screened[base : top - n + 1].T)
     step = max(1, _BLOCK_FLOATS // lagged.shape[1])  # rows per block
+    blocks = []  # every cell's row blocks: their rows, width, ragged bound and past-last mask
+    for start in range(0, count, step):
+        last = lasts[start : start + step]
+        width, ragged = int(last.max()) + 1, int(last.min()) + 1
+        past = np.arange(ragged, width) > last[:, None]
+        blocks.append((start, start + len(last), width, ragged, past))
     span = max(1, _BLOCK_FLOATS // base)  # pairs per batch
     row_ends = np.concatenate([ends] * len(cells))
     firsts = np.arange(0, len(row_ends) + count, count)  # each cell's first row, and the end
@@ -336,13 +339,9 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
         down, up = (1 - alpha) * scaled[j, base:], 2 * alpha * scaled[j, base:]
         down[: L - base] = np.inf
         margins = up[ends - base] + floor
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            last = lasts[start:stop]
-            width = int(last.max()) + 1
+        for start, stop, width, ragged, past in blocks:
             screen = np.matmul(queries[start:stop, -L:], lagged[-L:, :width])  # -2*q.w
-            ragged = int(last.min()) + 1
-            np.putmask(screen[:, ragged:], np.arange(ragged, width) > last[:, None], np.inf)
+            np.putmask(screen[:, ragged:], past, np.inf)
             screen += down[:width]  # s - alpha*|w|**2
             # Column c of slab c // groups is in group c % groups.
             slabs = max(1, min(8, width // (16 * kmax)))

@@ -1024,7 +1024,8 @@ class TestScreenSelectivity:
 @st.composite
 def searches(draw):
     """A `_nearest` call and the block bound to run it at: 1-4 cells of
-    differing kmax, sorted or shuffled ends, on a rounded, spiked or shifted series."""
+    differing kmax, sorted or shuffled ends, on a rounded, spiked, shifted or
+    low-noise sinusoid series (on the last two, the screen keeps many pairs)."""
     n = draw(st.integers(1, 3))
     count = draw(st.integers(1, 4))
     ps = draw(st.lists(st.integers(1, 12), min_size=count, max_size=count, unique=True))
@@ -1035,15 +1036,19 @@ def searches(draw):
     ends = draw(st.lists(st.integers(need, T), min_size=1, max_size=40))
     ends = np.array(sorted(ends) if draw(st.booleans()) else ends)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    kind = draw(st.sampled_from(["rounded", "spiked", "shifted"]))
+    kind = draw(st.sampled_from(["rounded", "spiked", "shifted", "sinusoid"]))
     if kind == "rounded":  # ties at the kth distance
         values = np.round(rng.normal(10.0, 1.0, T))
+    elif kind == "sinusoid":
+        values = 100.0 * np.sin(2.0 * np.pi * np.arange(T) / 12) + 0.01 * rng.normal(size=T)
     else:
         values = rng.normal(size=T)
         if kind == "spiked":
             values[rng.integers(0, T, 3)] += 1e8
-        else:
-            values[draw(st.integers(0, T - 1)) :] += 1e8
+        else:  # in some draws, the shift lies between the earliest and the latest query
+            among = draw(st.booleans()) and ends.min() < ends.max()
+            lo, hi = (int(ends.min()), int(ends.max()) - 1) if among else (0, T - 1)
+            values[draw(st.integers(lo, hi)) :] += 1e8
     block_floats = draw(st.sampled_from([60, 600, 4000, wnn._BLOCK_FLOATS]))
     return values, ends, n, cells, block_floats
 
@@ -1080,10 +1085,12 @@ long = etssim.simulate_ets(params, 2000, 1).values
 tune = etssim.simulate_ets(etssim.ana_params(0.5, 0.2), 240, 2).values
 noise = np.random.default_rng(8).normal(size=2000)
 sinusoid = 100.0 * np.sin(2.0 * np.pi * np.arange(2000) / 12) + 0.01 * noise
+shifted = noise + 1e8 * (np.arange(2000) >= 1500)
 searches = [
     (long, np.arange(1280, 2001), 1, [(12, 5)]),
     (tune, 240 - 3 * np.arange(19), 3, [(p, 12) for p in range(1, 13)]),
     (sinusoid, np.arange(1280, 2001), 1, [(12, 5)]),
+    (shifted, np.arange(1280, 2001), 1, [(12, 5)]),
 ]
 digest = hashlib.sha256()
 for values, ends, n, cells in searches:
@@ -1098,7 +1105,8 @@ def test_neighbors_do_not_depend_on_the_blas_kernel():
     # The screen's products go through BLAS, whose summation and FMA order
     # follow the kernel picked for the CPU; the margin covers any order, so
     # the neighbors of a scoring_long-shaped search, a tuner-shaped search
-    # and a search whose screen keeps many candidates are the same bits
+    # and two searches whose screen keeps many candidates (a low-noise
+    # sinusoid, and a level shift among the queries) are the same bits
     # under Prescott's kernel as under the default one.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
