@@ -6,9 +6,12 @@ calibrate on a strictly larger history (the matrix grows online; there is no
 fixed window). A component counts as covered when its absolute error is <=
 the half-width recorded for that step.
 
-Each column's pool is kept as one ascending list: the rank-th largest of m
-rows is ascending position m - rank, and each step's scores are inserted in
-order after its half-widths are recorded.
+A step reads only the rank-th largest score of each column, and the rank
+never falls as the pool grows, so each column keeps just its `keep` largest
+scores, `keep` being the last step's rank: `keep` floats per column instead
+of i1+i2. A score below the kept minimum can never become a later step's
+rank-th largest, so the half-widths are the same values, bit for bit, that
+a sort of the whole pool gives.
 """
 
 from __future__ import annotations
@@ -92,9 +95,11 @@ def backtest_matrices(
     """Run the growing-calibration loop on precomputed score rows.
 
     At step i the pool holds m = i1+i rows; the recorded half-width per column
-    is its rank-th largest entry with rank = rank_for(delta, m), which is
-    ascending position m - rank of the sorted pool. The step's own score is
-    inserted in order only after it is recorded. A non-finite score raises
+    is its rank-th largest entry with rank = rank_for(delta, m). Each column
+    keeps only its `keep` largest scores in ascending order, `keep` being the
+    last step's rank, padded with -inf while the calibration rows are fewer:
+    step i reads entry -rank, and its own score then enters, dropping the
+    kept minimum, only if it beats that minimum. A non-finite score raises
     InvalidParamsError. Returns (half_widths, hits).
     """
     calib = np.atleast_2d(np.asarray(calibration_rows, dtype=float))
@@ -108,15 +113,18 @@ def backtest_matrices(
     # The rank grows by at most 1 per added row, so the first step decides
     # feasibility.
     _feasible_rank(delta, i1)
-    sizes = np.arange(i1, i1 + i2)  # the pool's m at each step
-    positions = (sizes - rank_for(delta, sizes)).tolist()
+    ranks = rank_for(delta, np.arange(i1, i1 + i2)).tolist()  # per step
+    keep = max(ranks, default=1)  # the last rank; with no step, any keep >= 1
     half = np.empty((i2, n))
     for j in range(n):
-        pool = sorted(calib[:, j].tolist())
+        top = sorted(calib[:, j].tolist())[-keep:]
+        top[:0] = [-np.inf] * (keep - len(top))  # never read: a step's rank <= m
         widths = []
-        for position, score in zip(positions, test[:, j].tolist()):
-            widths.append(pool[position])
-            insort(pool, score)
+        for rank, score in zip(ranks, test[:, j].tolist()):
+            widths.append(top[-rank])
+            if score > top[0]:
+                insort(top, score)
+                del top[0]
         half[:, j] = widths
     hits = (test <= half).astype(np.uint8)
     return half, hits

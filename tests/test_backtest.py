@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpwnn import backtest
 from cpwnn import (
     CheckReport,
     ForecasterSpec,
@@ -87,10 +88,17 @@ class TestBacktestMatrices:
     )
     @example(i1=19, i2=1, n=1, integer=True, drift=1.0, fraction=0.0, seed=0)
     @example(i1=5, i2=30, n=6, integer=True, drift=4.0, fraction=1.0, seed=1)
+    @example(i1=5, i2=40, n=1, integer=False, drift=1.0, fraction=0.89, seed=0)
+    @example(i1=30, i2=20, n=2, integer=True, drift=1.0, fraction=0.3, seed=1)
+    @example(i1=40, i2=10, n=2, integer=False, drift=1.0, fraction=0.0, seed=0)
     def test_property_matches_selection_oracle(self, i1, i2, n, integer, drift, fraction, seed):
         # Integer-valued scores tie often; a drift > 1 ramps the test scores
         # above the calibration scale, so later steps rank mostly test rows.
         # Any feasible delta: from the smallest with rank 1 at i1, up to 0.99.
+        # The last three examples: delta 0.899 keeps 40 scores of a 5-row
+        # calibration pool, so 35 are padding at first; 10 integer test scores
+        # equal the kept minimum (of 15) when they arrive; and no test score
+        # beats the kept maximum of 40 calibration scores at delta 1/41.
         rng = np.random.default_rng(seed)
         if integer:
             calib = rng.integers(0, 5, (i1, n)).astype(float)
@@ -113,6 +121,44 @@ class TestBacktestMatrices:
         want_half, want_hits = selection_oracle(calib, test, 0.05)
         assert np.array_equal(half, want_half)
         assert np.array_equal(hits, want_hits)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("i1, i2, n", [(320, 400, 1), (131, 164, 6)])
+    def test_scoring_long_shapes_match_selection_oracle(self, i1, i2, n, delta):
+        # The calibration and test blocks of the benchmark's long-series
+        # backtests, n = 1 and 6, at its three levels.
+        rng = np.random.default_rng(14)
+        calib = np.abs(rng.standard_normal((i1, n)))
+        test = np.abs(rng.standard_normal((i2, n))) * np.linspace(1.0, 1.5, i2)[:, None]
+        half, hits = backtest_matrices(calib, test, delta)
+        want_half, want_hits = selection_oracle(calib, test, delta)
+        assert np.array_equal(half, want_half)
+        assert np.array_equal(hits, want_hits)
+
+    @pytest.mark.parametrize("i1, i2, n, most", [(320, 400, 1, 40), (131, 164, 6, 90)])
+    def test_only_scores_above_the_kept_minimum_are_inserted(self, monkeypatch, i1, i2, n, most):
+        # On a stationary block at delta 0.05 (keep 36 and 14) a test score
+        # rarely reaches the top: 32 of 400 and 71 of 984 are inserted, not
+        # one per step. The bounds leave about 25% headroom.
+        inserted = []
+        insort = backtest.insort
+
+        def counted(pool, score):
+            inserted.append(score)
+            insort(pool, score)
+
+        monkeypatch.setattr(backtest, "insort", counted)
+        rng = np.random.default_rng(15)
+        calib = np.abs(rng.standard_normal((i1, n)))
+        test = np.abs(rng.standard_normal((i2, n)))
+        backtest_matrices(calib, test, 0.05)
+        assert 0 < len(inserted) <= most
+
+    @pytest.mark.parametrize("delta", [0.05, 0.5, 0.9])
+    def test_an_empty_test_block_gives_empty_matrices(self, delta):
+        half, hits = backtest_matrices(np.ones((20, 3)), np.empty((0, 3)), delta)
+        assert half.shape == hits.shape == (0, 3)
+        assert (half.dtype, hits.dtype) == (np.float64, np.uint8)
 
     def test_ranks_where_the_dust_guard_decides(self):
         # The pools grow from m = 99 to 200 rows, so delta*(m + 1) is the
