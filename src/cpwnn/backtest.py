@@ -16,6 +16,7 @@ a sort of the whole pool gives.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,7 @@ from .wnn import ForecasterSpec, Weighting
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Backtest outputs: per-step half-widths, hits, and their summaries."""
+    """Backtest outputs: per-step half-widths, hits, and every summary, overflow-checked."""
 
     half_widths: np.ndarray        # i2 x n; row i holds the widths used at test step i
     hits: np.ndarray               # i2 x n; 1 where the step's score was covered
@@ -38,6 +39,8 @@ class CheckReport:
     component_coverage: np.ndarray # percent per horizon component
     mean_width: np.ndarray         # 2 * column means of half_widths
     median_width: np.ndarray       # 2 * column medians of half_widths
+    overall_mean_width: float      # mean of mean_width; not in to_dict
+    overall_median_width: float    # 2 * median of every half-width; not in to_dict
     config: dict
 
     @classmethod
@@ -51,7 +54,10 @@ class CheckReport:
         with np.errstate(over="ignore"):
             mean_width = 2.0 * half.mean(axis=0)
             median_width = 2.0 * _median(half, axis=0)
-        if not (np.isfinite(mean_width).all() and np.isfinite(median_width).all()):
+            overall_mean = float(mean_width.mean())
+            overall_median = float(2.0 * _median(half.ravel()))
+        if not (np.isfinite(mean_width).all() and np.isfinite(median_width).all()
+                and math.isfinite(overall_mean) and math.isfinite(overall_median)):
             raise DataError("a width overflows; rescale the series")
         return cls(
             half_widths=half,
@@ -60,6 +66,8 @@ class CheckReport:
             component_coverage=100.0 * hit.mean(axis=0),
             mean_width=mean_width,
             median_width=median_width,
+            overall_mean_width=overall_mean,
+            overall_median_width=overall_median,
             config=dict(config),
         )
 

@@ -6,8 +6,9 @@ delta = 1 - confidence. Exit codes: 0 success, 2 usage error, 3 data error,
 4 infeasible configuration.
 
 Each of tune, forecast, check and compare computes one result model, the
-(config, results) pair that the JSON report holds; the text and CSV
-renderers read only that pair.
+(config, results) pair that the JSON report holds, each backtest as its
+CheckReport; the text and CSV renderers only format it. No analysis
+draws random numbers, so none takes --seed and provenance's seed is null.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
-from .backtest import _median, check_cp, compare_forecasters
+from .backtest import CheckReport, check_cp, compare_forecasters
 from .conformal import conformal_region
 from .errors import (
     ColumnNotFoundError,
@@ -138,16 +137,6 @@ def _levels(args: argparse.Namespace, series: TimeSeries):
         yield conf, split_sizes(len(series), args.n, 1.0 - conf)
 
 
-def _overall_widths(report: dict) -> tuple[float, float]:
-    """Mean and median full width of a backtest report over all its cells."""
-    with np.errstate(over="ignore"):
-        mean = float(np.mean(report["mean_width"]))
-        median = float(_median(report["half_widths"]) * 2.0)
-    if not (np.isfinite(mean) and np.isfinite(median)):
-        raise DataError("a width overflows; rescale the series")
-    return mean, median
-
-
 # ---------------------------------------------------------------------------
 # Commands: each returns (config, results) and has a text and a CSV renderer
 
@@ -236,12 +225,10 @@ def _check(args: argparse.Namespace) -> tuple[dict, dict]:
             "delta": split.delta,
             "i1": split.i1,
             "i2": split.i2,
-            "report": check_cp(series, config, split, args.weighting).to_dict(),
+            "report": check_cp(series, config, split, args.weighting),
         }
         for conf, split in _levels(args, series)
     ]
-    for level in levels:  # every format fails alike on an overflowing overall width
-        _overall_widths(level["report"])
     return described, {"levels": levels}
 
 
@@ -256,9 +243,9 @@ def _check_text(config: dict, results: dict) -> list[str]:
             f"confidence {100 * level['confidence']:.1f}%  (delta={level['delta']:.3f}, "
             f"i1={level['i1']}, i2={level['i2']})"
         )
-        lines.append(f"  overall coverage: {report['overall_coverage']:.2f}%")
+        lines.append(f"  overall coverage: {report.overall_coverage:.2f}%")
         lines.append("  j   mean width   median width   coverage%")
-        columns = zip(report["mean_width"], report["median_width"], report["component_coverage"])
+        columns = zip(report.mean_width, report.median_width, report.component_coverage)
         lines.extend(
             f"  {j:<3d} {mean:<12.4f} {median:<14.4f} {coverage:.2f}"
             for j, (mean, median, coverage) in enumerate(columns, start=1)
@@ -271,14 +258,13 @@ def _check_csv(config: dict, results: dict) -> tuple[tuple, list[tuple]]:
     rows = []
     for level in results["levels"]:
         conf, report = level["confidence"], level["report"]
-        columns = zip(report["mean_width"], report["median_width"], report["component_coverage"])
+        columns = zip(report.mean_width, report.median_width, report.component_coverage)
         rows.extend(
-            (conf, method, j, *(repr(v) for v in values))
+            (conf, method, j, *(repr(float(v)) for v in values))
             for j, values in enumerate(columns, start=1)
         )
-        mean, median = _overall_widths(report)
-        rows.append((conf, method, "overall", repr(mean), repr(median),
-                     repr(report["overall_coverage"])))
+        rows.append((conf, method, "overall", repr(report.overall_mean_width),
+                     repr(report.overall_median_width), repr(report.overall_coverage)))
     header = ("confidence", "method", "component", "mean_width", "median_width", "coverage")
     return header, rows
 
@@ -299,17 +285,13 @@ def _compare(args: argparse.Namespace) -> tuple[dict, dict]:
                     "method": res.spec.describe(),
                     "mape": res.mape,
                     "error": res.error,
-                    "report": res.report.to_dict() if res.report else None,
+                    "report": res.report,
                 }
                 for res in compare_forecasters(series, specs, args.n, split)
             ],
         }
         for conf, split in _levels(args, series)
     ]
-    for level in levels:  # every format fails alike on an overflowing overall width
-        for method in level["methods"]:
-            if method["report"] is not None:
-                _overall_widths(method["report"])
     return described, {"levels": levels}
 
 
@@ -319,15 +301,16 @@ def _compare_text(config: dict, results: dict) -> list[str]:
         lines.append(
             f"confidence {100 * level['confidence']:.1f}%  (i1={level['i1']}, i2={level['i2']})"
         )
-        lines.append("  method                         MAPE      coverage%  mean width")
+        width = max([30, *(len(method["method"]) for method in level["methods"])])
+        lines.append(f"  {'method':<{width}s} MAPE      coverage%  mean width")
         for method in level["methods"]:
             report = method["report"]
             if report is None:
-                lines.append(f"  {method['method']:<30s} error: {method['error']}")
+                lines.append(f"  {method['method']:<{width}s} error: {method['error']}")
                 continue
             lines.append(
-                f"  {method['method']:<30s} {method['mape']:<9.4f} "
-                f"{report['overall_coverage']:<10.2f} {_overall_widths(report)[0]:.4f}"
+                f"  {method['method']:<{width}s} {method['mape']:<9.4f} "
+                f"{report.overall_coverage:<10.2f} {report.overall_mean_width:.4f}"
             )
     return lines
 
@@ -341,9 +324,9 @@ def _compare_csv(config: dict, results: dict) -> tuple[tuple, list[tuple]]:
             if report is None:
                 rows.append((conf, method["method"], "", "", "", f"error: {method['error']}"))
                 continue
-            mean, median = _overall_widths(report)
-            rows.append((conf, method["method"], repr(method["mape"]), repr(mean), repr(median),
-                         repr(report["overall_coverage"])))
+            rows.append((conf, method["method"], repr(method["mape"]),
+                         repr(report.overall_mean_width), repr(report.overall_median_width),
+                         repr(report.overall_coverage)))
     return ("confidence", "method", "mape", "mean_width", "median_width", "coverage"), rows
 
 
@@ -363,11 +346,11 @@ def _report(args: argparse.Namespace) -> str:
     _, compute, text, table = _ANALYSES[args.command]
     config, results = compute(args)
     if args.output_format == "json":
-        provenance: dict = {"seed": args.seed, "version": __version__}
+        provenance: dict = {"seed": None, "version": __version__}
         if not args.no_timestamp:
             provenance["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
         doc = {"config": config, "results": results, "provenance": provenance}
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, default=CheckReport.to_dict) + "\n"
     if args.output_format == "csv":
         header, rows = table(config, results)
         out = io.StringIO()
@@ -424,7 +407,9 @@ def _grid_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a grid (use 'lo:hi' or 'a,b,c')"
         ) from None
-    if not values or min(values) < 1:
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} is an empty range (use lo <= hi)")
+    if min(values) < 1:
         raise argparse.ArgumentTypeError("grid entries must be positive integers")
     return values
 
@@ -465,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="text")
         sub.add_argument("--output", dest="output_path", default=None)
         sub.add_argument("--no-timestamp", action="store_true")
-        sub.add_argument("--seed", type=int, default=None)
         sub.set_defaults(subparser=sub)
 
     simulate = commands.add_parser("simulate", help="simulate a seasonal smoothing model to CSV")

@@ -291,6 +291,27 @@ class TestCheckCp:
             run_backtest(series, ForecasterSpec.seasonal_naive(12), 1, split)
         with pytest.raises(DataError, match="a width overflows; rescale the series"):
             CheckReport.from_matrices([[1e308], [1e308]], [[1], [1]], {})
+        # Each column's mean width is finite, but their overall mean is not.
+        with pytest.raises(DataError, match="a width overflows; rescale the series"):
+            CheckReport.from_matrices(np.full((1, 12), 0.8e308), np.ones((1, 12)), {})
+
+    def test_overall_widths_match_the_json_lists(self):
+        # The overall widths recomputed from the report's JSON lists: the mean
+        # of the column mean widths, and twice the median cell.
+        rng = np.random.default_rng(28)
+        parities = set()
+        for _ in range(1200):
+            shape = tuple(rng.integers(1, 8, 2))
+            scale = 10.0 ** rng.integers(-320, 305)
+            half = rng.random(shape) * scale
+            if rng.random() < 0.3:  # ties
+                half = np.round(half / scale * 4) * scale
+            report = CheckReport.from_matrices(half, np.ones(shape), {})
+            doc = report.to_dict()
+            assert report.overall_mean_width == float(np.mean(doc["mean_width"]))
+            assert report.overall_median_width == float(_median(doc["half_widths"]) * 2.0)
+            parities.add(half.size % 2)
+        assert parities == {0, 1}
 
     @pytest.mark.parametrize("rows", [1, 2, 7, 8])
     def test_median_width_is_numpys(self, rows):

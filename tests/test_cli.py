@@ -197,18 +197,47 @@ class TestExitCodes:
         assert captured.err == ""
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    def test_overflowing_overall_width_is_data_error(self, tmp_path, capsys, fmt):
+    def test_overflowing_overall_width_is_recorded_per_spec(self, tmp_path, capsys, fmt):
         # One test step (i2 = 1) and n = 12 columns: each column's mean width
-        # is finite, but the overall mean over the columns overflows. JSON
-        # reports no overall width, yet fails as the other formats do.
+        # is finite, but the overall mean over the columns overflows. The
+        # report raises it, so compare records it in the seasonal-naive row
+        # in every format, as it does a per-column overflow.
         path = tmp_path / "huge.csv"
         path.write_text(series_to_csv(np.random.default_rng(5).random(60) * 0.8e308 + 1e300))
         code = main(["compare", "--input", str(path), "--n", "12", "--confidence", "0.5",
                      "--weighting", "uniform", "--p", "1", "--k", "1", "--format", fmt])
-        assert code == 3
+        assert code == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: a width overflows; rescale the series\n"
+        assert captured.err == ""
+        message = "a width overflows; rescale the series"
+        if fmt == "json":
+            def reject(token):
+                raise ValueError(f"invalid JSON token {token}")
+
+            (level,) = json.loads(captured.out, parse_constant=reject)["results"]["levels"]
+            errors = {m["method"]: m["error"] for m in level["methods"]}
+            assert errors["seasonal-naive(m=12)"] == message
+        else:
+            (row,) = [line for line in captured.out.splitlines() if "seasonal-naive" in line]
+            assert row.endswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command", ["tune", "forecast", "check", "compare"])
+    def test_analyses_take_no_seed(self, capsys, command):
+        # The analyses draw no random numbers; only simulate takes --seed.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(MILK), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, message", [
+        ("3:1", "'3:1' is an empty range (use lo <= hi)"),
+        ("0:2", "grid entries must be positive integers"),
+    ])
+    def test_bad_grid_is_usage_error(self, capsys, grid, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--input", str(MILK), "--p-grid", grid])
+        assert exc.value.code == 2
+        assert f"argument --p-grid: {message}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
