@@ -62,25 +62,29 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
     # a spreadsheet export may start with a UTF-8 byte-order mark
     rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     if not rows:
-        raise CsvParseError(1, column, "empty file (expected a header row)")
+        raise CsvParseError("empty file (expected a header row)")
     header = [cell.strip() for cell in rows[0]]
     if column in header:
         index = header.index(column)
     elif isinstance(column, str) and column.isdecimal() and int(column) < len(header):
         index = int(column)
     else:
-        raise ColumnNotFoundError(column, header)
+        raise ColumnNotFoundError(
+            f"column {column!r} not found; available columns: {', '.join(header)}"
+        )
     values: list[float] = []
     for rownum, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if index >= len(row):
-            raise CsvParseError(rownum, header[index], "<missing cell>")
+            raise CsvParseError(f"row {rownum}, column {header[index]!r}: missing cell")
         text = row[index].strip()
         try:
             values.append(float(text))
         except ValueError:
-            raise CsvParseError(rownum, header[index], text) from None
+            raise CsvParseError(
+                f"row {rownum}, column {header[index]!r}: cannot parse {text!r} as a number"
+            ) from None
     return TimeSeries(values, period)
 
 

@@ -4,7 +4,8 @@ Two branches matter to callers. DataError is about the series' values: they
 are unreadable, non-finite or too large to forecast (CLI exit code 3).
 ConfigError is about the arguments: one is malformed, or the configuration
 cannot be satisfied by the data at hand (CLI exit code 4). Every other class
-subclasses exactly one of the two.
+subclasses exactly one of the two. Each class carries only its message,
+written where it is raised.
 """
 
 
@@ -25,39 +26,19 @@ class EmptySeriesError(DataError):
 
 
 class NonFiniteValueError(DataError):
-    def __init__(self, index: int, value: float):
-        self.index = index
-        self.value = value
-        super().__init__(f"non-finite value {value!r} at position {index}")
+    pass
 
 
 class ZeroActualError(DataError):
     """MAPE is undefined wherever the actual value is exactly zero."""
 
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(
-            f"actual value at position {index} is zero; MAPE is undefined there"
-        )
-
 
 class ColumnNotFoundError(DataError):
-    def __init__(self, column, available):
-        self.column = column
-        self.available = list(available)
-        super().__init__(
-            f"column {column!r} not found; available columns: {', '.join(self.available)}"
-        )
+    pass
 
 
 class CsvParseError(DataError):
-    def __init__(self, row: int, column, text: str):
-        self.row = row
-        self.column = column
-        self.text = text
-        super().__init__(
-            f"row {row}, column {column!r}: cannot parse {text!r} as a number"
-        )
+    pass
 
 
 class SeriesTooShortError(ConfigError):
@@ -65,23 +46,11 @@ class SeriesTooShortError(ConfigError):
 
 
 class GridInfeasibleError(ConfigError):
-    def __init__(self, cells):
-        self.cells = list(cells)
-        lines = "; ".join(f"(p={p}, k={k}): {why}" for p, k, why in self.cells[:5])
-        more = "" if len(self.cells) <= 5 else f" (+{len(self.cells) - 5} more)"
-        super().__init__(f"no grid cell is feasible: {lines}{more}")
+    pass
 
 
 class InsufficientCalibrationError(ConfigError):
     """The rank floor(delta*(h+1)) of h calibration examples is below 1."""
-
-    def __init__(self, h: int, min_h: int):
-        self.h = h
-        self.min_h = min_h
-        super().__init__(
-            f"h={h} calibration examples are too few for this significance level; "
-            f"need at least {min_h}"
-        )
 
 
 class InvalidParamsError(ConfigError):

@@ -104,6 +104,8 @@ def aada_params(
 def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
     """Simulate T observations; fully determined by (params, T, seed)."""
     T = _positive_int("T", T)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParamsError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal(T) * math.sqrt(params.sigma2)
     m = params.period

@@ -59,7 +59,10 @@ class TimeSeries:
     period: int = 12
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        try:
+            arr = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"series values do not form a numeric array: {exc}") from None
         if arr.ndim != 1:
             raise DataError("series values must be one-dimensional")
         if arr.size == 0:
@@ -67,7 +70,7 @@ class TimeSeries:
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             i = int(bad[0])
-            raise NonFiniteValueError(i, float(arr[i]))
+            raise NonFiniteValueError(f"non-finite value {float(arr[i])!r} at position {i}")
         object.__setattr__(self, "period", _positive_int("period", self.period))
         object.__setattr__(self, "values", _freeze(arr))
 
@@ -112,7 +115,10 @@ def _feasible_rank(delta: float, h: int) -> int:
     _open_unit("delta", delta)
     s = rank_for(delta, h)
     if s < 1:
-        raise InsufficientCalibrationError(h, min_calibration_count(delta))
+        raise InsufficientCalibrationError(
+            f"h={h} calibration examples are too few for this significance level; "
+            f"need at least {min_calibration_count(delta)}"
+        )
     if s > h:
         raise InvalidParamsError(
             f"delta = {delta!r} is too close to 1: its rank {s} exceeds h = {h}"
@@ -160,7 +166,8 @@ def _mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """
     zeros = np.flatnonzero(actual == 0.0)
     if zeros.size:
-        raise ZeroActualError(int(zeros[0]) % actual.shape[-1])
+        i = int(zeros[0]) % actual.shape[-1]
+        raise ZeroActualError(f"actual value at position {i} is zero; MAPE is undefined there")
     with np.errstate(over="ignore"):
         terms = np.abs((predicted - actual) / actual)
         rows = 100.0 * np.mean(terms, axis=-1)

@@ -506,7 +506,9 @@ def fpto_tune(
         if feasible:
             cells.append((p, feasible))
     if not cells:
-        raise GridInfeasibleError(skipped)
+        lines = "; ".join(f"(p={p}, k={k}): {why}" for p, k, why in skipped[:5])
+        more = "" if len(skipped) <= 5 else f" (+{len(skipped) - 5} more)"
+        raise GridInfeasibleError(f"no grid cell is feasible: {lines}{more}")
     # Only now are the ends known to be non-negative.
     actual = values[T - n * folds :].reshape(folds, n)[::-1]  # row i: fold i + 1
     d2, continuations = _nearest(values, ends, n, [(p, feasible[-1]) for p, feasible in cells])

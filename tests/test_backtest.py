@@ -199,7 +199,13 @@ class TestBacktestMatrices:
     def test_infeasible_delta(self):
         with pytest.raises(InsufficientCalibrationError) as exc:
             backtest_matrices([[1.0], [2.0]], [[1.0]], 0.05)
-        assert (exc.value.h, exc.value.min_h) == (2, 19)
+        assert str(exc.value) == (
+            "h=2 calibration examples are too few for this significance level; need at least 19"
+        )
+
+    def test_rows_of_different_widths(self):
+        with pytest.raises(InvalidParamsError, match="rows must have the same width"):
+            backtest_matrices(np.ones((20, 2)), np.ones((3, 1)), 0.3)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, float("nan"), -0.1, "0.1", None])
     def test_delta_outside_the_unit_interval(self, delta):
@@ -331,6 +337,11 @@ class TestCheckCp:
     def test_a_report_without_rows_is_invalid(self):
         with pytest.raises(InvalidParamsError, match="with rows"):
             CheckReport.from_matrices(np.empty((0, 2)), np.empty((0, 2)), {})
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_a_negative_or_non_finite_half_width_is_invalid(self, bad):
+        with pytest.raises(InvalidParamsError, match="half-widths must be finite and non-negative"):
+            CheckReport.from_matrices([[1.0, bad]], [[1, 1]], {})
 
 
 class TestCompareForecasters:

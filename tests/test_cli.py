@@ -43,7 +43,9 @@ class TestLoadCsv:
         for column in ("value", "²"):
             with pytest.raises(ColumnNotFoundError) as exc:
                 load_csv(path, column, 12)
-            assert exc.value.available == ["date", "amount"]
+            assert str(exc.value) == (
+                f"column {column!r} not found; available columns: date, amount"
+            )
 
     def test_numeric_column_index(self, tmp_path):
         path = tmp_path / "small.csv"
@@ -55,8 +57,26 @@ class TestLoadCsv:
         path.write_text("date,value\n1968-01,10.5\n1968-02,n/a\n")
         with pytest.raises(CsvParseError) as exc:
             load_csv(path, "value", 12)
-        assert exc.value.row == 3
-        assert exc.value.text == "n/a"
+        assert str(exc.value) == "row 3, column 'value': cannot parse 'n/a' as a number"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(path, "value", 12)
+        assert str(exc.value) == "empty file (expected a header row)"
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("date,value\n1968-01,10.5\n\n , \n1968-02,11.0\n")
+        assert load_csv(path, "value", 12).values.tolist() == [10.5, 11.0]
+
+    def test_row_without_the_cell(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("date,value\n1968-01,10.5\n1968-02\n")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(path, "value", 12)
+        assert str(exc.value) == "row 3, column 'value': missing cell"
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_leading_byte_order_mark_is_ignored(
@@ -239,6 +259,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument --p-grid: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--confidence", "x", "'x' is not a number"),
+        ("--n", "0", "value must be a positive integer"),
+        ("--n", "x", "'x' is not an integer"),
+        ("--p-grid", "a", "'a' is not a grid (use 'lo:hi' or 'a,b,c')"),
+    ])
+    def test_bad_argument_is_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--input", str(MILK), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_writes_csv(self, tmp_path):
@@ -274,6 +306,12 @@ class TestSimulateCommand:
     def test_non_finite_start_value_is_4(self, capsys, model, flag):
         assert main(["simulate", "--model", model, "--length", "10", flag, "nan"]) == 4
         assert f"{flag[2:].replace('-', '_')} must be a finite number" in capsys.readouterr().err
+
+    def test_negative_seed_is_4(self, capsys):
+        assert main(["simulate", "--model", "ana", "--length", "10", "--seed", "-1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_overflowing_path_is_4(self, capsys):
         code = main(["simulate", "--model", "aada", "--length", "3",
@@ -385,6 +423,15 @@ class TestCheckAndCompare:
                      "--p-grid", "1:4", "--k-grid", "1,2"])
         assert code == 0
         assert "p* =" in capsys.readouterr().out
+
+    def test_tune_text_counts_skipped_cells(self, milk_like_csv, capsys):
+        # 120 values cannot seed a window of 200 lags, at either k
+        code = main(["tune", "--input", str(milk_like_csv), "--n", "1", "--folds", "5",
+                     "--p-grid", "1,200", "--k-grid", "1,2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("tuned over 2 grid cells, 5 folds\n")
+        assert out.endswith("\nskipped 2 infeasible cells\n")
 
 
 def test_check_does_not_import_numpy_ma():

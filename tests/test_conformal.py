@@ -280,7 +280,7 @@ class TestConformalRegion:
         ts = TimeSeries(np.random.default_rng(2).normal(5.0, 1.0, size=60), 4)
         with pytest.raises(InsufficientCalibrationError) as exc:
             conformal_region(ts, HorizonConfig(n=2, p=2, k=2), h=5, delta=0.05)
-        assert exc.value.min_h == 19
+        assert str(exc.value).endswith("; need at least 19")
 
     def test_delta_validated(self):
         ts = periodic_series([4.0, 9.0, 6.0, 1.0], 15)
@@ -299,6 +299,11 @@ class TestConformalRegion:
         ts = periodic_series([4.0, 9.0, 6.0, 1.0], 15)
         with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
             conformal_region(ts, HorizonConfig(n=4, p=1, k=1), h, delta)
+
+    @pytest.mark.parametrize("center, half", [([1.0, 2.0], [0.5]), ([[1.0]], [[0.5]])])
+    def test_region_center_and_half_widths_must_be_congruent(self, center, half):
+        with pytest.raises(InvalidParamsError, match="must be 1-D and congruent"):
+            PredictionRegion(center, half, 0.1, 1)
 
     @pytest.mark.parametrize("rank", [True, 2.5, 0])
     def test_region_rank_must_be_a_positive_integer(self, rank):

@@ -134,6 +134,12 @@ class TestSimulate:
         c = simulate_ets(params, 100, seed=8)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidParamsError) as exc:
+            simulate_ets(ana_params(0.5, 0.2), 10, seed)
+        assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+
     @pytest.mark.parametrize("init_trend", [1e308, -1e308])
     def test_overflowing_path_is_invalid_params(self, init_trend):
         params = aada_params(0.7, 0.3, 0.2, 0.82, init_level=1e308, init_trend=init_trend)

@@ -10,6 +10,8 @@ must be used in code (raised, caught or otherwise named, not only imported
 or mentioned in a docstring) by a library module other than `errors.py`,
 and every class below the root and its two branches subclasses exactly one
 of `DataError` and `ConfigError`, the two that `cli.main` maps to exit codes.
+No error class defines a method or stores an attribute: each carries only
+its message, written where it is raised.
 """
 
 import ast
@@ -76,3 +78,11 @@ def test_error_type_is_used_by_the_library(name):
         cls = getattr(errors, name)
         branches = [b for b in (errors.DataError, errors.ConfigError) if issubclass(cls, b)]
         assert len(branches) == 1, f"{name} is under {len(branches)} of DataError, ConfigError"
+
+
+@pytest.mark.parametrize("name", ERROR_TYPES)
+def test_error_type_carries_only_its_message(name):
+    cls = getattr(errors, name)
+    methods = [attr for attr, obj in vars(cls).items() if isinstance(obj, types.FunctionType)]
+    assert methods == [], f"{name} defines {', '.join(methods)}"
+    assert vars(cls("the message")) == {}, f"{name} stores attributes"

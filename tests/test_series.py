@@ -34,7 +34,15 @@ class TestValidateSeries:
     def test_nan_reports_position(self):
         with pytest.raises(NonFiniteValueError) as exc:
             TimeSeries([1.0, float("nan")], 12)
-        assert exc.value.index == 1
+        assert str(exc.value) == "non-finite value nan at position 1"
+
+    @pytest.mark.parametrize("values", [["a"], [[1.0], [2.0, 3.0]]])
+    def test_values_that_are_not_numbers_are_data_error(self, values):
+        with pytest.raises(DataError, match="series values do not form a numeric array"):
+            TimeSeries(values, 12)
+
+    def test_numeric_strings_are_read(self):
+        assert TimeSeries(["1.5", "2"], 12).values.tolist() == [1.5, 2.0]
 
     def test_infinity_rejected(self):
         with pytest.raises(NonFiniteValueError):
@@ -83,7 +91,7 @@ class TestMape:
     def test_zero_actual_reports_index(self):
         with pytest.raises(ZeroActualError) as exc:
             mape([1.0, 0.0, 3.0], [1.0, 1.0, 3.0])
-        assert exc.value.index == 1
+        assert str(exc.value) == "actual value at position 1 is zero; MAPE is undefined there"
 
     @pytest.mark.parametrize("actual, predicted, position", [
         ([1e-310, 1.0], [10.0, 1.0], 0),  # 10 / 1e-310 overflows
@@ -160,7 +168,9 @@ class TestSplitSizes:
     def test_spec_invariants_enforced(self):
         with pytest.raises(InsufficientCalibrationError) as exc:
             SplitSpec(i1=5, i2=3, delta=0.05)
-        assert (exc.value.h, exc.value.min_h) == (5, 19)
+        assert str(exc.value) == (
+            "h=5 calibration examples are too few for this significance level; need at least 19"
+        )
         with pytest.raises(InvalidParamsError):
             SplitSpec(i1=20, i2=3, delta=1.5)
 

@@ -115,7 +115,8 @@ def assert_same_nearest(values, ends, n, p, kmax):
 def reference_mape(actual, predicted):
     zeros = np.flatnonzero(actual == 0.0)
     if zeros.size:
-        raise ZeroActualError(int(zeros[0]))
+        i = int(zeros[0])
+        raise ZeroActualError(f"actual value at position {i} is zero; MAPE is undefined there")
     return float(100.0 * np.mean(np.abs((predicted - actual) / actual)))
 
 
@@ -359,8 +360,20 @@ class TestFptoTune:
 
     def test_whole_grid_infeasible_raises(self):
         ts = TimeSeries(np.arange(1.0, 21.0), 4)
-        with pytest.raises(GridInfeasibleError):
+        with pytest.raises(GridInfeasibleError) as exc:
             fpto_tune(ts, n=2, folds=3, p_grid=[30], k_grid=[1, 2])
+        assert str(exc.value) == (
+            "no grid cell is feasible: "
+            "(p=30, k=1): shortest fold has 14 observations, needs 62; "
+            "(p=30, k=2): shortest fold has 14 observations, needs 63"
+        )
+        # the message names the first five cells and counts the rest
+        with pytest.raises(GridInfeasibleError) as exc:
+            fpto_tune(ts, n=2, folds=3, p_grid=[30, 31], k_grid=[1, 2, 3, 4])
+        assert str(exc.value).endswith(
+            "; (p=31, k=1): shortest fold has 14 observations, needs 64 (+3 more)"
+        )
+        assert str(exc.value).count("(p=") == 5
 
     def test_deterministic_given_inputs(self):
         rng = np.random.default_rng(12)
@@ -478,7 +491,8 @@ class TestBatchedSearchIsBitIdentical:
             reference_trace(values, 3, 4, [2], [1, 2], Weighting.INVERSE_DISTANCE)
         with pytest.raises(ZeroActualError) as got:
             fpto_tune(TimeSeries(values, 4), 3, 4, [2], [1, 2])
-        assert got.value.index == want.value.index == 1
+        assert str(got.value) == str(want.value)
+        assert "at position 1 is zero" in str(want.value)
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     def test_many_ends_span_several_blocks(self, weighting):
