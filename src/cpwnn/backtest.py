@@ -25,13 +25,13 @@ import numpy as np
 
 from .conformal import score_rows
 from .errors import DataError, ForecastError, InvalidParamsError
-from .series import HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, mape, rank_for
+from .series import HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, _floats, mape, rank_for
 from .wnn import ForecasterSpec, Weighting
 
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Backtest outputs: per-step half-widths, hits, and every summary, overflow-checked."""
+    """Backtest outputs: per-step half-widths, 0/1 hits, and every summary, overflow-checked."""
 
     half_widths: np.ndarray        # i2 x n; row i holds the widths used at test step i
     hits: np.ndarray               # i2 x n; 1 where the step's score was covered
@@ -45,12 +45,15 @@ class CheckReport:
 
     @classmethod
     def from_matrices(cls, half_widths, hits, config: dict) -> "CheckReport":
-        half = np.asarray(half_widths, dtype=float)
-        hit = np.asarray(hits, dtype=np.uint8)
-        if half.ndim != 2 or half.shape != hit.shape or not len(half):
-            raise InvalidParamsError("half_widths and hits must be congruent 2-D arrays with rows")
+        half = _floats("half-widths", half_widths)
+        hit = _floats("hits", hits)
+        if half.ndim != 2 or half.shape != hit.shape or not half.size:
+            raise InvalidParamsError("half_widths and hits must be congruent 2-D arrays "
+                                     "with rows and columns")
         if np.any(half < 0.0) or not np.all(np.isfinite(half)):
             raise InvalidParamsError("half-widths must be finite and non-negative")
+        if not ((hit == 0.0) | (hit == 1.0)).all():
+            raise InvalidParamsError("hits must be 0 or 1")
         with np.errstate(over="ignore"):
             mean_width = 2.0 * half.mean(axis=0)
             median_width = 2.0 * _median(half, axis=0)
@@ -61,7 +64,7 @@ class CheckReport:
             raise DataError("a width overflows; rescale the series")
         return cls(
             half_widths=half,
-            hits=hit,
+            hits=hit.astype(np.uint8),
             overall_coverage=float(100.0 * hit.sum() / hit.size),
             component_coverage=100.0 * hit.mean(axis=0),
             mean_width=mean_width,
@@ -107,15 +110,14 @@ def backtest_matrices(
     keeps only its `keep` largest scores in ascending order, `keep` being the
     last step's rank, padded with -inf while the calibration rows are fewer:
     step i reads entry -rank, and its own score then enters, dropping the
-    kept minimum, only if it beats that minimum. A non-finite score raises
-    InvalidParamsError. Returns (half_widths, hits).
+    kept minimum, only if it beats that minimum. Score rows are finite 2-D
+    arrays of one width, else InvalidParamsError. Returns (half_widths, hits).
     """
-    calib = np.atleast_2d(np.asarray(calibration_rows, dtype=float))
-    test = np.atleast_2d(np.asarray(test_rows, dtype=float))
-    i1, n = calib.shape
-    i2 = test.shape[0]
-    if test.shape[1] != n:
-        raise InvalidParamsError("calibration and test rows must have the same width")
+    calib = _floats("calibration rows", calibration_rows)
+    test = _floats("test rows", test_rows)
+    if calib.ndim != 2 or test.ndim != 2 or test.shape[1] != calib.shape[1]:
+        raise InvalidParamsError("calibration and test rows must have the same width and be 2-D")
+    (i1, n), i2 = calib.shape, len(test)
     if not (np.isfinite(calib).all() and np.isfinite(test).all()):
         raise InvalidParamsError("score rows must be finite")
     # The rank grows by at most 1 per added row, so the first step decides
@@ -167,8 +169,7 @@ def check_cp(
     weighting: Weighting | str = Weighting.INVERSE_DISTANCE,
 ) -> CheckReport:
     """Backtest the nearest-neighbor forecaster's regions over the test block."""
-    spec = ForecasterSpec.wnn(config, weighting)
-    report, _ = run_backtest(series, spec, config.n, split)
+    report, _ = run_backtest(series, ForecasterSpec.wnn(config, weighting), config.n, split)
     return report
 
 

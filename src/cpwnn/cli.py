@@ -258,10 +258,10 @@ def _check_text(config: dict, results: dict) -> list[str]:
 
 
 def _check_csv(config: dict, results: dict) -> tuple[tuple, list[tuple]]:
-    method = f"wnn(p={config['p']},k={config['k']})"
     rows = []
     for level in results["levels"]:
         conf, report = level["confidence"], level["report"]
+        method = report.config["forecaster"]
         columns = zip(report.mean_width, report.median_width, report.component_coverage)
         rows.extend(
             (conf, method, j, *(repr(float(v)) for v in values))

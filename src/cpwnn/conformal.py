@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InvalidParamsError
-from .series import HorizonConfig, TimeSeries, _feasible_rank, _freeze, _positive_int
+from .series import HorizonConfig, TimeSeries, _feasible_rank, _floats, _freeze, _positive_int
 from .wnn import ForecasterSpec, Weighting
 
 # Per series, per (spec, n): the read-only forecasts at ends T-h*n, ..., T-n, T
@@ -96,8 +96,8 @@ class PredictionRegion:
     rank: int
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        half = np.asarray(self.half_widths, dtype=float)
+        center = _floats("center values", self.center)
+        half = _floats("half-widths", self.half_widths)
         if center.ndim != 1 or center.shape != half.shape:
             raise InvalidParamsError("center and half_widths must be 1-D and congruent")
         if not np.all(np.isfinite(half)) or np.any(half < 0.0):

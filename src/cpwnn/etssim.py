@@ -44,7 +44,9 @@ class EtsParams:
 
     The defaults beta = phi = 0 give the model without trend (ANA); any other
     pair must lie in (0, 1) each and gives the damped trend (AAdA). Every
-    field but period and init_seasonal is stored as a finite float.
+    field but period and init_seasonal is stored as a finite float. The
+    presets ana_params and aada_params take only their model's rates (and
+    AAdA its init_level); every other field is set here.
     """
 
     alpha: float
@@ -69,8 +71,9 @@ class EtsParams:
         for name in ("sigma2", "init_level", "init_trend"):
             value = getattr(self, name)
             low = 0.0 if name == "sigma2" else -sys.float_info.max
-            # Python compares ints and floats exactly, so 10**400 fails here, not in float()
-            if not _is_number(value) or not low <= value <= sys.float_info.max:
+            # exact for ints (10**400 fails here); float32 cannot hold the bound: compare as float
+            number = float(value) if isinstance(value, np.floating) else value
+            if not _is_number(value) or not low <= number <= sys.float_info.max:
                 rule = "a finite number >= 0" if low == 0.0 else "a finite number"
                 raise InvalidParamsError(f"{name} must be {rule}, got {value!r}")
             object.__setattr__(self, name, float(value))
@@ -78,27 +81,14 @@ class EtsParams:
         object.__setattr__(self, "init_seasonal", _freeze(raw - raw.mean()))
 
 
-def ana_params(
-    alpha: float,
-    gamma: float,
-    sigma2: float = 1.0,
-    period: int = 12,
-    init_level: float = 100.0,
-) -> EtsParams:
-    return EtsParams(alpha, gamma, sigma2, period, init_level=init_level)
+def ana_params(alpha: float, gamma: float) -> EtsParams:
+    return EtsParams(alpha, gamma)
 
 
 def aada_params(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    phi: float,
-    sigma2: float = 1.0,
-    period: int = 12,
-    init_level: float = 100.0,
-    init_trend: float = 1.0,
+    alpha: float, beta: float, gamma: float, phi: float, init_level: float = 100.0
 ) -> EtsParams:
-    return EtsParams(alpha, gamma, sigma2, period, beta, phi, init_level, init_trend)
+    return EtsParams(alpha, gamma, beta=beta, phi=phi, init_level=init_level)
 
 
 def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:

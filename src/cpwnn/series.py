@@ -35,6 +35,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _floats(what: str, values, error=InvalidParamsError) -> np.ndarray:
+    """Read outside values as a float array; numpy's conversion errors become `error`."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} do not form a numeric array: {exc}") from None
+
+
 def _positive_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise InvalidParamsError(f"{name} must be a positive integer, got {value!r}")
@@ -59,10 +67,7 @@ class TimeSeries:
     period: int = 12
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"series values do not form a numeric array: {exc}") from None
+        arr = _floats("series values", self.values, DataError)
         if arr.ndim != 1:
             raise DataError("series values must be one-dimensional")
         if arr.size == 0:
@@ -97,12 +102,16 @@ def rank_for(delta: float, h: int | np.ndarray) -> int | np.ndarray:
     h is an int, or an integer array for one rank per entry by the same IEEE
     operations.
     """
+    _open_unit("delta", delta)
     rank = np.floor(delta * (h + 1) + _DUST)
     return rank.astype(int) if np.ndim(rank) else int(rank)
 
 
 def min_calibration_count(delta: float) -> int:
     """Smallest calibration count h for which floor(delta*(h+1)) reaches 1."""
+    _open_unit("delta", delta)
+    if 1.0 / delta == math.inf:
+        raise InvalidParamsError(f"delta = {delta!r} is too small for any calibration count")
     return math.ceil(1.0 / delta - 1.0 - _DUST)
 
 
@@ -112,7 +121,6 @@ def _feasible_rank(delta: float, h: int) -> int:
     A delta within float dust of 1 rounds the rank past h: InvalidParamsError.
     """
     h = _positive_int("h", h)
-    _open_unit("delta", delta)
     s = rank_for(delta, h)
     if s < 1:
         raise InsufficientCalibrationError(
@@ -135,10 +143,9 @@ class SplitSpec:
     delta: float
 
     def __post_init__(self):
-        _open_unit("delta", self.delta)
         object.__setattr__(self, "i1", _positive_int("i1", self.i1))
         object.__setattr__(self, "i2", _positive_int("i2", self.i2))
-        # floor(delta*(i1+1)) >= 1 must hold so a rank exists at the first step.
+        # delta must lie in (0, 1) and floor(delta*(i1+1)) >= 1, so the first step has a rank.
         _feasible_rank(self.delta, self.i1)
 
 
@@ -148,10 +155,12 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
     A zero actual value is a hard error: silently skipping those points would
     bias any objective built on top of this metric.
     """
-    a = np.asarray(actual, dtype=float)
-    f = np.asarray(predicted, dtype=float)
+    a = _floats("actual values", actual)
+    f = _floats("predicted values", predicted)
     if a.ndim != 1 or a.shape != f.shape or a.size == 0:
         raise InvalidParamsError(f"mape needs equal, non-zero lengths, got {a.size} and {f.size}")
+    if not (np.isfinite(a).all() and np.isfinite(f).all()):
+        raise NonFiniteValueError("mape needs finite values")
     return float(_mape_rows(a, f))
 
 
@@ -191,7 +200,6 @@ def split_sizes(T: int, n: int, delta: float) -> SplitSpec:
     """
     T = _positive_int("T", T)
     n = _positive_int("n", n)
-    _open_unit("delta", delta)
     i2 = _ceil_div(T, 5 * n)
     i1 = _ceil_div(T - n * i2, 5 * n)
     i1 = max(i1, min_calibration_count(delta))

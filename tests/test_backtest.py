@@ -207,6 +207,23 @@ class TestBacktestMatrices:
         with pytest.raises(InvalidParamsError, match="rows must have the same width"):
             backtest_matrices(np.ones((20, 2)), np.ones((3, 1)), 0.3)
 
+    @pytest.mark.parametrize("calib, test", [
+        (np.ones(5), np.ones(5)),  # once promoted to one row of five columns
+        ([1.0, 2.0, 3.0], [[1.0]]),  # n = 1 scores as a flat list
+        (np.ones((4, 1)), np.ones(1)),
+        (np.ones((4, 1, 1)), np.ones((2, 1, 1))),
+    ])
+    def test_score_rows_must_be_2d(self, calib, test):
+        with pytest.raises(InvalidParamsError, match="rows must have the same width and be 2-D"):
+            backtest_matrices(calib, test, 0.6)
+
+    @pytest.mark.parametrize("bad", ["x", 10**400, {}], ids=["text", "1e400", "dict"])
+    def test_non_numeric_score_is_invalid_params(self, bad):
+        with pytest.raises(InvalidParamsError, match="calibration rows do not form a numeric"):
+            backtest_matrices([[1.0], [bad]], [[1.0]], 0.5)
+        with pytest.raises(InvalidParamsError, match="test rows do not form a numeric"):
+            backtest_matrices([[1.0], [2.0]], [[bad]], 0.5)
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, float("nan"), -0.1, "0.1", None])
     def test_delta_outside_the_unit_interval(self, delta):
         with pytest.raises(InvalidParamsError, match=r"delta must lie in \(0, 1\)"):
@@ -337,6 +354,23 @@ class TestCheckCp:
     def test_a_report_without_rows_is_invalid(self):
         with pytest.raises(InvalidParamsError, match="with rows"):
             CheckReport.from_matrices(np.empty((0, 2)), np.empty((0, 2)), {})
+
+    def test_a_report_without_columns_is_invalid(self):
+        with pytest.raises(InvalidParamsError, match="with rows and columns"):
+            CheckReport.from_matrices(np.empty((2, 0)), np.empty((2, 0)), {})
+
+    @pytest.mark.parametrize("hits", [[[2]], np.array([[-1]]), [[0.5]], [[float("nan")]], [[256]]])
+    def test_hits_must_be_zero_or_one(self, hits):
+        # uint8 once wrapped these: 2 read as 200% coverage, -1 as 25,500%
+        with pytest.raises(InvalidParamsError, match="hits must be 0 or 1"):
+            CheckReport.from_matrices([[1.0]], hits, {})
+
+    @pytest.mark.parametrize("bad", ["x", 10**400, [1.0, 2.0]], ids=["text", "1e400", "ragged"])
+    def test_non_numeric_report_input_is_invalid_params(self, bad):
+        with pytest.raises(InvalidParamsError, match="half-widths do not form a numeric array"):
+            CheckReport.from_matrices([[1.0, bad]], [[1, 1]], {})
+        with pytest.raises(InvalidParamsError, match="hits do not form a numeric array"):
+            CheckReport.from_matrices([[1.0, 1.0]], [[1, bad]], {})
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_a_negative_or_non_finite_half_width_is_invalid(self, bad):

@@ -261,6 +261,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--confidence", "x", "'x' is not a number"),
+        ("--confidence", "1.5", "confidence must lie strictly between 0 and 1"),
+        ("--confidence", "0", "confidence must lie strictly between 0 and 1"),
         ("--n", "0", "value must be a positive integer"),
         ("--n", "x", "'x' is not an integer"),
         ("--p-grid", "a", "'a' is not a grid (use 'lo:hi' or 'a,b,c')"),

@@ -309,3 +309,15 @@ class TestConformalRegion:
     def test_region_rank_must_be_a_positive_integer(self, rank):
         with pytest.raises(InvalidParamsError, match="rank must be a positive integer"):
             PredictionRegion([1.0], [0.5], 0.1, rank)
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_region_half_widths_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(InvalidParamsError, match="half-widths must be finite and non-negative"):
+            PredictionRegion([1.0, 2.0], [0.5, bad], 0.1, 1)
+
+    @pytest.mark.parametrize("bad", ["x", 10**400, [1.0, 2.0]], ids=["text", "1e400", "ragged"])
+    def test_region_inputs_that_are_not_numbers_are_invalid_params(self, bad):
+        with pytest.raises(InvalidParamsError, match="center values do not form a numeric array"):
+            PredictionRegion([1.0, bad], [0.5, 0.5], 0.1, 1)
+        with pytest.raises(InvalidParamsError, match="half-widths do not form a numeric array"):
+            PredictionRegion([1.0, 2.0], [0.5, bad], 0.1, 1)

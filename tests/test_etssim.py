@@ -29,7 +29,7 @@ PARAM_SETS = [
 class TestParams:
     def test_default_seasonal_sums_to_zero(self):
         for m in (1, 4, 12, 7):
-            seasonal = ana_params(0.5, 0.2, period=m).init_seasonal
+            seasonal = EtsParams(0.5, 0.2, period=m).init_seasonal
             assert seasonal.shape == (m,)
             assert abs(seasonal.sum()) < 1e-9
             assert not seasonal.flags.writeable
@@ -44,9 +44,9 @@ class TestParams:
         with pytest.raises(InvalidParamsError):
             EtsParams(alpha=0.5, gamma=0.2, beta=0.3)
         with pytest.raises(InvalidParamsError, match="period must be a positive integer"):
-            ana_params(0.5, 0.2, period=True)
+            EtsParams(0.5, 0.2, period=True)
         with pytest.raises(InvalidParamsError, match="sigma2 must be a finite number >= 0"):
-            ana_params(0.5, 0.2, sigma2=float("nan"))
+            EtsParams(0.5, 0.2, sigma2=float("nan"))
         with pytest.raises(InvalidParamsError, match="beta must lie in"):
             aada_params(0.5, None, 0.2, 0.9)
         for T in (2.5, True):
@@ -68,7 +68,7 @@ class TestParams:
     @pytest.mark.parametrize("sigma2", ["1", True])
     def test_sigma2_must_be_a_number(self, sigma2):
         with pytest.raises(InvalidParamsError, match="sigma2 must be a finite number >= 0"):
-            ana_params(0.5, 0.2, sigma2=sigma2)
+            EtsParams(0.5, 0.2, sigma2=sigma2)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -80,6 +80,13 @@ class TestParams:
     def test_infinite_huge_or_negative_values_are_invalid(self, name, value):
         with pytest.raises(InvalidParamsError, match=f"{name} must be a finite number"):
             EtsParams(0.5, 0.2, **{name: value})
+
+    @pytest.mark.parametrize("name", ["sigma2", "init_level", "init_trend"])
+    def test_numpy_float32_settings_are_read(self, name):
+        # The bound check compares a numpy float as a Python float: float32
+        # cannot hold the largest float64, and casting it there warns.
+        params = EtsParams(0.5, 0.2, **{name: np.float32(0.5)})
+        assert type(getattr(params, name)) is float and getattr(params, name) == 0.5
 
     def test_numbers_are_stored_as_floats(self):
         params = EtsParams(0.5, 0.2, sigma2=2, init_level=10**300, init_trend=-3)
@@ -101,7 +108,7 @@ class TestParams:
             EtsParams(0.5, 0.2, beta=beta, phi=phi)
 
     def test_aada_with_zero_trend_is_ana(self):
-        flat, ana = aada_params(0.5, 0, 0.2, 0, init_trend=7.0), ana_params(0.5, 0.2)
+        flat, ana = EtsParams(0.5, 0.2, beta=0, phi=0, init_trend=7.0), ana_params(0.5, 0.2)
         assert (flat.beta, flat.phi) == (0, 0)
         assert np.array_equal(simulate_ets(flat, 50, 3).values, simulate_ets(ana, 50, 3).values)
         assert ets_forecast_variance(flat, 13) == ets_forecast_variance(ana, 13)
@@ -109,7 +116,7 @@ class TestParams:
 
 class TestSimulate:
     def test_noiseless_ana_is_exactly_periodic(self):
-        params = ana_params(0.5, 0.2, sigma2=0.0, period=6, init_level=100.0)
+        params = EtsParams(0.5, 0.2, sigma2=0.0, period=6, init_level=100.0)
         seasonal = params.init_seasonal
         series = simulate_ets(params, 30, seed=1)
         want = 100.0 + seasonal[np.arange(30) % 6]
@@ -117,8 +124,8 @@ class TestSimulate:
 
     def test_noiseless_damped_trend_closed_form(self):
         phi, b0 = 0.8, 2.5
-        params = aada_params(0.6, 0.3, 0.2, phi, sigma2=0.0, period=4,
-                             init_level=50.0, init_trend=b0)
+        params = EtsParams(0.6, 0.2, sigma2=0.0, period=4, beta=0.3, phi=phi,
+                           init_level=50.0, init_trend=b0)
         seasonal = params.init_seasonal
         series = simulate_ets(params, 20, seed=3)
         t = np.arange(1, 21)
@@ -142,7 +149,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("init_trend", [1e308, -1e308])
     def test_overflowing_path_is_invalid_params(self, init_trend):
-        params = aada_params(0.7, 0.3, 0.2, 0.82, init_level=1e308, init_trend=init_trend)
+        params = EtsParams(0.7, 0.2, beta=0.3, phi=0.82, init_level=1e308, init_trend=init_trend)
         with pytest.raises(InvalidParamsError, match="parameters make the path overflow"):
             simulate_ets(params, 40, seed=0)
 
@@ -150,14 +157,15 @@ class TestSimulate:
     def test_overflowing_path_with_numpy_rates_is_invalid_params(self, init_trend):
         # The loop runs on Python floats, which overflow without a warning;
         # numpy rates are stored as floats, so no state becomes a numpy scalar.
-        rates = map(np.float64, (0.7, 0.3, 0.2, 0.82))
-        params = aada_params(*rates, init_level=1e308, init_trend=init_trend)
+        alpha, beta, gamma, phi = map(np.float64, (0.7, 0.3, 0.2, 0.82))
+        params = EtsParams(alpha, gamma, beta=beta, phi=phi,
+                           init_level=1e308, init_trend=init_trend)
         assert all(type(v) is float for v in (params.alpha, params.beta, params.gamma, params.phi))
         with pytest.raises(InvalidParamsError, match="parameters make the path overflow"):
             simulate_ets(params, 40, seed=0)
 
     def test_period_metadata(self):
-        series = simulate_ets(ana_params(0.5, 0.2, period=12), 50, seed=0)
+        series = simulate_ets(EtsParams(0.5, 0.2, period=12), 50, seed=0)
         assert series.period == 12 and len(series) == 50
 
     def test_recursion_reconstructs_from_observations(self):
@@ -166,7 +174,7 @@ class TestSimulate:
         # one-step errors are exactly the simulator's scaled shocks. Short
         # horizon only: rounding seeds grow exponentially for these
         # parameters, so exact replay is a local consistency check
-        params = aada_params(0.7, 0.3, 0.2, 0.82, sigma2=2.5, period=12)
+        params = EtsParams(0.7, 0.2, sigma2=2.5, period=12, beta=0.3, phi=0.82)
         values = simulate_ets(params, 300, seed=13).values
         level, trend, seasonal = replay_states(params, values)
         t = np.arange(values.size)
@@ -178,7 +186,8 @@ class TestSimulate:
 class TestForecastVariance:
     def test_h1_collapses_to_sigma2(self):
         for params in PARAM_SETS:
-            scaled = aada_params(params.alpha, params.beta, params.gamma, params.phi, sigma2=2.5)
+            scaled = EtsParams(params.alpha, params.gamma, sigma2=2.5,
+                               beta=params.beta, phi=params.phi)
             assert ets_forecast_variance(scaled, 1) == pytest.approx(2.5)
 
     def test_ana_h2_value(self):
@@ -220,7 +229,7 @@ class TestForecastVariance:
 
     @pytest.mark.parametrize("phi", [0.999999, 1 - 1e-7, 1 - 1e-8])
     def test_stable_as_phi_approaches_one(self, phi):
-        params = aada_params(0.7, 0.3, 0.2, phi, sigma2=2.5)
+        params = EtsParams(0.7, 0.2, sigma2=2.5, beta=0.3, phi=phi)
         assert ets_forecast_variance(params, 1) == params.sigma2
         assert math.isfinite(theoretical_width(params, 3, 0.95))
 
@@ -233,7 +242,7 @@ class TestForecastVariance:
             theoretical_width(ana_params(0.5, 0.2), True, 0.9)
 
     def test_overflowing_variance_is_invalid_params(self):
-        params = ana_params(0.5, 0.2, sigma2=1e308)
+        params = EtsParams(0.5, 0.2, sigma2=1e308)
         assert ets_forecast_variance(params, 1) == 1e308
         with pytest.raises(InvalidParamsError, match="13-step forecast variance overflow"):
             ets_forecast_variance(params, 13)

@@ -41,6 +41,10 @@ class TestValidateSeries:
         with pytest.raises(DataError, match="series values do not form a numeric array"):
             TimeSeries(values, 12)
 
+    def test_a_value_too_large_for_a_float_is_data_error(self):
+        with pytest.raises(DataError, match="series values do not form a numeric array"):
+            TimeSeries([1.0, 10**400], 12)
+
     def test_numeric_strings_are_read(self):
         assert TimeSeries(["1.5", "2"], 12).values.tolist() == [1.5, 2.0]
 
@@ -103,6 +107,20 @@ class TestMape:
             mape(actual, predicted)
         assert type(exc.value) is DataError
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_are_typed(self, bad):
+        with pytest.raises(NonFiniteValueError, match="mape needs finite values"):
+            mape([1.0, bad], [1.0, 2.0])
+        with pytest.raises(NonFiniteValueError, match="mape needs finite values"):
+            mape([1.0, 2.0], [bad, 2.0])
+
+    @pytest.mark.parametrize("bad", [["x", 1.0], [10**400, 1.0], [[1.0], [1.0, 2.0]]])
+    def test_values_that_are_not_numbers_are_invalid_params(self, bad):
+        with pytest.raises(InvalidParamsError, match="do not form a numeric array"):
+            mape(bad, [1.0, 2.0])
+        with pytest.raises(InvalidParamsError, match="do not form a numeric array"):
+            mape([1.0, 2.0], bad)
+
     @given(st.lists(st.floats(min_value=0.5, max_value=1e6), min_size=1, max_size=30))
     def test_self_mape_is_zero(self, xs):
         assert mape(xs, xs) == 0.0
@@ -155,6 +173,25 @@ class TestSplitSizes:
                 with pytest.raises(InsufficientCalibrationError):
                     SplitSpec(i1=m - 1, i2=1, delta=delta)
             assert split_sizes(1000, 1, delta).i1 >= m
+
+    @pytest.mark.parametrize(
+        "delta", [0, 0.0, 1.0, float("nan"), "x", None, True, 10**400],
+        ids=["0", "0.0", "1.0", "nan", "x", "None", "True", "1e400"],
+    )
+    def test_rank_rules_check_their_delta(self, delta):
+        with pytest.raises(InvalidParamsError, match=r"delta must lie in \(0, 1\)"):
+            rank_for(delta, 10)
+        with pytest.raises(InvalidParamsError, match=r"delta must lie in \(0, 1\)"):
+            rank_for(delta, np.arange(3, 6))
+        with pytest.raises(InvalidParamsError, match=r"delta must lie in \(0, 1\)"):
+            min_calibration_count(delta)
+
+    def test_a_delta_too_small_for_any_count_is_invalid(self):
+        # 1/delta overflows to inf, which has no ceiling
+        with pytest.raises(InvalidParamsError, match="too small for any calibration count"):
+            min_calibration_count(5e-324)
+        with pytest.raises(InvalidParamsError, match="too small for any calibration count"):
+            split_sizes(300, 1, 1e-310)
 
     def test_too_short(self):
         # i2 = 5 and the delta floor forces i1 = 19, leaving no training data
