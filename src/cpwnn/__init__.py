@@ -22,7 +22,6 @@ from .etssim import (
     EtsParams,
     aada_params,
     ana_params,
-    ets_forecast_variance,
     simulate_ets,
     theoretical_width,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "check_cp",
     "compare_forecasters",
     "conformal_region",
-    "ets_forecast_variance",
     "fpto_tune",
     "mape",
     "min_calibration_count",

@@ -9,9 +9,9 @@ the half-width recorded for that step.
 A step reads only the rank-th largest score of each column, and the rank
 never falls as the pool grows, so each column keeps just its `keep` largest
 scores, `keep` being the last step's rank: `keep` floats per column instead
-of i1+i2. A score below the kept minimum can never become a later step's
-rank-th largest, so the half-widths are the same values, bit for bit, that
-a sort of the whole pool gives.
+of i1+i2, taken from one sort of the calibration block. A score below the
+kept minimum can never become a later step's rank-th largest, so the
+half-widths equal, bit for bit, those that a sort of the whole pool gives.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import numpy as np
 
 from .conformal import score_rows
 from .errors import DataError, ForecastError, InvalidParamsError
-from .series import HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, _floats, mape, rank_for
+from .series import (
+    HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, _floats, _mape_rows, rank_for,
+)
 from .wnn import ForecasterSpec, Weighting
 
 
@@ -58,7 +60,9 @@ class CheckReport:
             mean_width = 2.0 * half.mean(axis=0)
             median_width = 2.0 * _median(half, axis=0)
             overall_mean = float(mean_width.mean())
-            overall_median = float(2.0 * _median(half.ravel()))
+            # With one column, its median is the overall one: sort once.
+            whole = median_width[0] if half.shape[1] == 1 else 2.0 * _median(half.ravel())
+            overall_median = float(whole)
         if not (np.isfinite(mean_width).all() and np.isfinite(median_width).all()
                 and math.isfinite(overall_mean) and math.isfinite(overall_median)):
             raise DataError("a width overflows; rescale the series")
@@ -126,15 +130,18 @@ def backtest_matrices(
     ranks = rank_for(delta, np.arange(i1, i1 + i2)).tolist()  # per step
     keep = max(ranks, default=1)  # the last rank; with no step, any keep >= 1
     half = np.empty((i2, n))
-    for j in range(n):
-        top = sorted(calib[:, j].tolist())[-keep:]
+    # Stable: equal scores (0.0 and -0.0) keep their row order on any sort kernel.
+    tops = np.sort(calib, axis=0, kind="stable")[-keep:].T.tolist()
+    for j, (top, column) in enumerate(zip(tops, test.T.tolist())):
         top[:0] = [-np.inf] * (keep - len(top))  # never read: a step's rank <= m
+        low = top[0]
         widths = []
-        for rank, score in zip(ranks, test[:, j].tolist()):
+        for rank, score in zip(ranks, column):
             widths.append(top[-rank])
-            if score > top[0]:
+            if score > low:
                 insort(top, score)
                 del top[0]
+                low = top[0]
         half[:, j] = widths
     hits = (test <= half).astype(np.uint8)
     return half, hits
@@ -151,7 +158,8 @@ def run_backtest(
     i1, i2, delta = split.i1, split.i2, split.delta
     forecasts, actual, scores = score_rows(series, spec, n, i1 + i2)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)
-    test_mape = mape(actual[i1:].ravel(), forecasts[i1:-1].ravel())
+    # Both are finite (score_rows checked their differences) and non-empty (i2 >= 1).
+    test_mape = _mape_rows(actual[i1:].ravel(), forecasts[i1:-1].ravel())
     config = {
         "forecaster": spec.describe(),
         "n": n,

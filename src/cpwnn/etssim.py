@@ -117,7 +117,7 @@ def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
         raise InvalidParamsError(f"the parameters make the path overflow: {exc}") from None
 
 
-def ets_forecast_variance(params: EtsParams, h: int) -> float:
+def _ets_forecast_variance(params: EtsParams, h: int) -> float:
     """Variance sigma2*(1 + c_1^2 + ... + c_{h-1}^2) of the h-step-ahead forecast error."""
     h = _positive_int("h", h)
     alpha, beta, gamma, phi = params.alpha, params.beta, params.gamma, params.phi
@@ -138,4 +138,4 @@ def theoretical_width(params: EtsParams, h: int, confidence: float) -> float:
     if not _is_number(confidence) or not 0.0 <= confidence < 1.0:
         raise InvalidParamsError(f"confidence must lie in [0, 1), got {confidence!r}")
     c = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
-    return 2.0 * c * math.sqrt(ets_forecast_variance(params, h))
+    return 2.0 * c * math.sqrt(_ets_forecast_variance(params, h))

@@ -42,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, GridInfeasibleError, InvalidParamsError, SeriesTooShortError
-from .series import HorizonConfig, TimeSeries, _mape_rows, _positive_int
+from .series import HorizonConfig, TimeSeries, _floats, _mape_rows, _positive_int
 
 # Regularizer for inverse-distance weights: an exact-match neighbor then
 # dominates the average instead of dividing by zero.
@@ -92,7 +92,8 @@ class ForecasterSpec:
 
     Each kind has `describe()`, `min_history` (the fewest observations a scored
     step's prefix must hold), `fields()` (its report config entries) and
-    `_forecast`. `forecast_at(values, ends, n)` checks ends, then the history
+    `_forecast`. `forecast_at(values, ends, n)` reads values as a 1-D float
+    array (a float64 array passes uncopied), checks ends, then the history
     of the shortest end only (every longer prefix holds more), and gives the
     forecasts of values[e : e+n] from values[:e] alone, one row per end e.
     """
@@ -108,6 +109,9 @@ class ForecasterSpec:
         return SeasonalNaiveSpec(_positive_int("period", period))
 
     def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
+        values = _floats("series values", values)
+        if values.ndim != 1:
+            raise InvalidParamsError("series values must be one-dimensional")
         ends = np.asarray(ends)
         valid = ends.ndim == 1 and ends.size and ends.dtype.kind in "iu"
         if not valid or ends.max() > len(values):

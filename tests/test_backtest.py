@@ -134,6 +134,8 @@ class TestBacktestMatrices:
         want_half, want_hits = selection_oracle(calib, test, delta)
         assert np.array_equal(half, want_half)
         assert np.array_equal(hits, want_hits)
+        # The report's column means sum in this layout's order.
+        assert half.flags.c_contiguous
 
     @pytest.mark.parametrize("i1, i2, n, most", [(320, 400, 1, 40), (131, 164, 6, 90)])
     def test_only_scores_above_the_kept_minimum_are_inserted(self, monkeypatch, i1, i2, n, most):
@@ -153,6 +155,18 @@ class TestBacktestMatrices:
         test = np.abs(rng.standard_normal((i2, n)))
         backtest_matrices(calib, test, 0.05)
         assert 0 < len(inserted) <= most
+
+    def test_signed_zero_ties_keep_their_row_order(self):
+        # 0.0 == -0.0, so only the order a sort leaves equal scores in decides
+        # the sign a width reads: that of a stable sort of the calibration
+        # rows. No test score beats the kept minimum, a zero, so none enters.
+        rng = np.random.default_rng(16)
+        calib = np.where(rng.random((300, 1)) < 0.5, 0.0, -0.0)
+        calib[:5] = 1.0
+        half, _ = backtest_matrices(calib, np.zeros((40, 1)), 0.5)
+        ordered = sorted(calib[:, 0].tolist())
+        want = [ordered[-rank_for(0.5, 300 + i)] for i in range(40)]
+        assert np.array_equal(np.signbit(half[:, 0]), np.signbit(want))
 
     @pytest.mark.parametrize("delta", [0.05, 0.5, 0.9])
     def test_an_empty_test_block_gives_empty_matrices(self, delta):

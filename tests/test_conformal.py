@@ -21,7 +21,12 @@ from cpwnn import (
 )
 from cpwnn import conformal
 from cpwnn.conformal import kth_largest, score_rows
-from cpwnn.errors import InsufficientCalibrationError, InvalidParamsError, SeriesTooShortError
+from cpwnn.errors import (
+    DataError,
+    InsufficientCalibrationError,
+    InvalidParamsError,
+    SeriesTooShortError,
+)
 
 
 def periodic_series(profile, reps, period=None):
@@ -139,12 +144,33 @@ class TestForecastMemo:
     def test_stored_forecasts_are_read_only(self):
         ts = self.series()
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=2, k=3))
-        forecasts, _, _ = score_rows(ts, spec, 2, 6)
-        with pytest.raises(ValueError):
-            forecasts[0, 0] = 1e9
-        assert not any(f.flags.writeable for f in conformal._FORECASTS[ts].values())
+        for got in score_rows(ts, spec, 2, 6):
+            with pytest.raises(ValueError):
+                got[0, 0] = 1e9
+        stored = [a for entry in conformal._FORECASTS[ts].values() for a in entry]
+        assert len(stored) == 2 and not any(a.flags.writeable for a in stored)
         rows, _ = reference_rows(ts, spec, 2, 6)
         assert np.array_equal(wnn_scores(ts, spec.config, 6), rows)
+
+    def test_smaller_h_reads_views_of_the_entry(self):
+        ts = self.series()
+        spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=2, k=3))
+        score_rows(ts, spec, 2, 15)
+        stored_forecasts, stored_scores = conformal._FORECASTS[ts][spec, 2]
+        forecasts, actual, scores = score_rows(ts, spec, 2, 4)
+        assert np.shares_memory(forecasts, stored_forecasts)
+        assert np.shares_memory(scores, stored_scores)
+        assert np.array_equal(scores, np.abs(actual - forecasts[:-1]))
+        assert np.array_equal(scores, reference_rows(ts, spec, 2, 4)[0])
+
+    def test_overflowing_score_raises_on_every_call_and_stores_nothing(self):
+        # A seasonal-naive forecast of the opposite sign is 2e308 away.
+        ts = TimeSeries(np.tile([1e308, -1e308], 30), 3)
+        spec = ForecasterSpec.seasonal_naive(3)
+        for _ in range(3):
+            with pytest.raises(DataError, match="overflows; rescale the series"):
+                score_rows(ts, spec, 1, 20)
+            assert (spec, 1) not in conformal._FORECASTS[ts]
 
     def test_too_short_raises_on_every_call(self):
         ts = TimeSeries(np.arange(1.0, 30.0), 4)
@@ -165,13 +191,13 @@ class TestForecastMemo:
         config = HorizonConfig(n=2, p=2, k=3)
         wnn_scores(ts, config, h=6)
         alive = weakref.ref(ts)
-        stored = weakref.ref(conformal._FORECASTS[ts][ForecasterSpec.wnn(config), 2])
+        stored = [weakref.ref(a) for a in conformal._FORECASTS[ts][ForecasterSpec.wnn(config), 2]]
         gc.collect()
         held = len(conformal._FORECASTS)
         del ts
         gc.collect()
         assert alive() is None
-        assert stored() is None
+        assert len(stored) == 2 and all(ref() is None for ref in stored)
         assert len(conformal._FORECASTS) == held - 1
 
     def test_two_threads_get_the_serial_results(self):
@@ -314,6 +340,16 @@ class TestConformalRegion:
     def test_region_half_widths_must_be_finite_and_non_negative(self, bad):
         with pytest.raises(InvalidParamsError, match="half-widths must be finite and non-negative"):
             PredictionRegion([1.0, 2.0], [0.5, bad], 0.1, 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_region_center_must_be_finite(self, bad):
+        with pytest.raises(InvalidParamsError, match="center values must be finite"):
+            PredictionRegion([1.0, bad], [0.5, 0.5], 0.1, 1)
+
+    @pytest.mark.parametrize("delta", ["x", 0, 1, 0.0, 1.0, float("nan"), True])
+    def test_region_delta_must_lie_in_the_open_unit_interval(self, delta):
+        with pytest.raises(InvalidParamsError, match=r"delta must lie in \(0, 1\)"):
+            PredictionRegion([1.0], [0.5], delta, 1)
 
     @pytest.mark.parametrize("bad", ["x", 10**400, [1.0, 2.0]], ids=["text", "1e400", "ragged"])
     def test_region_inputs_that_are_not_numbers_are_invalid_params(self, bad):

@@ -12,10 +12,10 @@ from cpwnn import (
     EtsParams,
     aada_params,
     ana_params,
-    ets_forecast_variance,
     simulate_ets,
     theoretical_width,
 )
+from cpwnn.etssim import _ets_forecast_variance
 from cpwnn.errors import InvalidParamsError
 
 PARAM_SETS = [
@@ -111,7 +111,7 @@ class TestParams:
         flat, ana = EtsParams(0.5, 0.2, beta=0, phi=0, init_trend=7.0), ana_params(0.5, 0.2)
         assert (flat.beta, flat.phi) == (0, 0)
         assert np.array_equal(simulate_ets(flat, 50, 3).values, simulate_ets(ana, 50, 3).values)
-        assert ets_forecast_variance(flat, 13) == ets_forecast_variance(ana, 13)
+        assert _ets_forecast_variance(flat, 13) == _ets_forecast_variance(ana, 13)
 
 
 class TestSimulate:
@@ -188,18 +188,18 @@ class TestForecastVariance:
         for params in PARAM_SETS:
             scaled = EtsParams(params.alpha, params.gamma, sigma2=2.5,
                                beta=params.beta, phi=params.phi)
-            assert ets_forecast_variance(scaled, 1) == pytest.approx(2.5)
+            assert _ets_forecast_variance(scaled, 1) == pytest.approx(2.5)
 
     def test_ana_h2_value(self):
-        assert ets_forecast_variance(ana_params(0.5, 0.2), 2) == pytest.approx(1.25)
+        assert _ets_forecast_variance(ana_params(0.5, 0.2), 2) == pytest.approx(1.25)
 
     def test_aada_h2_value(self):
-        got = ets_forecast_variance(aada_params(0.7, 0.3, 0.2, 0.82), 2)
+        got = _ets_forecast_variance(aada_params(0.7, 0.3, 0.2, 0.82), 2)
         assert got == pytest.approx(1.894, abs=1e-3)
 
     def test_nondecreasing_over_two_periods(self):
         for params in PARAM_SETS:
-            variances = [ets_forecast_variance(params, h) for h in range(1, 25)]
+            variances = [_ets_forecast_variance(params, h) for h in range(1, 25)]
             assert all(b >= a - 1e-12 for a, b in zip(variances, variances[1:]))
 
     @pytest.mark.parametrize("m", [1, 4, 7, 12])
@@ -225,27 +225,27 @@ class TestForecastVariance:
             power = F @ power
         for h in range(1, 3 * m + 4):
             want = params.sigma2 * (1.0 + sum(c * c for c in coefficients[: h - 1]))
-            assert ets_forecast_variance(params, h) == pytest.approx(want, rel=1e-12)
+            assert _ets_forecast_variance(params, h) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("phi", [0.999999, 1 - 1e-7, 1 - 1e-8])
     def test_stable_as_phi_approaches_one(self, phi):
         params = EtsParams(0.7, 0.2, sigma2=2.5, beta=0.3, phi=phi)
-        assert ets_forecast_variance(params, 1) == params.sigma2
+        assert _ets_forecast_variance(params, 1) == params.sigma2
         assert math.isfinite(theoretical_width(params, 3, 0.95))
 
     def test_h_validated(self):
         with pytest.raises(InvalidParamsError):
-            ets_forecast_variance(ana_params(0.5, 0.2), 0)
+            _ets_forecast_variance(ana_params(0.5, 0.2), 0)
         with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
-            ets_forecast_variance(ana_params(0.5, 0.2), 2.5)
+            _ets_forecast_variance(ana_params(0.5, 0.2), 2.5)
         with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
             theoretical_width(ana_params(0.5, 0.2), True, 0.9)
 
     def test_overflowing_variance_is_invalid_params(self):
         params = EtsParams(0.5, 0.2, sigma2=1e308)
-        assert ets_forecast_variance(params, 1) == 1e308
+        assert _ets_forecast_variance(params, 1) == 1e308
         with pytest.raises(InvalidParamsError, match="13-step forecast variance overflow"):
-            ets_forecast_variance(params, 13)
+            _ets_forecast_variance(params, 13)
         with pytest.raises(InvalidParamsError, match="13-step forecast variance overflow"):
             theoretical_width(params, 13, 0.95)
 

@@ -301,6 +301,29 @@ class TestPointForecast:
         with pytest.raises(InvalidParamsError, match="ends must be"):
             spec.forecast_at(values, ends, 1)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ForecasterSpec.wnn(HorizonConfig(1, 2, 1)), ForecasterSpec.seasonal_naive(4)],
+        ids=["wnn", "seasonal-naive"],
+    )
+    def test_values_are_read_as_a_1d_float_array(self, spec):
+        values = np.random.default_rng(7).normal(20.0, 1.0, size=50)
+        ends = np.array([40, 45])
+        want = spec.forecast_at(values, ends, 1)
+        assert np.array_equal(spec.forecast_at(values.tolist(), ends, 1), want)
+        with pytest.raises(InvalidParamsError, match="do not form a numeric array"):
+            spec.forecast_at(["x"] * 50, ends, 1)
+        with pytest.raises(InvalidParamsError, match="one-dimensional"):
+            spec.forecast_at(values.reshape(5, 10), ends, 1)
+
+    def test_a_float64_array_reaches_the_forecaster_uncopied(self, monkeypatch):
+        spec = ForecasterSpec.seasonal_naive(4)
+        seen = []
+        monkeypatch.setattr(type(spec), "_forecast", lambda self, v, ends, n: seen.append(v))
+        values = np.arange(1.0, 51.0)
+        spec.forecast_at(values, [40], 1)
+        assert len(seen) == 1 and seen[0] is values
+
     @pytest.mark.parametrize("period", [2.5, True, 0, -3])
     def test_seasonal_naive_rejects_a_bad_period(self, period):
         with pytest.raises(InvalidParamsError, match="period must be a positive integer"):
