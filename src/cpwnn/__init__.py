@@ -29,7 +29,6 @@ from .series import (
     HorizonConfig,
     SplitSpec,
     TimeSeries,
-    mape,
     min_calibration_count,
     rank_for,
     split_sizes,
@@ -61,7 +60,6 @@ __all__ = [
     "compare_forecasters",
     "conformal_region",
     "fpto_tune",
-    "mape",
     "min_calibration_count",
     "rank_for",
     "run_backtest",

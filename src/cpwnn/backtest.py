@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,22 +33,21 @@ from .wnn import ForecasterSpec, Weighting
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Backtest outputs: per-step half-widths, 0/1 hits, and every summary, overflow-checked."""
+    """Backtest outputs: checked half-widths and 0/1 hits, and every summary, overflow-checked."""
 
     half_widths: np.ndarray        # i2 x n; row i holds the widths used at test step i
     hits: np.ndarray               # i2 x n; 1 where the step's score was covered
-    overall_coverage: float        # percent over all cells
-    component_coverage: np.ndarray # percent per horizon component
-    mean_width: np.ndarray         # 2 * column means of half_widths
-    median_width: np.ndarray       # 2 * column medians of half_widths
-    overall_mean_width: float      # mean of mean_width; not in to_dict
-    overall_median_width: float    # 2 * median of every half-width; not in to_dict
     config: dict
+    overall_coverage: float = field(init=False)         # percent over all cells
+    component_coverage: np.ndarray = field(init=False)  # percent per horizon component
+    mean_width: np.ndarray = field(init=False)          # 2 * column means of half_widths
+    median_width: np.ndarray = field(init=False)        # 2 * column medians of half_widths
+    overall_mean_width: float = field(init=False)       # mean of mean_width; not in to_dict
+    overall_median_width: float = field(init=False)     # 2 * median of every half-width; ditto
 
-    @classmethod
-    def from_matrices(cls, half_widths, hits, config: dict) -> "CheckReport":
-        half = _floats("half-widths", half_widths)
-        hit = _floats("hits", hits)
+    def __post_init__(self):
+        half = _floats("half-widths", self.half_widths)
+        hit = _floats("hits", self.hits)
         if half.ndim != 2 or half.shape != hit.shape or not half.size:
             raise InvalidParamsError("half_widths and hits must be congruent 2-D arrays "
                                      "with rows and columns")
@@ -66,17 +65,18 @@ class CheckReport:
         if not (np.isfinite(mean_width).all() and np.isfinite(median_width).all()
                 and math.isfinite(overall_mean) and math.isfinite(overall_median)):
             raise DataError("a width overflows; rescale the series")
-        return cls(
-            half_widths=half,
-            hits=hit.astype(np.uint8),
-            overall_coverage=float(100.0 * hit.sum() / hit.size),
-            component_coverage=100.0 * hit.mean(axis=0),
-            mean_width=mean_width,
-            median_width=median_width,
-            overall_mean_width=overall_mean,
-            overall_median_width=overall_median,
-            config=dict(config),
-        )
+        for name, value in {
+            "half_widths": half,
+            "hits": hit.astype(np.uint8),
+            "config": dict(self.config),
+            "overall_coverage": float(100.0 * hit.sum() / hit.size),
+            "component_coverage": 100.0 * hit.mean(axis=0),
+            "mean_width": mean_width,
+            "median_width": median_width,
+            "overall_mean_width": overall_mean,
+            "overall_median_width": overall_median,
+        }.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
@@ -167,7 +167,7 @@ def run_backtest(
         "i2": i2,
         "delta": delta,
     } | spec.fields()
-    return CheckReport.from_matrices(half, hits, config), float(test_mape)
+    return CheckReport(half, hits, config), float(test_mape)
 
 
 def check_cp(

@@ -1,5 +1,5 @@
-"""Series container, forecast-accuracy metric, the calibration/test split rule
-and the order-statistic rank rule both the split and the regions rest on.
+"""Series container, the shared MAPE, the calibration/test split rule and the
+order-statistic rank rule both the split and the regions rest on.
 
 A series of length T is written a_1..a_T in the docs; storage is a plain
 read-only float64 array. Every type here is frozen, every function pure, so
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -147,21 +146,6 @@ class SplitSpec:
         object.__setattr__(self, "i2", _positive_int("i2", self.i2))
         # delta must lie in (0, 1) and floor(delta*(i1+1)) >= 1, so the first step has a rank.
         _feasible_rank(self.delta, self.i1)
-
-
-def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean absolute percentage error, in percent.
-
-    A zero actual value is a hard error: silently skipping those points would
-    bias any objective built on top of this metric.
-    """
-    a = _floats("actual values", actual)
-    f = _floats("predicted values", predicted)
-    if a.ndim != 1 or a.shape != f.shape or a.size == 0:
-        raise InvalidParamsError(f"mape needs equal, non-zero lengths, got {a.size} and {f.size}")
-    if not (np.isfinite(a).all() and np.isfinite(f).all()):
-        raise NonFiniteValueError("mape needs finite values")
-    return float(_mape_rows(a, f))
 
 
 def _mape_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:

@@ -24,12 +24,13 @@ first minimum in p-major, k-minor order (smaller p, then smaller k), so
 results are deterministic. Uniform weighting raises DataError where the sum
 of a row's k continuations overflows.
 
-Each forecaster is a frozen spec, `WnnSpec` or the `SeasonalNaiveSpec` baseline,
-made by `ForecasterSpec.wnn` or `ForecasterSpec.seasonal_naive`. Its
-`forecast_at` is its one refit path: it forecasts from many prefixes (ends) of
-one series in one call, which is how `conformal.score_rows` scores every step;
-`wnn_forecast` is the one-end case. `forecast_at` owns the history check for
-every caller; the tuner skips a (p, k) cell by the same `_min_history`.
+Each forecaster is a frozen spec whose constructor checks its fields, `WnnSpec`
+(also `ForecasterSpec.wnn`) or the `SeasonalNaiveSpec` baseline (also
+`ForecasterSpec.seasonal_naive`). Its `forecast_at` is its one refit path: it
+forecasts from many prefixes (ends) of one series in one call, which is how
+`conformal.score_rows` scores every step; `wnn_forecast` is the one-end case.
+`forecast_at` owns the history check for every caller; the tuner skips a
+(p, k) cell by the same `_min_history`.
 """
 
 from __future__ import annotations
@@ -88,27 +89,19 @@ class Weighting(str, Enum):
 
 
 class ForecasterSpec:
-    """A point forecaster: one frozen type per kind, made by `wnn` or `seasonal_naive`.
+    """A point forecaster: `wnn` is `WnnSpec`, `seasonal_naive` is `SeasonalNaiveSpec`.
 
-    Each kind has `describe()`, `min_history` (the fewest observations a scored
-    step's prefix must hold), `fields()` (its report config entries) and
-    `_forecast`. `forecast_at(values, ends, n)` reads values as a 1-D float
-    array (a float64 array passes uncopied), checks ends, then the history
-    of the shortest end only (every longer prefix holds more), and gives the
+    Each kind is a frozen type whose constructor checks its fields, with
+    `describe()`, `min_history` (the fewest observations a scored step's
+    prefix must hold), `fields()` (its report config entries) and `_forecast`.
+    `forecast_at(values, ends, n)` checks n, reads values as a 1-D float array
+    (a float64 array passes uncopied), checks ends, then the history of the
+    shortest end only (every longer prefix holds more), and gives the
     forecasts of values[e : e+n] from values[:e] alone, one row per end e.
     """
 
-    @staticmethod
-    def wnn(
-        config: HorizonConfig, weighting: Weighting | str = Weighting.INVERSE_DISTANCE
-    ) -> "WnnSpec":
-        return WnnSpec(config, Weighting(weighting))
-
-    @staticmethod
-    def seasonal_naive(period: int) -> "SeasonalNaiveSpec":
-        return SeasonalNaiveSpec(_positive_int("period", period))
-
     def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
+        n = _positive_int("n", n)
         values = _floats("series values", values)
         if values.ndim != 1:
             raise InvalidParamsError("series values must be one-dimensional")
@@ -130,7 +123,10 @@ class WnnSpec(ForecasterSpec):
     """The weighted nearest-neighbor forecaster at a fixed (n, p, k)."""
 
     config: HorizonConfig
-    weighting: Weighting
+    weighting: Weighting = Weighting.INVERSE_DISTANCE
+
+    def __post_init__(self):
+        object.__setattr__(self, "weighting", Weighting(self.weighting))
 
     def describe(self) -> str:
         return f"wnn(p={self.config.p}, k={self.config.k}, {self.weighting.value})"
@@ -156,6 +152,9 @@ class SeasonalNaiveSpec(ForecasterSpec):
 
     period: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "period", _positive_int("period", self.period))
+
     def describe(self) -> str:
         return f"seasonal-naive(m={self.period})"
 
@@ -168,6 +167,9 @@ class SeasonalNaiveSpec(ForecasterSpec):
 
     def _forecast(self, values: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
         return values[ends[:, None] - self.period + np.arange(n) % self.period]
+
+
+ForecasterSpec.wnn, ForecasterSpec.seasonal_naive = WnnSpec, SeasonalNaiveSpec
 
 
 @dataclass(frozen=True, eq=False)

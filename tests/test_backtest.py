@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -51,7 +53,7 @@ class TestBacktestMatrices:
         half, hits = backtest_matrices([[5.0], [2.0], [8.0]], [[6.0]], 0.3)
         assert half.tolist() == [[8.0]]
         assert hits.tolist() == [[1]]
-        report = CheckReport.from_matrices(half, hits, {})
+        report = CheckReport(half, hits, {})
         assert report.overall_coverage == 100.0
         assert report.mean_width == pytest.approx([16.0])
 
@@ -327,10 +329,10 @@ class TestCheckCp:
         with pytest.raises(DataError, match="a width overflows; rescale the series"):
             run_backtest(series, ForecasterSpec.seasonal_naive(12), 1, split)
         with pytest.raises(DataError, match="a width overflows; rescale the series"):
-            CheckReport.from_matrices([[1e308], [1e308]], [[1], [1]], {})
+            CheckReport([[1e308], [1e308]], [[1], [1]], {})
         # Each column's mean width is finite, but their overall mean is not.
         with pytest.raises(DataError, match="a width overflows; rescale the series"):
-            CheckReport.from_matrices(np.full((1, 12), 0.8e308), np.ones((1, 12)), {})
+            CheckReport(np.full((1, 12), 0.8e308), np.ones((1, 12)), {})
 
     def test_overall_widths_match_the_json_lists(self):
         # The overall widths recomputed from the report's JSON lists: the mean
@@ -343,7 +345,7 @@ class TestCheckCp:
             half = rng.random(shape) * scale
             if rng.random() < 0.3:  # ties
                 half = np.round(half / scale * 4) * scale
-            report = CheckReport.from_matrices(half, np.ones(shape), {})
+            report = CheckReport(half, np.ones(shape), {})
             doc = report.to_dict()
             assert report.overall_mean_width == float(np.mean(doc["mean_width"]))
             assert report.overall_median_width == float(_median(doc["half_widths"]) * 2.0)
@@ -358,7 +360,7 @@ class TestCheckCp:
             rng.integers(1, 1000, (rows, 3)) * 5e-324,  # subnormal
             2e307 * (1.0 - 0.1 * rng.random((rows, 3))),  # row sums near the largest float
         ):
-            report = CheckReport.from_matrices(half, np.ones(half.shape), {})
+            report = CheckReport(half, np.ones(half.shape), {})
             assert np.array_equal(report.median_width, 2.0 * np.median(half, axis=0))
 
     def test_an_odd_median_is_its_middle_element(self):
@@ -367,29 +369,37 @@ class TestCheckCp:
 
     def test_a_report_without_rows_is_invalid(self):
         with pytest.raises(InvalidParamsError, match="with rows"):
-            CheckReport.from_matrices(np.empty((0, 2)), np.empty((0, 2)), {})
+            CheckReport(np.empty((0, 2)), np.empty((0, 2)), {})
 
     def test_a_report_without_columns_is_invalid(self):
         with pytest.raises(InvalidParamsError, match="with rows and columns"):
-            CheckReport.from_matrices(np.empty((2, 0)), np.empty((2, 0)), {})
+            CheckReport(np.empty((2, 0)), np.empty((2, 0)), {})
 
     @pytest.mark.parametrize("hits", [[[2]], np.array([[-1]]), [[0.5]], [[float("nan")]], [[256]]])
     def test_hits_must_be_zero_or_one(self, hits):
         # uint8 once wrapped these: 2 read as 200% coverage, -1 as 25,500%
         with pytest.raises(InvalidParamsError, match="hits must be 0 or 1"):
-            CheckReport.from_matrices([[1.0]], hits, {})
+            CheckReport([[1.0]], hits, {})
 
     @pytest.mark.parametrize("bad", ["x", 10**400, [1.0, 2.0]], ids=["text", "1e400", "ragged"])
     def test_non_numeric_report_input_is_invalid_params(self, bad):
         with pytest.raises(InvalidParamsError, match="half-widths do not form a numeric array"):
-            CheckReport.from_matrices([[1.0, bad]], [[1, 1]], {})
+            CheckReport([[1.0, bad]], [[1, 1]], {})
         with pytest.raises(InvalidParamsError, match="hits do not form a numeric array"):
-            CheckReport.from_matrices([[1.0, 1.0]], [[1, bad]], {})
+            CheckReport([[1.0, 1.0]], [[1, bad]], {})
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_a_negative_or_non_finite_half_width_is_invalid(self, bad):
         with pytest.raises(InvalidParamsError, match="half-widths must be finite and non-negative"):
-            CheckReport.from_matrices([[1.0, bad]], [[1, 1]], {})
+            CheckReport([[1.0, bad]], [[1, 1]], {})
+
+    def test_the_constructor_takes_only_the_matrices_and_config(self):
+        # The summaries are computed, never passed: no coverage of -5 by hand.
+        inputs = [f.name for f in dataclasses.fields(CheckReport) if f.init]
+        assert inputs == ["half_widths", "hits", "config"]
+        assert not hasattr(CheckReport, "from_matrices")
+        with pytest.raises(TypeError):
+            CheckReport([[1.0]], [[1]], {}, overall_coverage=-5.0)
 
 
 class TestCompareForecasters:

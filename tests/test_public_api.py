@@ -46,7 +46,7 @@ MEMBERS = [
     if inspect.isclass(cls)
     for attr, obj in vars(cls).items()
     if not attr.startswith("_")
-    and isinstance(obj, (property, classmethod, staticmethod, types.FunctionType))
+    and isinstance(obj, (property, classmethod, staticmethod, types.FunctionType, type))
 ]
 
 

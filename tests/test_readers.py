@@ -1,10 +1,10 @@
 """Every public reader of outside arrays raises only this package's errors.
 
-The five readers (`TimeSeries`, `mape`, `PredictionRegion`,
-`CheckReport.from_matrices`, `backtest_matrices`) and the two rank rules
-(`rank_for`, `min_calibration_count`) get malformed input: cells that are not
-numbers, ragged rows, NaN and infinities, integers too large for a float,
-arrays of the wrong rank and hits other than 0 and 1. Each call either
+The four readers (`TimeSeries`, `PredictionRegion`, `CheckReport`,
+`backtest_matrices`) and the two rank rules (`rank_for`,
+`min_calibration_count`) get malformed input: cells that are not numbers,
+ragged rows, NaN and infinities, integers too large for a float, arrays of
+the wrong rank and hits other than 0 and 1. Each call either
 returns or raises a `ForecastError`; numpy's own exceptions, and its
 warnings (errors in this suite), must not escape.
 """
@@ -18,7 +18,6 @@ from cpwnn import (
     PredictionRegion,
     TimeSeries,
     backtest_matrices,
-    mape,
     min_calibration_count,
     rank_for,
 )
@@ -57,9 +56,8 @@ DELTAS = st.one_of(
 
 READERS = {
     "TimeSeries": lambda a, b, delta: TimeSeries(a),
-    "mape": lambda a, b, delta: mape(a, b),
     "PredictionRegion": lambda a, b, delta: PredictionRegion(a, b, delta, 1),
-    "CheckReport.from_matrices": lambda a, b, delta: CheckReport.from_matrices(a, b, {}),
+    "CheckReport": lambda a, b, delta: CheckReport(a, b, {}),
     "backtest_matrices": lambda a, b, delta: backtest_matrices(a, b, delta),
     "rank_for": lambda a, b, delta: rank_for(delta, 10),
     "rank_for(array)": lambda a, b, delta: rank_for(delta, np.arange(1, 6)),

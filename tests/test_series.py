@@ -9,7 +9,6 @@ from cpwnn import (
     HorizonConfig,
     SplitSpec,
     TimeSeries,
-    mape,
     min_calibration_count,
     rank_for,
     split_sizes,
@@ -23,6 +22,7 @@ from cpwnn.errors import (
     SeriesTooShortError,
     ZeroActualError,
 )
+from cpwnn.series import _mape_rows
 
 
 class TestValidateSeries:
@@ -77,24 +77,25 @@ class TestHorizonConfig:
             HorizonConfig(**bad)
 
 
+def row_mape(actual, predicted):
+    """`series._mape_rows` on one row, as the tuner and the backtest read it."""
+    return float(_mape_rows(np.asarray(actual, dtype=float), np.asarray(predicted, dtype=float)))
+
+
 class TestMape:
     def test_symmetric_one_percent(self):
-        assert mape([100.0, 100.0], [99.0, 101.0]) == pytest.approx(1.0)
+        assert row_mape([100.0, 100.0], [99.0, 101.0]) == pytest.approx(1.0)
 
     def test_exact_forecast_is_zero(self):
-        assert mape([5.0, 5.0, 5.0], [5.0, 5.0, 5.0]) == 0.0
+        assert row_mape([5.0, 5.0, 5.0], [5.0, 5.0, 5.0]) == 0.0
 
     def test_hand_arithmetic(self):
         # (|10/100| + |20/200|) / 2 * 100 = 10
-        assert mape([100.0, 200.0], [110.0, 180.0]) == pytest.approx(10.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidParamsError, match="equal, non-zero lengths, got 2 and 1"):
-            mape([1.0, 2.0], [1.0])
+        assert row_mape([100.0, 200.0], [110.0, 180.0]) == pytest.approx(10.0)
 
     def test_zero_actual_reports_index(self):
         with pytest.raises(ZeroActualError) as exc:
-            mape([1.0, 0.0, 3.0], [1.0, 1.0, 3.0])
+            row_mape([1.0, 0.0, 3.0], [1.0, 1.0, 3.0])
         assert str(exc.value) == "actual value at position 1 is zero; MAPE is undefined there"
 
     @pytest.mark.parametrize("actual, predicted, position", [
@@ -104,26 +105,12 @@ class TestMape:
     ])
     def test_overflowing_term_is_data_error(self, actual, predicted, position):
         with pytest.raises(DataError, match=f"at position {position} overflows") as exc:
-            mape(actual, predicted)
+            row_mape(actual, predicted)
         assert type(exc.value) is DataError
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_values_are_typed(self, bad):
-        with pytest.raises(NonFiniteValueError, match="mape needs finite values"):
-            mape([1.0, bad], [1.0, 2.0])
-        with pytest.raises(NonFiniteValueError, match="mape needs finite values"):
-            mape([1.0, 2.0], [bad, 2.0])
-
-    @pytest.mark.parametrize("bad", [["x", 1.0], [10**400, 1.0], [[1.0], [1.0, 2.0]]])
-    def test_values_that_are_not_numbers_are_invalid_params(self, bad):
-        with pytest.raises(InvalidParamsError, match="do not form a numeric array"):
-            mape(bad, [1.0, 2.0])
-        with pytest.raises(InvalidParamsError, match="do not form a numeric array"):
-            mape([1.0, 2.0], bad)
 
     @given(st.lists(st.floats(min_value=0.5, max_value=1e6), min_size=1, max_size=30))
     def test_self_mape_is_zero(self, xs):
-        assert mape(xs, xs) == 0.0
+        assert row_mape(xs, xs) == 0.0
 
     @settings(max_examples=60)
     @given(
@@ -134,8 +121,8 @@ class TestMape:
         rng = np.random.default_rng(0)
         actual = np.asarray(xs)
         predicted = actual * (1.0 + 0.1 * rng.standard_normal(actual.size))
-        base = mape(actual, predicted)
-        scaled = mape(c * actual, c * predicted)
+        base = row_mape(actual, predicted)
+        scaled = row_mape(c * actual, c * predicted)
         assert scaled == pytest.approx(base, rel=1e-9)
 
 

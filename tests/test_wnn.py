@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from cpwnn import etssim, wnn
+from cpwnn import conformal, etssim, wnn
 from cpwnn import (
     ForecasterSpec,
     HorizonConfig,
@@ -21,7 +21,6 @@ from cpwnn import (
     check_cp,
     conformal_region,
     fpto_tune,
-    mape,
     run_backtest,
     split_sizes,
     wnn_forecast,
@@ -60,7 +59,7 @@ def naive_mape_star(values, n, folds, p, k, weighting=Weighting.INVERSE_DISTANCE
     T = len(values)
     for i in range(1, folds + 1):
         predicted = naive_wnn(values[: T - i * n], n, p, k, weighting)
-        total += mape(values[T - i * n : T - i * n + n], predicted)
+        total += reference_mape(values[T - i * n : T - i * n + n], predicted)
     return total / folds
 
 
@@ -329,11 +328,45 @@ class TestPointForecast:
         with pytest.raises(InvalidParamsError, match="period must be a positive integer"):
             ForecasterSpec.seasonal_naive(period)
 
+    def test_each_spec_class_is_its_checked_factory(self):
+        assert ForecasterSpec.wnn is wnn.WnnSpec
+        assert ForecasterSpec.seasonal_naive is wnn.SeasonalNaiveSpec
+        assert wnn.WnnSpec(HorizonConfig(1, 2, 1)).weighting is Weighting.INVERSE_DISTANCE
+        for period in (0, -3, 2.5, True):
+            with pytest.raises(InvalidParamsError, match="period must be a positive integer"):
+                wnn.SeasonalNaiveSpec(period)
+
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
+    def test_a_weighting_string_is_read_as_a_weighting(self, weighting):
+        # Same forecast bits as the enum member, and one score_rows memo entry.
+        ts = TimeSeries(np.random.default_rng(9).normal(20.0, 1.0, size=60), 4)
+        config = HorizonConfig(n=2, p=3, k=4)
+        spec, member = wnn.WnnSpec(config, weighting), wnn.WnnSpec(config, Weighting(weighting))
+        assert spec.weighting is Weighting(weighting)
+        assert spec == member and hash(spec) == hash(member)
+        ends = [40, 50, 60]
+        assert np.array_equal(spec.forecast_at(ts.values, ends, 2),
+                              member.forecast_at(ts.values, ends, 2))
+        conformal.score_rows(ts, spec, 2, 5)
+        conformal.score_rows(ts, member, 2, 5)
+        assert len(conformal._FORECASTS[ts]) == 1
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, "1"])
+    @pytest.mark.parametrize(
+        "spec",
+        [ForecasterSpec.wnn(HorizonConfig(1, 2, 1)), ForecasterSpec.seasonal_naive(4)],
+        ids=["wnn", "seasonal-naive"],
+    )
+    def test_a_bad_n_is_invalid_params(self, spec, n):
+        with pytest.raises(InvalidParamsError, match="n must be a positive integer"):
+            spec.forecast_at(np.arange(1.0, 51.0), [50], n)
+
     def test_unknown_weighting_is_a_config_error(self):
         ts = TimeSeries(np.random.default_rng(3).normal(20.0, 1.0, size=40), 4)
         config = HorizonConfig(n=1, p=2, k=1)
         calls = [
             lambda: ForecasterSpec.wnn(config, "nearest"),
+            lambda: wnn.WnnSpec(config, "bogus"),
             lambda: fpto_tune(ts, 1, 3, weighting="nearest"),
             lambda: check_cp(ts, config, SplitSpec(4, 2, 0.2), "nearest"),
             lambda: conformal_region(ts, config, 8, 0.2, "nearest"),
