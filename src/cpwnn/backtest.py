@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,11 @@ from .wnn import ForecasterSpec, Weighting
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Backtest outputs: checked half-widths and 0/1 hits, and every summary, overflow-checked."""
+    """Backtest outputs: checked half-widths and 0/1 hits, and every summary, overflow-checked.
+
+    config is a mapping of the run's settings, kept as a dict copy; a list of
+    (key, value) pairs is rejected like any other non-mapping.
+    """
 
     half_widths: np.ndarray        # i2 x n; row i holds the widths used at test step i
     hits: np.ndarray               # i2 x n; 1 where the step's score was covered
@@ -46,6 +50,8 @@ class CheckReport:
     overall_median_width: float = field(init=False)     # 2 * median of every half-width; ditto
 
     def __post_init__(self):
+        if not isinstance(self.config, Mapping):
+            raise InvalidParamsError(f"config must be a mapping, got {type(self.config).__name__}")
         half = _floats("half-widths", self.half_widths)
         hit = _floats("hits", self.hits)
         if half.ndim != 2 or half.shape != hit.shape or not half.size:

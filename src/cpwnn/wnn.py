@@ -50,9 +50,13 @@ from .series import HorizonConfig, TimeSeries, _floats, _mape_rows, _positive_in
 _WEIGHT_EPS = 1e-8
 
 # Most screen values, exact-distance differences, padded sort values or
-# copied squares the search holds in one block or chunk: 128 KB of the
-# float32 screen's, 256 KB of float64 differences, sort values or squares
-# (one row's or window's, if one alone holds more). The padded bound array
+# copied squares the search holds in one block or chunk: 256 KB of the
+# float32 screen's, 512 KB of float64 differences, sort values or squares
+# (one row's or window's, if one alone holds more). Timed interleaved with
+# BLAS on one thread (2-vCPU Xeon VM), 1 << 16 ran the scoring_long searches
+# 1.19x (n=1) and 1.03x (n=6) as fast as 1 << 15 and a T=20,000 search
+# 1.44x, and no search measured slower; 1 << 17 and 1 << 18 ran the
+# scoring_long searches 0.69-0.74x as fast as 1 << 16. The padded bound array
 # beside the screen holds up to slabs - 1 (at most 7) more columns a row, and
 # the kept pairs waiting to be ranked are fewer than
 # _BLOCK_FLOATS // (the shortest window) plus one block's. Besides these, the
@@ -65,7 +69,7 @@ _WEIGHT_EPS = 1e-8
 # the columns past each row's last candidate. Together the masks hold one
 # bool per row for the spread of its block's last candidates: at most
 # _BLOCK_FLOATS for sorted ends, at most one per (end, candidate) for any.
-_BLOCK_FLOATS = 1 << 15
+_BLOCK_FLOATS = 1 << 16
 
 # The p and k grids that tuning searches unless told otherwise, in the CLI too.
 DEFAULT_GRID = tuple(range(1, 13))
@@ -126,6 +130,9 @@ class WnnSpec(ForecasterSpec):
     weighting: Weighting = Weighting.INVERSE_DISTANCE
 
     def __post_init__(self):
+        if not isinstance(self.config, HorizonConfig):
+            got = type(self.config).__name__
+            raise InvalidParamsError(f"config must be a HorizonConfig, got {got}")
         object.__setattr__(self, "weighting", Weighting(self.weighting))
 
     def describe(self) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -387,6 +388,17 @@ class TestCheckCp:
             CheckReport([[1.0, bad]], [[1, 1]], {})
         with pytest.raises(InvalidParamsError, match="hits do not form a numeric array"):
             CheckReport([[1.0, 1.0]], [[1, bad]], {})
+
+    @pytest.mark.parametrize("config", [None, "x", [("n", 1)]], ids=["none", "text", "pairs"])
+    def test_a_config_other_than_a_mapping_is_invalid(self, config):
+        with pytest.raises(InvalidParamsError, match="config must be a mapping"):
+            CheckReport([[1.0]], [[1]], config)
+
+    def test_any_config_mapping_is_kept_as_a_dict_copy(self):
+        config = {"n": 1, "delta": 0.2}
+        report = CheckReport([[1.0]], [[1]], types.MappingProxyType(config))
+        config["n"] = 2
+        assert type(report.config) is dict and report.config == {"n": 1, "delta": 0.2}
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_a_negative_or_non_finite_half_width_is_invalid(self, bad):

@@ -361,6 +361,17 @@ class TestPointForecast:
         with pytest.raises(InvalidParamsError, match="n must be a positive integer"):
             spec.forecast_at(np.arange(1.0, 51.0), [50], n)
 
+    @pytest.mark.parametrize("config", ["x", None, (1, 2, 1)], ids=["text", "none", "tuple"])
+    def test_a_config_other_than_a_horizon_config_is_invalid(self, config):
+        ts = TimeSeries(np.random.default_rng(3).normal(20.0, 1.0, size=40), 4)
+        calls = [
+            lambda: ForecasterSpec.wnn(config).forecast_at(ts.values, [40], 1),
+            lambda: check_cp(ts, config, SplitSpec(4, 2, 0.2)),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParamsError, match="config must be a HorizonConfig"):
+                call()
+
     def test_unknown_weighting_is_a_config_error(self):
         ts = TimeSeries(np.random.default_rng(3).normal(20.0, 1.0, size=40), 4)
         config = HorizonConfig(n=1, p=2, k=1)
@@ -748,7 +759,8 @@ class TestScreenedSearchIsBitIdentical:
         assert list(result.trace) == want
 
     @pytest.mark.parametrize("weighting", list(Weighting))
-    def test_fold_rows_span_several_blocks(self, weighting):
+    def test_fold_rows_span_several_blocks(self, monkeypatch, weighting):
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 1 << 15)
         values = np.round(np.random.default_rng(21).normal(10.0, 1.0, size=3000))
         n, folds = 1, 25
         # A block row holds T - 2 screen values: window starts 0 .. T - 3 for p = 1.
@@ -790,7 +802,8 @@ class TestGroupMinimumBound:
     """Blocks at least 32*kmax candidates wide bound each row from group
     minima; against the one-query-at-a-time reference, with ==."""
 
-    def test_period_equal_to_the_group_count(self):
+    def test_period_equal_to_the_group_count(self, monkeypatch):
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 1 << 15)
         # One block of 16 rows screens 1,988 candidates each, folded into 8
         # slabs of 249 columns, so 249 groups. With period 249 every window
         # of the query's phase lies in one group, so the bound comes from the
@@ -805,7 +818,8 @@ class TestGroupMinimumBound:
         assert_same_nearest(values, np.arange(T - 15, T + 1), 1, 12, kmax)
 
     @pytest.mark.parametrize("kmax", [1, 3])
-    def test_first_row_holds_exactly_kmax_candidates(self, kmax):
+    def test_first_row_holds_exactly_kmax_candidates(self, monkeypatch, kmax):
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 1 << 15)
         # At T = 300 a block holds 113 rows. Ends from the minimum history
         # give the first block rows of kmax to kmax + 112 candidates, grouped
         # (7 slabs of 17 columns at kmax 1, 2 of 58 at kmax 3): only the first
@@ -843,6 +857,7 @@ class TestBatchedRanking:
     least one distance chunk. Against the one-query-at-a-time reference, with ==."""
 
     def test_shuffled_ends_over_several_blocks_and_batches(self, monkeypatch):
+        monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 1 << 15)
         # Rounded values tie at the kth distance; 16 rows a block, so the 721
         # shuffled ends make 46 blocks, ranked in a few batches.
         values = np.round(np.random.default_rng(44).normal(10.0, 1.0, 2000))
@@ -875,7 +890,7 @@ class TestBatchedRanking:
         assert_same_nearest(values, ends, 1, 4, 6)
         assert [len(set(rows.tolist())) for rows in queries] == [1] * len(ends)
 
-    @pytest.mark.parametrize("block_floats", [600, wnn._BLOCK_FLOATS])
+    @pytest.mark.parametrize("block_floats", [600, 1 << 15, wnn._BLOCK_FLOATS])
     def test_several_cells_with_unsorted_ends(self, monkeypatch, block_floats):
         monkeypatch.setattr(wnn, "_BLOCK_FLOATS", block_floats)
         values = np.round(np.random.default_rng(49).normal(10.0, 1.0, 900), 1)
@@ -1035,13 +1050,14 @@ class TestScreenSelectivity:
         assert_same_nearest(values, ends, 1, 12, kmax)
         return np.bincount(np.concatenate(queries), minlength=ends.max() + 1)[ends]
 
-    def test_scoring_long_ranks_in_at_most_two_batches(self, monkeypatch):
-        # 46 row blocks of 16 rows keep about 5.7 pairs a row: two batches,
-        # neither much above one distance chunk of 32768 // 12 = 2730 pairs.
+    def test_scoring_long_ranks_in_one_batch(self, monkeypatch):
+        # 23 row blocks of 32 rows keep about 5 pairs a row, 3,608 pairs in
+        # all: fewer than one distance chunk of 65536 // 12 = 5461 pairs, so
+        # one batch ranks them after the last block.
         queries = recorded_distances(monkeypatch)
         assert_same_nearest(selective_series("scoring_long"), np.arange(1280, 2001), 1, 12, 5)
-        assert len(queries) <= 2
-        assert all(len(rows) < 2 * (wnn._BLOCK_FLOATS // 12) for rows in queries)
+        assert len(queries) == 1
+        assert len(queries[0]) < wnn._BLOCK_FLOATS // 12
 
     @pytest.mark.parametrize(
         "kind", ["scoring_long", "walk_at_1e8", "spikes_of_1e8", "level_shift"]
@@ -1119,7 +1135,7 @@ def searches(draw):
             among = draw(st.booleans()) and ends.min() < ends.max()
             lo, hi = (int(ends.min()), int(ends.max()) - 1) if among else (0, T - 1)
             values[draw(st.integers(lo, hi)) :] += 1e8
-    block_floats = draw(st.sampled_from([60, 600, 4000, wnn._BLOCK_FLOATS]))
+    block_floats = draw(st.sampled_from([60, 600, 4000, 1 << 15, wnn._BLOCK_FLOATS]))
     return values, ends, n, cells, block_floats
 
 
