@@ -26,7 +26,8 @@ import numpy as np
 from .conformal import score_rows
 from .errors import DataError, ForecastError, InvalidParamsError
 from .series import (
-    HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, _floats, _mape_rows, rank_for,
+    HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, _floats, _instance, _mape_rows,
+    rank_for,
 )
 from .wnn import ForecasterSpec, Weighting
 
@@ -161,6 +162,7 @@ def run_backtest(
     The i1+i2 most recent steps are scored: the first i1 seed the calibration
     pool, the remaining i2 are the test block.
     """
+    _instance("split", split, SplitSpec)
     i1, i2, delta = split.i1, split.i2, split.delta
     forecasts, actual, scores = score_rows(series, spec, n, i1 + i2)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)
@@ -198,7 +200,15 @@ class CompareResult:
 def compare_forecasters(
     series: TimeSeries, specs: Sequence[ForecasterSpec], n: int, split: SplitSpec
 ) -> list[CompareResult]:
-    """Backtest several forecasters side by side; per-spec failures are recorded, not raised."""
+    """Backtest several forecasters side by side; per-spec failures are recorded, not raised.
+
+    specs must be a sequence of ForecasterSpec: an entry of another type is no
+    forecaster whose failure could be recorded, so it raises InvalidParamsError.
+    """
+    if not isinstance(specs, Sequence):
+        raise InvalidParamsError(f"specs must be a sequence, got {type(specs).__name__}")
+    for spec in specs:
+        _instance("specs entry", spec, ForecasterSpec)
     results: list[CompareResult] = []
     for spec in specs:
         try:

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import DataError, InvalidParamsError
 from .series import (
-    HorizonConfig, TimeSeries, _feasible_rank, _floats, _freeze, _open_unit, _positive_int,
+    HorizonConfig, TimeSeries, _feasible_rank, _floats, _freeze, _instance, _open_unit,
+    _positive_int,
 )
 from .wnn import ForecasterSpec, Weighting
 
@@ -63,7 +64,8 @@ def score_rows(
     """
     h = _positive_int("h", h)
     n = _positive_int("n", n)
-    values = series.values
+    values = _instance("series", series, TimeSeries).values
+    _instance("spec", spec, ForecasterSpec)
     ends = values.size - n * np.arange(h, -1, -1)
     entries = _FORECASTS.setdefault(series, {})
     entry = entries.get((spec, n))

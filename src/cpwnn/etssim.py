@@ -35,7 +35,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidParamsError, NonFiniteValueError
-from .series import TimeSeries, _freeze, _is_number, _open_unit, _positive_int
+from .series import TimeSeries, _freeze, _instance, _is_number, _open_unit, _positive_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +93,7 @@ def aada_params(
 
 def simulate_ets(params: EtsParams, T: int, seed: int) -> TimeSeries:
     """Simulate T observations; fully determined by (params, T, seed)."""
+    _instance("params", params, EtsParams)
     T = _positive_int("T", T)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidParamsError(f"seed must be a non-negative integer, got {seed!r}")
@@ -135,6 +136,7 @@ def _ets_forecast_variance(params: EtsParams, h: int) -> float:
 
 def theoretical_width(params: EtsParams, h: int, confidence: float) -> float:
     """Width 2*c*sigma_h of the symmetric interval at the given confidence."""
+    _instance("params", params, EtsParams)
     if not _is_number(confidence) or not 0.0 <= confidence < 1.0:
         raise InvalidParamsError(f"confidence must lie in [0, 1), got {confidence!r}")
     c = NormalDist().inv_cdf(0.5 + 0.5 * confidence)

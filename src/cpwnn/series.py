@@ -48,6 +48,15 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
+def _instance(name: str, value, kind: type):
+    """value, if it is a kind; else InvalidParamsError naming the type it got."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        got = type(value).__name__
+        raise InvalidParamsError(f"{name} must be {article} {kind.__name__}, got {got}")
+    return value
+
+
 def _is_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 

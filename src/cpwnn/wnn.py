@@ -43,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, GridInfeasibleError, InvalidParamsError, SeriesTooShortError
-from .series import HorizonConfig, TimeSeries, _floats, _mape_rows, _positive_int
+from .series import HorizonConfig, TimeSeries, _floats, _instance, _mape_rows, _positive_int
 
 # Regularizer for inverse-distance weights: an exact-match neighbor then
 # dominates the average instead of dividing by zero.
@@ -56,19 +56,20 @@ _WEIGHT_EPS = 1e-8
 # BLAS on one thread (2-vCPU Xeon VM), 1 << 16 ran the scoring_long searches
 # 1.19x (n=1) and 1.03x (n=6) as fast as 1 << 15 and a T=20,000 search
 # 1.44x, and no search measured slower; 1 << 17 and 1 << 18 ran the
-# scoring_long searches 0.69-0.74x as fast as 1 << 16. The padded bound array
-# beside the screen holds up to slabs - 1 (at most 7) more columns a row, and
-# the kept pairs waiting to be ranked are fewer than
-# _BLOCK_FLOATS // (the shortest window) plus one block's. Besides these, the
-# search holds, for its whole length: per cell and window end, the float64
-# norms and their float32 scaled copy; per window end, the screen terms of
-# the cell being screened; one float32 query per end, as wide as the widest
-# window; one lag-major float32 copy of every candidate window, as wide as
-# the widest window, so about 4*T*n*max(p) bytes (235 KB for a scoring_long
-# n=6 search, 115 MB for T=1e5 and n*p=288); and every row block's mask of
-# the columns past each row's last candidate. Together the masks hold one
-# bool per row for the spread of its block's last candidates: at most
-# _BLOCK_FLOATS for sorted ends, at most one per (end, candidate) for any.
+# scoring_long searches 0.69-0.74x as fast as 1 << 16. Beside the screen a
+# block holds its group minima, at most as many values (a copy of the screen
+# where the block keeps one group per column), and the kept pairs waiting to
+# be ranked are fewer than _BLOCK_FLOATS // (the shortest window) plus one
+# block's. Besides these, the search holds, for its whole length: per cell
+# and window end, the float64 norms and their float32 scaled copy; per end,
+# the lifts of the cell being screened; one float32 query per end, one value
+# wider than the widest window; one lag-major float32 copy of every
+# candidate window, one row wider than the widest window for the W row, so
+# about 4*T*(n*max(p) + 1) bytes (254 KB for a scoring_long n=6 search,
+# 116 MB for T=1e5 and n*p=288); and every row block's mask of the columns
+# past each row's last candidate. Together the masks hold one bool per row
+# for the spread of its block's last candidates: at most _BLOCK_FLOATS for
+# sorted ends, at most one per (end, candidate) for any.
 _BLOCK_FLOATS = 1 << 16
 
 # The p and k grids that tuning searches unless told otherwise, in the CLI too.
@@ -130,9 +131,7 @@ class WnnSpec(ForecasterSpec):
     weighting: Weighting = Weighting.INVERSE_DISTANCE
 
     def __post_init__(self):
-        if not isinstance(self.config, HorizonConfig):
-            got = type(self.config).__name__
-            raise InvalidParamsError(f"config must be a HorizonConfig, got {got}")
+        _instance("config", self.config, HorizonConfig)
         object.__setattr__(self, "weighting", Weighting(self.weighting))
 
     def describe(self) -> str:
@@ -207,44 +206,48 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     One matrix product per block of rows screens the candidates, and a block
     holds rows of one cell, of window L = n*p. Every cell shares one candidate
     axis, the end a of a candidate window: column i of a block is the window
-    ending at base + i, base being the shortest window of the search. The
-    product reads the last L lags of the queries and of the candidate
-    windows, and columns a < L are +inf: no window of length L ends there.
+    ending at base + i, base being the shortest window of the search.
     Every value is centered on c, a median of the queries' last values, and
     scaled by 2**shift, a power of two that puts every scaled |w|**2 below
     2**120 (`np.ldexp`, exact but for underflow). A query q and a candidate
-    window w of these values give the screen value
-    s = |w|**2 - 2*q.w, which is d - |q|**2 in scaled units and so ranks a
-    row's candidates as their squared distance d does. The screen runs in
-    float32 on float32 copies; `norms`, the float64 sums |w|**2, and the
-    einsum distances that rank the kept candidates stay float64, so the
-    neighbors are float64's.
+    window w of these values give s = |w|**2 - 2*q.w, which is d - |q|**2 in
+    scaled units and so ranks a row's candidates as their squared distance d
+    does. The product reads the last L lags of the queries, times -2, and of
+    the candidate windows, and one row more: a 1 on the queries' side and
+    (1 - alpha)*|w|**2 on the candidates', alpha being the cell's margin
+    factor below. So it gives each pair's screen value t = s - alpha*|w|**2
+    in one pass, and then columns a < L are set to +inf: no window of length
+    L ends there. The screen runs in float32 on float32 copies; `norms`, the
+    float64 sums |w|**2, and the einsum distances that rank the kept
+    candidates stay float64, so the neighbors are float64's.
 
     The margin is per pair, with eps float32's epsilon, u = eps/2,
-    Q = |q|**2 and W = |w|**2 in scaled units. s is within ~(2*L + 6)*u*(Q + W)
-    of its exact value for any summation order: centering and rounding to
-    float32 move each value by at most ~u relative, and so s + Q by
-    ~4*u*(Q + W); gamma_L = L*u/(1 - L*u) bounds the relative error of a sum
-    of L products (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1), so the product is within gamma_L*(Q + W), as
-    2*|q.w| <= Q + W; W's float64 sum and its rounding to float32 add at
-    most (gamma_L64 + u)*W, and the sums a few roundings.
+    Q = |q|**2 and W = |w|**2 in scaled units. t is within beta*(Q + W),
+    beta ~ (2*L + 8)*u, of the exact s - alpha*W for any summation order:
+    centering and rounding to float32 move each value by at most ~u
+    relative, and so 2*q.w by ~2*u*(Q + W); gamma_(L+1) =
+    (L + 1)*u/(1 - (L + 1)*u) bounds the relative error of a sum of L + 1
+    products (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1), so the product is within gamma_(L+1)*(Q + 2*W), as
+    2*|q.w| <= Q + W; W's float64 sum, its rounding to float32 and the
+    rounding of (1 - alpha)*W add at most (gamma_L64 + 2*u)*W. Write s for
+    t + alpha*W: it is within beta*(Q + W) of its exact value.
     `_distances`'s float64 einsum is within gamma_(L+2) relative of the exact
     d <= 2*(Q + W), so within ~(2*L + 6)*u64*(Q + W). So every einsum
     distance lies within alpha*(Q + W) of s + Q, where
     alpha = 4*(L + 3)*eps is at least twice the two bounds' sum for every L
-    below 2**23 (L*u <= 1/2); the slack covers second-order terms and the
-    rounding of the bounds below.
-    Let U be at least kmax of a row's computed s + alpha*W, as taken below:
-    those kmax candidates have an einsum distance of at most U + Q + alpha*Q,
-    so each of the row's true kmax nearest, ties included, has
-    s - alpha*W <= U + 2*alpha*Q. The screen
-    keeps every candidate that meets this, plus two absolute terms for
-    underflow. One is 8*L times float32's smallest normal number, 2**-126,
-    for products that underflow or flush to zero. The other is the einsum's
-    own L*2**-1072 in scaled units, L*2**(2*shift - 1072), capped at 2**124:
-    the cap keeps every candidate anyway, since every scaled s and U lies
-    within 2**123 of 0, and keeps the float32 margin finite. The margin
+    below 2**23 (L*u <= 1/2), so beta <= alpha/2; the slack covers
+    second-order terms and the rounding of the bounds below.
+    Let U be at least kmax of a row's s + alpha*W = t + 2*alpha*W, as taken
+    below: those kmax candidates have an einsum distance of at most
+    U + Q + alpha*Q, so each of the row's true kmax nearest, ties included,
+    has t <= U + 2*alpha*Q. The screen keeps every candidate that meets
+    this, plus two absolute terms for underflow. One is 8*L times float32's
+    smallest normal number, 2**-126, for products that underflow or flush to
+    zero. The other is the einsum's own L*2**-1072 in scaled units,
+    L*2**(2*shift - 1072), capped at 2**124: the cap keeps every candidate
+    anyway, since every scaled t and the map's slope*g below lie within
+    2**123 of 0, and keeps the float32 margin finite. The margin
     scales with the pair's own norms about c, not the series' range, so a
     spike only widens it for the windows that hold the spike; but rows whose
     queries sit at a level far from c, as on the minority side of a level
@@ -260,22 +263,38 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     noise: alpha*Q then exceeds the gaps, the screen keeps every window of
     the query's phase, and the einsum ranks them all.
 
-    U is the kmax-th smallest of the row's group minima, with kmax the row's
-    cell's, which spares a partition of every candidate. A block is width
-    columns wide, to its longest row's last candidate, and with its cell's
-    kmax folds into slabs = max(1, min(8, width // (16*kmax)))
-    slabs of groups = ceil(width / slabs) columns: column c lies in group
-    c mod groups, and the padding past width is +inf. Each group minimum is
-    one candidate's own s + alpha*W, exactly, so the kmax smallest are those
-    of kmax distinct candidates and U is at least all of them, as above. U
-    is never below the kmax-th smallest over every candidate, so the screen
-    keeps a superset of what that would keep, and the exact ranking of the
-    kept candidates picks the same neighbors.
+    U comes from the row's group minima of t, with kmax the row's cell's,
+    which spares a partition of every candidate. A block is width columns
+    wide, to its longest row's last candidate, and with its cell's kmax
+    folds into slabs = max(1, min(8, width // (16*kmax))) slabs of
+    groups = ceil(width / slabs) columns, read from the screen in place:
+    column c lies in group c mod groups, and the last slab is short. Each
+    group minimum g is one candidate's own t, exactly, so the kmax smallest
+    are those of kmax distinct candidates. A candidate's t bounds its
+    s + alpha*W: its exact squared distance d is within beta*(Q + W) of
+    s + Q, and W <= 2*Q + 2*d (|w|**2 <= 2*|q|**2 + 2*|w - q|**2), so
+    W <= ((4 + 2*beta)*Q + 2*t)/(1 - 2*alpha - 2*beta), and
+        s + alpha*W = t + 2*alpha*W <= t + kappa*(t + (2 + beta)*Q)
+    with kappa = 4*alpha/(1 - 2*alpha - 2*beta) <= 4*alpha/(1 - 3*alpha).
+    The bound rises with t, and t + (2 + beta)*Q >= 0 (it is at least
+    (1 - 2*alpha - 2*beta)*W/2), so a larger kappa or Q factor only raises
+    it: U = g + grow*(g + 2.5*Q) at g the row's kmax-th smallest group
+    minimum, with grow = 4*(alpha + eps)/(1 - 3*alpha), is at least all kmax
+    candidates' s + alpha*W. While alpha < 1/8, windows below 2**18 - 3
+    values, that slack (eps in grow, 2.5 against 2 + beta) covers float32's
+    rounding of the map, slope*g + lift with slope = 1 + grow and
+    lift = (2.5*grow + 2*alpha)*Q plus the absolute terms, made once per
+    cell; a longer window takes grow = 0 and the absolute terms' cap, which
+    keeps every candidate. U is never below the map of the kmax-th smallest
+    t over every candidate, so the screen keeps a superset of what that
+    would keep, and the exact ranking of the kept candidates picks the same
+    neighbors.
     Every row has kmax finite group minima: its first kmax candidates lie in
     consecutive columns, so in distinct groups as groups >= kmax. A block
     narrower than 32*kmax, as every block of the sim_study tuner's fold rows,
-    keeps one group per column, so U is each row's exact kmax-th smallest;
-    wider blocks trade a few more kept pairs for a partition 1/slabs as wide.
+    keeps one group per column, so U is the map of each row's exact kmax-th
+    smallest t; wider blocks trade a few more kept pairs for a partition
+    1/slabs as wide.
 
     Each cell's rows are screened in blocks holding at most _BLOCK_FLOATS
     screen values (one row, if a row alone holds more). Every cell splits
@@ -283,10 +302,11 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     count, so the row blocks are made once per search: each block's rows,
     its width, its ragged bound (the columns before it are candidates of
     every row) and its mask of the columns past each row's last candidate.
-    A cell's (1 - alpha)*W and 2*alpha*W, by candidate, and its rows' margins
-    are made once, for all its blocks. The candidate windows are copied
-    lag-major once per search, for every block's product. Columns past a
-    row's last candidate are +inf, so they never lower its U and never pass.
+    The candidate windows are copied lag-major once per search, with one row
+    more, for every block's product; each cell writes its (1 - alpha)*W, by
+    candidate, into that row and makes its rows' lifts once, for all its
+    blocks. Columns past a row's last candidate are +inf, so they never
+    lower its U and never pass.
     A block only screens: its kept (row, candidate) pairs, numbered by the
     search's rows, wait in a batch, which may span cells and is ranked once
     it holds at least one distance chunk of the shortest window,
@@ -326,10 +346,15 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
     scaled = np.ldexp(norms, 2 * shift).astype(np.float32)
     single = np.finfo(np.float32)
     einsum = 2.0 ** min(2 * shift - 1072, 124)
-    queries = -2 * screened[ends]  # -2*q, exactly; a cell's product reads its last L lags
+    # -2*q, exactly, and a 1 for the candidates' W row; a cell's product reads
+    # the last L lags and the 1.
+    queries = np.ones((count, widest + 1), np.float32)
+    np.multiply(screened[ends], -2, out=queries[:, :-1])
     lasts = ends - (n + base)  # each end's last candidate column
-    # Column c of a block is the candidate window ending at base + c, lag-major.
-    lagged = np.ascontiguousarray(screened[base : top - n + 1].T)
+    # Column c of a block is the candidate window ending at base + c, lag-major,
+    # over the W row, which each cell fills with its (1 - alpha)*|w|**2.
+    lagged = np.empty((widest + 1, top - n + 1 - base), np.float32)
+    lagged[:-1] = screened[base : top - n + 1].T
     step = max(1, _BLOCK_FLOATS // lagged.shape[1])  # rows per block
     blocks = []  # every cell's row blocks: their rows, width, ragged bound and past-last mask
     for start in range(0, count, step):
@@ -347,25 +372,29 @@ def _nearest(values: np.ndarray, ends: np.ndarray, n: int, cells):
         alpha = 4 * (L + 3) * float(single.eps)
         # The margin's absolute terms, the einsum's capped to stay finite.
         floor = L * 8 * float(single.tiny) + min(L * einsum, 2.0**124)
-        # To s - alpha*W and then s + alpha*W, by candidate column, in float32;
-        # no window of length L ends before L, so those columns of down are +inf.
-        down, up = (1 - alpha) * scaled[j, base:], 2 * alpha * scaled[j, base:]
-        down[: L - base] = np.inf
-        margins = up[ends - base] + floor
+        np.multiply(scaled[j, base : top - n + 1], 1 - alpha, out=lagged[-1])  # the W row
+        if 8 * alpha < 1:  # U's map holds: windows below 2**18 - 3 values
+            grow = 4 * (alpha + float(single.eps)) / (1 - 3 * alpha)
+        else:  # the floor's cap keeps every candidate
+            grow, floor = 0.0, 2.0**124
+        # U plus the margin is slope*g + lift, g the row's kmax-th smallest group minimum.
+        slope, lift = 1 + grow, (2.5 * grow + 2 * alpha) * scaled[j, ends] + floor
         for start, stop, width, ragged, past in blocks:
-            screen = np.matmul(queries[start:stop, -L:], lagged[-L:, :width])  # -2*q.w
+            # t = s - alpha*|w|**2; no window of length L ends before L.
+            screen = np.matmul(queries[start:stop, -L - 1 :], lagged[-L - 1 :, :width])
+            screen[:, : L - base] = np.inf
             np.putmask(screen[:, ragged:], past, np.inf)
-            screen += down[:width]  # s - alpha*|w|**2
-            # Column c of slab c // groups is in group c % groups.
+            # Column c of slab c // groups is in group c % groups; the last slab is short.
             slabs = max(1, min(8, width // (16 * kmax)))
             groups = -(-width // slabs)
-            upper = np.empty((stop - start, slabs * groups), np.float32)
-            np.add(screen, up[:width], out=upper[:, :width])
-            upper[:, width:] = np.inf
-            if slabs > 1:
-                upper = upper.reshape(len(upper), slabs, groups).min(axis=1)  # each group's minimum
-            upper.partition(kmax - 1, axis=1)
-            keep = screen <= (upper[:, kmax - 1] + margins[start:stop])[:, None]
+            if slabs > 1:  # each group's minimum, the last slab's by one np.minimum
+                cut = (slabs - 1) * groups
+                minima = screen[:, :cut].reshape(stop - start, slabs - 1, groups).min(axis=1)
+                np.minimum(minima[:, : width - cut], screen[:, cut:], out=minima[:, : width - cut])
+            else:
+                minima = screen.copy()
+            minima.partition(kmax - 1, axis=1)
+            keep = screen <= (minima[:, kmax - 1] * slope + lift[start:stop])[:, None]
             rows, near = np.divmod(keep.ravel().nonzero()[0], width)
             pending.append((rows + j * count + start, near))  # the search's row numbers
             held += len(rows)
@@ -473,7 +502,15 @@ def wnn_forecast(
     windows (step 1) of the same length followed by n known values.
     """
     spec = ForecasterSpec.wnn(config, weighting)
+    history = _instance("history", history, TimeSeries)
     return spec.forecast_at(history.values, [len(history)], config.n)[0]
+
+
+def _grid(name: str, grid) -> list[int]:
+    """The distinct entries of an iterable of positive integers, in order."""
+    if not isinstance(grid, Iterable):
+        raise InvalidParamsError(f"{name} must be an iterable of positive integers, got {grid!r}")
+    return sorted({_positive_int(f"{name} entry", entry) for entry in grid})
 
 
 def fpto_tune(
@@ -500,10 +537,9 @@ def fpto_tune(
     weighting = Weighting(weighting)
     n = _positive_int("n", n)
     folds = _positive_int("folds", folds)
-    values = series.values
+    values = _instance("series", series, TimeSeries).values
     T = int(values.size)
-    ps = sorted({_positive_int("p_grid entry", p) for p in p_grid})
-    ks = sorted({_positive_int("k_grid entry", k) for k in k_grid})
+    ps, ks = _grid("p_grid", p_grid), _grid("k_grid", k_grid)
     if not ps or not ks:
         raise InvalidParamsError("p_grid and k_grid must contain positive integers")
 

@@ -838,6 +838,23 @@ class TestGroupMinimumBound:
         d2, _ = assert_same_nearest(values, np.arange(1280, 2001), 1, 6, 5)
         assert np.mean(d2[:, -2] == d2[:, -1]) > 0.5
 
+    def test_a_window_past_the_maps_range_keeps_every_candidate(self, monkeypatch):
+        # U's map holds while alpha = 4*(L + 3)*eps < 1/8, for windows below
+        # 2**18 - 3 values. With float32's epsilon taken as 2**-8, windows of
+        # 12 give alpha = 60/256: the floor's cap of 2**124 lets every
+        # candidate pass the screen, but not the +inf columns past a row's
+        # last candidate, and the exact ranking picks the reference's neighbors.
+        values = np.round(np.random.default_rng(54).normal(10.0, 1.0, 400), 1)
+        ends, window, kmax = np.arange(300, 401), 12, 3
+        want = reference_nearest(values, ends, window, 1, kmax)
+        finfo, coarse = np.finfo, mock.Mock(eps=2.0**-8, tiny=np.finfo(np.float32).tiny)
+        monkeypatch.setattr(np, "finfo", lambda t: coarse if t is np.float32 else finfo(t))
+        queries = recorded_distances(monkeypatch)
+        got = wnn._nearest(values, ends, 1, [(window, kmax)])
+        monkeypatch.undo()
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert len(np.concatenate(queries)) == np.sum(ends - window)
+
 
 def recorded_distances(monkeypatch):
     """The query end of every pair handed to `_distances`, one array per call."""
@@ -954,24 +971,26 @@ class TestCellMajorRows:
 
     def test_candidates_are_copied_once_per_search(self, monkeypatch):
         # At 96 floats a block holds one row, so the 10 rows of the two cells
-        # screen in 10 blocks, and every block reads the one lag-major float32
-        # copy of the 299 candidate windows (ends 1 .. 299) of the widest cell.
+        # screen in 10 blocks, and every block's product reads the one
+        # lag-major float32 copy of the 299 candidate windows (ends 1 .. 299)
+        # of the widest cell: its 12 lags and the W row.
         monkeypatch.setattr(wnn, "_BLOCK_FLOATS", 96)
         copies = []
-        contiguous = np.ascontiguousarray
+        matmul = np.matmul
 
-        def recorded(a):
+        def recorded(a, b, **kwargs):
             if a.dtype == np.float32:
-                copies.append(a.shape)
-            return contiguous(a)
+                copies.append(b.base)
+            return matmul(a, b, **kwargs)
 
-        monkeypatch.setattr(np, "ascontiguousarray", recorded)
+        monkeypatch.setattr(np, "matmul", recorded)
         values = np.round(np.random.default_rng(53).normal(10.0, 1.0, 300), 1)
         ends = np.array([300, 240, 299, 120, 64])
         n, cells = 1, [(1, 4), (12, 3)]
         found = nearest_per_cell(values, ends, n, cells)
         monkeypatch.undo()
-        assert copies == [(12, 299)]
+        assert len(copies) == 10 and all(copy is copies[0] for copy in copies)
+        assert copies[0].shape == (13, 299) and copies[0].flags.c_contiguous
         for (p, kmax), got in zip(cells, found):
             want = reference_nearest(values, ends, n * p, n, kmax)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -980,7 +999,7 @@ class TestCellMajorRows:
         # The sim_study tune of the first round: n = 3 on the training block
         # and the default grid. Each cell's fold rows fit one block, and its
         # float32 screen product sums the cell's own n*p lags, 3 at p = 1 up
-        # to 36 at p = 12, not the widest window's 36 at every p.
+        # to 36 at p = 12, not the widest window's 36 at every p, and the W row.
         params, T, seed = TUNER_ROUND[0]
         n = 3
         split = split_sizes(T, n, 0.05)
@@ -997,7 +1016,7 @@ class TestCellMajorRows:
         result = fpto_tune(TimeSeries(series.values[: T - n * split.i2], series.period), n, split.i1)
         monkeypatch.undo()
         assert len(result.trace) == len(wnn.DEFAULT_GRID) ** 2
-        assert inner == [(n * p, n * p) for p in wnn.DEFAULT_GRID]
+        assert inner == [(n * p + 1, n * p + 1) for p in wnn.DEFAULT_GRID]
 
     @pytest.mark.parametrize("order", [1, -1], ids=["rising", "falling"])
     def test_level_shift_in_one_batch(self, monkeypatch, order):
@@ -1018,9 +1037,9 @@ class TestCellMajorRows:
 
 def selective_series(kind):
     rng = np.random.default_rng(8)
-    if kind == "scoring_long":
+    if kind.startswith("scoring_long"):  # the n = 6 series is longer
         params = etssim.aada_params(0.5, 0.1, 0.2, 0.9, init_level=1000.0)
-        return etssim.simulate_ets(params, 2000, 1).values
+        return etssim.simulate_ets(params, 4900 if kind.endswith("n6") else 2000, 1).values
     if kind == "walk_at_1e8":
         return 1e8 + np.cumsum(rng.normal(size=2000))
     values = rng.normal(size=2000)
@@ -1042,16 +1061,17 @@ TUNER_IDS = ["ana-300", "ana-400", "aada-300", "aada-400"]
 
 
 class TestScreenSelectivity:
-    """How many pairs the screen hands `_distances`, on the scoring_long search
-    (T = 2000, ends 1280 .. 2000, n = 1, p = 12, k = 5) and series far from 0."""
+    """How many pairs the screen hands `_distances`, on the scoring_long searches
+    (n = 1: T = 2000, ends 1280 .. 2000, p = 12; n = 6: T = 4900, the 296 ends
+    3130 .. 4900, p = 2; k = 5) and series far from 0."""
 
-    def kept_per_row(self, monkeypatch, values, ends, kmax):
+    def kept_per_row(self, monkeypatch, values, ends, kmax, n=1, p=12):
         queries = recorded_distances(monkeypatch)
-        assert_same_nearest(values, ends, 1, 12, kmax)
+        assert_same_nearest(values, ends, n, p, kmax)
         return np.bincount(np.concatenate(queries), minlength=ends.max() + 1)[ends]
 
     def test_scoring_long_ranks_in_one_batch(self, monkeypatch):
-        # 23 row blocks of 32 rows keep about 5 pairs a row, 3,608 pairs in
+        # 23 row blocks of 32 rows keep about 5 pairs a row, 3,612 pairs in
         # all: fewer than one distance chunk of 65536 // 12 = 5461 pairs, so
         # one batch ranks them after the last block.
         queries = recorded_distances(monkeypatch)
@@ -1060,11 +1080,14 @@ class TestScreenSelectivity:
         assert len(queries[0]) < wnn._BLOCK_FLOATS // 12
 
     @pytest.mark.parametrize(
-        "kind", ["scoring_long", "walk_at_1e8", "spikes_of_1e8", "level_shift"]
+        "kind", ["scoring_long", "scoring_long_n6", "walk_at_1e8", "spikes_of_1e8", "level_shift"]
     )
     def test_at_most_two_kmax_pairs_per_row(self, monkeypatch, kind):
-        ends, kmax = np.arange(1280, 2001), 5
-        kept = self.kept_per_row(monkeypatch, selective_series(kind), ends, kmax)
+        ends, n, p = np.arange(1280, 2001), 1, 12
+        if kind == "scoring_long_n6":
+            ends, n, p = 4900 - 6 * np.arange(295, -1, -1), 6, 2
+        kmax = 5
+        kept = self.kept_per_row(monkeypatch, selective_series(kind), ends, kmax, n, p)
         assert kept.mean() <= 2 * kmax
 
     def test_level_shift_among_the_queries(self, monkeypatch):
@@ -1186,23 +1209,45 @@ print(digest.hexdigest())
 """
 
 
+def _cpu_flags():
+    """The CPU's feature flags from /proc/cpuinfo; none where it cannot be read."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    line = next((line for line in text.splitlines() if line.startswith("flags")), "")
+    return set(line.partition(":")[2].split())
+
+
+# OpenBLAS kernels to force, each with the CPU flags it needs: a kernel the
+# CPU cannot run would stop the process on an illegal instruction.
+BLAS_KERNELS = {
+    "Prescott": set(),
+    "Haswell": {"avx2", "fma"},
+    "SkylakeX": {"avx512f", "avx512bw", "avx512dq", "avx512vl"},
+}
+
+
 @pytest.mark.skipif(not _openblas_with_dynamic_arch(), reason="needs OpenBLAS with DYNAMIC_ARCH")
 def test_neighbors_do_not_depend_on_the_blas_kernel():
-    # The screen's products go through BLAS, whose summation and FMA order
-    # follow the kernel picked for the CPU; the margin covers any order, so
-    # the neighbors of a scoring_long-shaped search, a tuner-shaped search
-    # and two searches whose screen keeps many candidates (a low-noise
-    # sinusoid, and a level shift among the queries) are the same bits
-    # under Prescott's kernel as under the default one.
+    # The screen's products, W row included, go through BLAS, whose summation
+    # and FMA order follow the kernel picked for the CPU; the margin covers
+    # any order, so the neighbors of a scoring_long-shaped search, a
+    # tuner-shaped search and two searches whose screen keeps many candidates
+    # (a low-noise sinusoid, and a level shift among the queries) are the
+    # same bits under Prescott's kernel, and Haswell's and SkylakeX's where
+    # the CPU runs them, as under the default one.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    flags = _cpu_flags()
+    kernels = [{}] + [{"OPENBLAS_CORETYPE": k} for k, need in BLAS_KERNELS.items() if need <= flags]
     digests = []
-    for coretype in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+    for coretype in kernels:
         proc = subprocess.run(
             [sys.executable, "-c", HASH_NEAREST],
             env=dict(env, PYTHONPATH=path, **coretype),
             capture_output=True, text=True, timeout=120, check=True,
         )
         digests.append(proc.stdout)
-    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
+    assert len(set(digests)) == 1 and len(digests[0].strip()) == 64
