@@ -31,15 +31,13 @@ def main() -> None:
     print(f"series: {len(series)} monthly observations from {args.input.name}")
 
     for n in args.horizons:
-        base_split = cw.split_sizes(len(series), n, 1.0 - args.confidences[0])
-        train = cw.TimeSeries(series.values[: len(series) - n * base_split.i2], period=12)
-        tuned = cw.fpto_tune(train, n, base_split.i1, weighting=args.weighting)
-        config = cw.HorizonConfig(n, tuned.p_star, tuned.k_star)
+        base_split, config, _ = cw.split_and_tune(series, n, 1.0 - args.confidences[0],
+                                                  weighting=args.weighting)
         specs = [
             cw.ForecasterSpec.wnn(config, args.weighting),
             cw.ForecasterSpec.seasonal_naive(series.period),
         ]
-        print(f"\nn={n}: tuned (p*, k*) = ({tuned.p_star}, {tuned.k_star}), "
+        print(f"\nn={n}: tuned (p*, k*) = ({config.p}, {config.k}), "
               f"i1={base_split.i1}, i2={base_split.i2}")
         print(f"{'method':<32} {'MAPE':>7} " +
               " ".join(f"{f'cov@{c:.0%}':>9}" for c in args.confidences))

@@ -30,10 +30,7 @@ def run_scenario(params, T, n, delta, seeds, weighting):
     widths, coverages = [], []
     for seed in seeds:
         series = cw.simulate_ets(params, T, seed)
-        split = cw.split_sizes(T, n, delta)
-        train = cw.TimeSeries(series.values[: T - n * split.i2], period=series.period)
-        tuned = cw.fpto_tune(train, n, split.i1, weighting=weighting)
-        config = cw.HorizonConfig(n, tuned.p_star, tuned.k_star)
+        split, config, _ = cw.split_and_tune(series, n, delta, weighting=weighting)
         report = cw.check_cp(series, config, split, weighting)
         region = cw.conformal_region(series, config, split.i1 + split.i2, delta, weighting)
         widths.append(2.0 * region.half_widths)

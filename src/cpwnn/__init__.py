@@ -38,6 +38,7 @@ from .wnn import (
     TuneResult,
     Weighting,
     fpto_tune,
+    split_and_tune,
     wnn_forecast,
 )
 
@@ -64,6 +65,7 @@ __all__ = [
     "rank_for",
     "run_backtest",
     "simulate_ets",
+    "split_and_tune",
     "split_sizes",
     "theoretical_width",
     "wnn_forecast",

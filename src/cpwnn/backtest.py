@@ -27,7 +27,7 @@ from .conformal import score_rows
 from .errors import DataError, ForecastError, InvalidParamsError
 from .series import (
     HorizonConfig, SplitSpec, TimeSeries, _feasible_rank, _floats, _instance, _mape_rows,
-    rank_for,
+    _positive_int, rank_for,
 )
 from .wnn import ForecasterSpec, Weighting
 
@@ -202,13 +202,17 @@ def compare_forecasters(
 ) -> list[CompareResult]:
     """Backtest several forecasters side by side; per-spec failures are recorded, not raised.
 
-    specs must be a sequence of ForecasterSpec: an entry of another type is no
-    forecaster whose failure could be recorded, so it raises InvalidParamsError.
+    series, specs (a sequence of ForecasterSpec), n and split are shared by every
+    spec, so each is checked once, before any spec runs: a bad one is no
+    forecaster's failure that could be recorded, so it raises InvalidParamsError.
     """
+    _instance("series", series, TimeSeries)
     if not isinstance(specs, Sequence):
         raise InvalidParamsError(f"specs must be a sequence, got {type(specs).__name__}")
     for spec in specs:
         _instance("specs entry", spec, ForecasterSpec)
+    _positive_int("n", n)
+    _instance("split", split, SplitSpec)
     results: list[CompareResult] = []
     for spec in specs:
         try:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .etssim import EtsParams, simulate_ets
 from .series import HorizonConfig, TimeSeries, split_sizes
-from .wnn import DEFAULT_GRID, ForecasterSpec, Weighting, fpto_tune
+from .wnn import DEFAULT_GRID, ForecasterSpec, Weighting, fpto_tune, split_and_tune
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -114,19 +114,12 @@ def _described(args: argparse.Namespace, **extra) -> dict:
 
 
 def _load_and_fit(args: argparse.Namespace) -> tuple[TimeSeries, HorizonConfig, dict]:
-    """Load the input; take (p, k) from --p/--k, or tune it on the training block.
-
-    Tuning runs on the series minus its last n*i2 values, with i1 folds unless
-    --folds is given, (i1, i2) being the split at the first confidence level.
-    """
+    """Load the input; fix (p, k) by --p/--k, or by `split_and_tune` at the first level."""
     series = load_csv(args.input_path, args.column, args.period)
     tuned = args.p is None
     if tuned:
-        split = split_sizes(len(series), args.n, 1.0 - args.confidences[0])
-        folds = args.folds if args.folds is not None else split.i1
-        train = TimeSeries(series.values[: len(series) - args.n * split.i2], series.period)
-        result = fpto_tune(train, args.n, folds, args.p_grid, args.k_grid, args.weighting)
-        config = HorizonConfig(args.n, result.p_star, result.k_star)
+        _, config, _ = split_and_tune(series, args.n, 1.0 - args.confidences[0], args.folds,
+                                      args.p_grid, args.k_grid, args.weighting)
     else:
         config = HorizonConfig(args.n, args.p, args.k)
     described = _described(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InvalidParamsError
+from .errors import DataError, InvalidParamsError, SeriesTooShortError
 from .series import (
     HorizonConfig, TimeSeries, _feasible_rank, _floats, _freeze, _instance, _open_unit,
     _positive_int,
@@ -59,13 +59,16 @@ def score_rows(
     the forecast of the n values after T from the whole series. actual holds
     the h realized rows and scores their |actual - forecasts[:-1]|, all three
     read-only views; a score that overflows raises DataError and stores no
-    entry. The earliest prefix must hold spec.min_history observations:
-    `forecast_at` checks that, and a stored entry is for a larger h.
+    entry. h*n above the series length raises SeriesTooShortError. The
+    earliest prefix must hold spec.min_history observations: `forecast_at`
+    checks that, and a stored entry is for a larger h.
     """
     h = _positive_int("h", h)
     n = _positive_int("n", n)
     values = _instance("series", series, TimeSeries).values
     _instance("spec", spec, ForecasterSpec)
+    if h * n > values.size:
+        raise SeriesTooShortError(f"series of length {values.size} is shorter than h*n = {h * n}")
     ends = values.size - n * np.arange(h, -1, -1)
     entries = _FORECASTS.setdefault(series, {})
     entry = entries.get((spec, n))

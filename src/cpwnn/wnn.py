@@ -23,6 +23,7 @@ every cell. The cell minimising the mean fold MAPE wins; exact ties go to the
 first minimum in p-major, k-minor order (smaller p, then smaller k), so
 results are deterministic. Uniform weighting raises DataError where the sum
 of a row's k continuations overflows.
+`split_and_tune` tunes on a split's training block for the CLI and scripts.
 
 Each forecaster is a frozen spec whose constructor checks its fields, `WnnSpec`
 (also `ForecasterSpec.wnn`) or the `SeasonalNaiveSpec` baseline (also
@@ -43,7 +44,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, GridInfeasibleError, InvalidParamsError, SeriesTooShortError
-from .series import HorizonConfig, TimeSeries, _floats, _instance, _mape_rows, _positive_int
+from .series import HorizonConfig, SplitSpec, TimeSeries, _floats, _instance, _mape_rows
+from .series import _positive_int, split_sizes
 
 # Regularizer for inverse-distance weights: an exact-match neighbor then
 # dominates the average instead of dividing by zero.
@@ -575,3 +577,24 @@ def fpto_tune(
     best = min(range(len(trace)), key=lambda i: trace[i][2])
     p_star, k_star, objective = trace[best]
     return TuneResult(p_star, k_star, objective, tuple(trace), tuple(skipped))
+
+
+def split_and_tune(
+    series: TimeSeries,
+    n: int,
+    delta: float,
+    folds: int | None = None,
+    p_grid: Iterable[int] = DEFAULT_GRID,
+    k_grid: Iterable[int] = DEFAULT_GRID,
+    weighting: Weighting | str = Weighting.INVERSE_DISTANCE,
+) -> tuple[SplitSpec, HorizonConfig, TuneResult]:
+    """(split, HorizonConfig(n, p*, k*), TuneResult) from tuning at level delta's split.
+
+    The training block is the series minus its last n*i2 values, the split's test
+    block; `fpto_tune` searches it with split.i1 folds unless folds is given.
+    """
+    series = _instance("series", series, TimeSeries)
+    split = split_sizes(len(series), n, delta)
+    train = TimeSeries(series.values[: len(series) - n * split.i2], series.period)
+    result = fpto_tune(train, n, split.i1 if folds is None else folds, p_grid, k_grid, weighting)
+    return split, HorizonConfig(n, result.p_star, result.k_star), result

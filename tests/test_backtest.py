@@ -467,5 +467,18 @@ class TestCompareForecasters:
         for spec in specs:
             with pytest.raises(InvalidParamsError, match=message):
                 run_backtest(series, spec, n, split)
-        results = compare_forecasters(series, specs, n, split)
-        assert [r.error for r in results] == [message, message]
+        # an argument every spec shares raises once instead of one record per spec
+        with pytest.raises(InvalidParamsError, match=message):
+            compare_forecasters(series, specs, n, split)
+
+    @pytest.mark.parametrize(
+        "series, split, message",
+        [
+            (np.ones(120), SplitSpec(6, 5, 0.2), "series must be a TimeSeries, got ndarray"),
+            (TimeSeries(np.ones(120), 4), None, "split must be a SplitSpec, got NoneType"),
+        ],
+    )
+    def test_shared_arguments_raise_before_any_spec_runs(self, series, split, message):
+        specs = [ForecasterSpec.seasonal_naive(4), ForecasterSpec.wnn(HorizonConfig(1, 2, 1))]
+        with pytest.raises(InvalidParamsError, match=message):
+            compare_forecasters(series, specs, 1, split)

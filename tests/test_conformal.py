@@ -17,6 +17,7 @@ from cpwnn import (
     conformal_region,
     rank_for,
     run_backtest,
+    split_sizes,
     wnn_forecast,
 )
 from cpwnn import conformal
@@ -72,6 +73,16 @@ class TestNonconformityScores:
         ts = TimeSeries(np.arange(1.0, 30.0), 4)
         with pytest.raises(SeriesTooShortError):
             wnn_scores(ts, HorizonConfig(n=2, p=2, k=1), h=15)
+
+    def test_window_longer_than_the_series_names_both_lengths(self):
+        # the split for n = 1 scores i1 + i2 = 108 steps; at n = 3 they span 324 values
+        ts = TimeSeries(np.linspace(1.0, 2.0, 300), 12)
+        split = split_sizes(300, 1, 0.05)
+        message = r"series of length 300 is shorter than h\*n = 324$"
+        with pytest.raises(SeriesTooShortError, match=message):
+            check_cp(ts, HorizonConfig(3, 2, 2), split)
+        with pytest.raises(SeriesTooShortError, match=message):
+            conformal_region(ts, HorizonConfig(3, 2, 2), split.i1 + split.i2, 0.05)
 
 
 class TestScoreMatrix:

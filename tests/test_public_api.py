@@ -11,7 +11,9 @@ or mentioned in a docstring) by a library module other than `errors.py`,
 and every class below the root and its two branches subclasses exactly one
 of `DataError` and `ConfigError`, the two that `cli.main` maps to exit codes.
 No error class defines a method or stores an attribute: each carries only
-its message, written where it is raised.
+its message, written where it is raised. Across the library and `scripts/`,
+`fpto_tune` is called only by `split_and_tune`, the one owner of the tuning
+split, and by `cli._tune`, which tunes on the whole series.
 """
 
 import ast
@@ -86,3 +88,30 @@ def test_error_type_carries_only_its_message(name):
     methods = [attr for attr, obj in vars(cls).items() if isinstance(obj, types.FunctionType)]
     assert methods == [], f"{name} defines {', '.join(methods)}"
     assert vars(cls("the message")) == {}, f"{name} stores attributes"
+
+
+def _calls(name: str, node: ast.AST, owner: str) -> list[str]:
+    """The enclosing function (module.function, or module) of each call of name."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.append(owner)
+        inner = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{owner.split('.')[0]}.{child.name}"
+        found += _calls(name, child, inner)
+    return found
+
+
+def test_only_split_and_tune_and_the_whole_series_tune_call_fpto_tune():
+    paths = [*(ROOT / "src" / "cpwnn").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    callers = [
+        owner
+        for path in paths
+        for owner in _calls("fpto_tune", ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert sorted(callers) == ["cli._tune", "wnn.split_and_tune"], (
+        "tune on a split's training block with split_and_tune instead of its own copy"
+    )

@@ -22,9 +22,11 @@ from cpwnn import (
     conformal_region,
     fpto_tune,
     run_backtest,
+    split_and_tune,
     split_sizes,
     wnn_forecast,
 )
+from cpwnn.cli import load_csv
 from cpwnn.errors import (
     DataError,
     GridInfeasibleError,
@@ -463,6 +465,48 @@ class TestFptoTune:
         ts = TimeSeries(np.arange(1.0, 41.0), 4)
         with pytest.raises(InvalidParamsError):
             fpto_tune(ts, n=2, folds=3, p_grid=p_grid, k_grid=k_grid)
+
+
+MILK = load_csv(Path(__file__).resolve().parent.parent / "data" / "milk_uk_monthly.csv")
+AADA = etssim.simulate_ets(etssim.aada_params(0.7, 0.3, 0.2, 0.82), 300, 7)
+
+
+def reference_split_and_tune(series, n, delta, folds, weighting):
+    """The tuning split written out step by step."""
+    split = split_sizes(len(series), n, delta)
+    train = TimeSeries(series.values[: len(series) - n * split.i2], series.period)
+    result = fpto_tune(train, n, split.i1 if folds is None else folds, weighting=weighting)
+    return split, HorizonConfig(n, result.p_star, result.k_star), result
+
+
+class TestSplitAndTune:
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("folds", [None, 5])
+    @pytest.mark.parametrize("delta", [0.05, 0.2])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("name", ["milk", "aada"])
+    def test_matches_the_reference_bit_for_bit(self, name, n, delta, folds, weighting):
+        series = {"milk": MILK, "aada": AADA}[name]
+        split, config, result = split_and_tune(series, n, delta, folds, weighting=weighting)
+        want_split, want_config, want = reference_split_and_tune(series, n, delta, folds, weighting)
+        assert split == want_split and config == want_config
+        fields = ("p_star", "k_star", "objective", "trace", "skipped")
+        assert [getattr(result, f) for f in fields] == [getattr(want, f) for f in fields]
+
+    def test_tunes_through_the_module_global(self):
+        with mock.patch.object(wnn, "fpto_tune", wraps=wnn.fpto_tune) as tune:
+            split, _, _ = split_and_tune(AADA, 1, 0.2, folds=3)
+        (train, n, folds, *_), _ = tune.call_args
+        assert tune.call_count == 1
+        assert (len(train), train.period, n, folds) == (len(AADA) - split.i2, 12, 1, 3)
+
+    def test_series_must_be_a_time_series(self):
+        with pytest.raises(InvalidParamsError, match="series must be a TimeSeries, got ndarray"):
+            split_and_tune(AADA.values, 1, 0.05)
+
+    def test_series_too_short_for_the_split_raises(self):
+        with pytest.raises(SeriesTooShortError, match="leaves no training data"):
+            split_and_tune(TimeSeries(np.arange(1.0, 6.0)), 1, 0.05)
 
 
 WNN_CASES = [(1, 1, 1), (1, 3, 4), (2, 2, 1), (2, 3, 5), (3, 4, 2)]
