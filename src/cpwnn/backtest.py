@@ -154,10 +154,10 @@ def backtest_matrices(
     return half, hits
 
 
-def run_backtest(
+def _backtest(
     series: TimeSeries, spec: ForecasterSpec, n: int, split: SplitSpec
-) -> tuple[CheckReport, float]:
-    """Backtest any forecaster spec; returns the report and the test-block MAPE.
+) -> tuple[CheckReport, np.ndarray, np.ndarray]:
+    """The backtest's report, with the test block's actual and forecast rows.
 
     The i1+i2 most recent steps are scored: the first i1 seed the calibration
     pool, the remaining i2 are the test block.
@@ -166,8 +166,6 @@ def run_backtest(
     i1, i2, delta = split.i1, split.i2, split.delta
     forecasts, actual, scores = score_rows(series, spec, n, i1 + i2)
     half, hits = backtest_matrices(scores[:i1], scores[i1:], delta)
-    # Both are finite (score_rows checked their differences) and non-empty (i2 >= 1).
-    test_mape = _mape_rows(actual[i1:].ravel(), forecasts[i1:-1].ravel())
     config = {
         "forecaster": spec.describe(),
         "n": n,
@@ -175,7 +173,16 @@ def run_backtest(
         "i2": i2,
         "delta": delta,
     } | spec.fields()
-    return CheckReport(half, hits, config), float(test_mape)
+    return CheckReport(half, hits, config), actual[i1:], forecasts[i1:-1]
+
+
+def run_backtest(
+    series: TimeSeries, spec: ForecasterSpec, n: int, split: SplitSpec
+) -> tuple[CheckReport, float]:
+    """Backtest any forecaster spec; returns the report and the test-block MAPE."""
+    report, actual, forecasts = _backtest(series, spec, n, split)
+    # Both are finite (score_rows checked their differences) and non-empty (i2 >= 1).
+    return report, float(_mape_rows(actual.ravel(), forecasts.ravel()))
 
 
 def check_cp(
@@ -184,9 +191,11 @@ def check_cp(
     split: SplitSpec,
     weighting: Weighting | str = Weighting.INVERSE_DISTANCE,
 ) -> CheckReport:
-    """Backtest the nearest-neighbor forecaster's regions over the test block."""
-    report, _ = run_backtest(series, ForecasterSpec.wnn(config, weighting), config.n, split)
-    return report
+    """Backtest the nearest-neighbor forecaster's regions over the test block.
+
+    No MAPE is taken, so a zero actual in the test block is no error here.
+    """
+    return _backtest(series, ForecasterSpec.wnn(config, weighting), config.n, split)[0]
 
 
 @dataclass(frozen=True, eq=False)

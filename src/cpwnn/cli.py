@@ -32,7 +32,7 @@ from .errors import (
     DataError,
 )
 from .etssim import EtsParams, simulate_ets
-from .series import HorizonConfig, TimeSeries, split_sizes
+from .series import HorizonConfig, TimeSeries, _instance, split_sizes
 from .wnn import DEFAULT_GRID, ForecasterSpec, Weighting, fpto_tune, split_and_tune
 
 EXIT_OK = 0
@@ -49,8 +49,10 @@ DEFAULT_CONFIDENCE = 0.95
 def load_csv(path, column="value", period: int = 12) -> TimeSeries:
     """Read one numeric column into a TimeSeries.
 
-    column is a header name, or a digit string giving a 0-based column index.
+    column is a header name, or a digit string giving a 0-based column index;
+    a column that is not a string is InvalidParamsError.
     """
+    _instance("column", column, str)
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -66,7 +68,7 @@ def load_csv(path, column="value", period: int = 12) -> TimeSeries:
     header = [cell.strip() for cell in rows[0]]
     if column in header:
         index = header.index(column)
-    elif isinstance(column, str) and column.isdecimal() and int(column) < len(header):
+    elif column.isdecimal() and int(column) < len(header):
         index = int(column)
     else:
         raise ColumnNotFoundError(

@@ -73,7 +73,7 @@ def score_rows(
     entries = _FORECASTS.setdefault(series, {})
     entry = entries.get((spec, n))
     if entry is None or len(entry[1]) < h:
-        forecasts = spec.forecast_at(values, ends, n)
+        forecasts = spec.forecast_at(series, ends, n)
         with np.errstate(over="ignore"):
             scores = np.abs(values[ends[0] :].reshape(h, n) - forecasts[:-1])
         if not np.all(np.isfinite(scores)):

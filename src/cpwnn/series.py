@@ -107,11 +107,24 @@ class HorizonConfig:
 def rank_for(delta: float, h: int | np.ndarray) -> int | np.ndarray:
     """Order-statistic rank floor(delta*(h+1)), guarded against float dust.
 
-    h is an int, or an integer array for one rank per entry by the same IEEE
-    operations.
+    h is a positive int, or a 1-D integer array of them (maybe empty) for one
+    rank per entry by the same IEEE operations. Any other h, and one too large
+    to rank (delta*(h+1) overflows a float, or h+1 the array's integers), is
+    InvalidParamsError.
     """
     _open_unit("delta", delta)
-    rank = np.floor(delta * (h + 1) + _DUST)
+    if not isinstance(h, np.ndarray):
+        h = _positive_int("h", h)
+    elif h.ndim != 1 or h.dtype.kind not in "iu" or h.size and (
+        h.min() < 1 or h.max() == np.iinfo(h.dtype).max
+    ):
+        raise InvalidParamsError(
+            f"h must be a positive integer or a 1-D array of them, got a {h.ndim}-D {h.dtype} array"
+        )
+    try:
+        rank = np.floor(delta * (h + 1) + _DUST)
+    except OverflowError:
+        raise InvalidParamsError("h is too large for a rank: delta*(h+1) overflows") from None
     return rank.astype(int) if np.ndim(rank) else int(rank)
 
 

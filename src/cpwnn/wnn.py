@@ -30,8 +30,9 @@ Each forecaster is a frozen spec whose constructor checks its fields, `WnnSpec`
 `ForecasterSpec.seasonal_naive`). Its `forecast_at` is its one refit path: it
 forecasts from many prefixes (ends) of one series in one call, which is how
 `conformal.score_rows` scores every step; `wnn_forecast` is the one-end case.
-`forecast_at` owns the history check for every caller; the tuner skips a
-(p, k) cell by the same `_min_history`.
+It takes a `TimeSeries`, as every public entry that forecasts from a series
+does, and owns the history check for every caller; the tuner skips a (p, k)
+cell by the same `_min_history`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, GridInfeasibleError, InvalidParamsError, SeriesTooShortError
-from .series import HorizonConfig, SplitSpec, TimeSeries, _floats, _instance, _mape_rows
+from .series import HorizonConfig, SplitSpec, TimeSeries, _instance, _mape_rows
 from .series import _positive_int, split_sizes
 
 # Regularizer for inverse-distance weights: an exact-match neighbor then
@@ -101,17 +102,15 @@ class ForecasterSpec:
     Each kind is a frozen type whose constructor checks its fields, with
     `describe()`, `min_history` (the fewest observations a scored step's
     prefix must hold), `fields()` (its report config entries) and `_forecast`.
-    `forecast_at(values, ends, n)` checks n, reads values as a 1-D float array
-    (a float64 array passes uncopied), checks ends, then the history of the
-    shortest end only (every longer prefix holds more), and gives the
-    forecasts of values[e : e+n] from values[:e] alone, one row per end e.
+    `forecast_at(series, ends, n)` checks n, takes a `TimeSeries` (its values
+    reach `_forecast` uncopied), checks ends, then the history of the shortest
+    end only (every longer prefix holds more), and gives the forecasts of
+    values[e : e+n] from values[:e] alone, one row per end e.
     """
 
-    def forecast_at(self, values: np.ndarray, ends, n: int) -> np.ndarray:
+    def forecast_at(self, series: TimeSeries, ends, n: int) -> np.ndarray:
         n = _positive_int("n", n)
-        values = _floats("series values", values)
-        if values.ndim != 1:
-            raise InvalidParamsError("series values must be one-dimensional")
+        values = _instance("series", series, TimeSeries).values
         ends = np.asarray(ends)
         valid = ends.ndim == 1 and ends.size and ends.dtype.kind in "iu"
         if not valid or ends.max() > len(values):
@@ -505,7 +504,7 @@ def wnn_forecast(
     """
     spec = ForecasterSpec.wnn(config, weighting)
     history = _instance("history", history, TimeSeries)
-    return spec.forecast_at(history.values, [len(history)], config.n)[0]
+    return spec.forecast_at(history, [len(history)], config.n)[0]
 
 
 def _grid(name: str, grid) -> list[int]:

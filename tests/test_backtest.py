@@ -28,6 +28,7 @@ from cpwnn.errors import (
     InsufficientCalibrationError,
     InvalidParamsError,
     SeriesTooShortError,
+    ZeroActualError,
 )
 
 
@@ -334,6 +335,28 @@ class TestCheckCp:
         # Each column's mean width is finite, but their overall mean is not.
         with pytest.raises(DataError, match="a width overflows; rescale the series"):
             CheckReport(np.full((1, 12), 0.8e308), np.ones((1, 12)), {})
+
+    def test_a_zero_actual_fails_only_the_mape(self):
+        # check_cp reports no MAPE, so a zero in the test block is no error;
+        # run_backtest's MAPE still names it, over the same report.
+        values = np.round(np.random.default_rng(0).normal(10.0, 2.0, 300), 1)
+        values[-5] = 0.0
+        series, config = TimeSeries(values, 12), HorizonConfig(1, 2, 3)
+        split = split_sizes(300, 1, 0.1)
+        report = check_cp(series, config, split)
+        assert report.half_widths.shape == (split.i2, 1)
+        with pytest.raises(ZeroActualError, match="at position 55 is zero"):
+            run_backtest(series, ForecasterSpec.wnn(config), 1, split)
+        (result,) = compare_forecasters(series, [ForecasterSpec.wnn(config)], 1, split)
+        assert result.error == "actual value at position 55 is zero; MAPE is undefined there"
+
+    def test_a_width_overflow_is_raised_before_a_zero_actual(self):
+        # The report is built before the MAPE is taken.
+        values = np.random.default_rng(5).random(120) * 1e308 + 1e300
+        values[-3] = 0.0
+        split = SplitSpec(i1=20, i2=24, delta=0.05)
+        with pytest.raises(DataError, match="a width overflows; rescale the series"):
+            run_backtest(TimeSeries(values, 12), ForecasterSpec.seasonal_naive(12), 1, split)
 
     def test_overall_widths_match_the_json_lists(self):
         # The overall widths recomputed from the report's JSON lists: the mean

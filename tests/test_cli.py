@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cpwnn.cli import build_parser, load_csv, main, series_to_csv
-from cpwnn.errors import ColumnNotFoundError, CsvParseError
+from cpwnn.errors import ColumnNotFoundError, CsvParseError, InvalidParamsError
 from cpwnn.wnn import DEFAULT_GRID, SeasonalNaiveSpec, WnnSpec, fpto_tune
 
 MILK = Path(__file__).resolve().parent.parent / "data" / "milk_uk_monthly.csv"
@@ -51,6 +51,12 @@ class TestLoadCsv:
         path = tmp_path / "small.csv"
         path.write_text("date,amount\n1968-01,10.5\n")
         assert load_csv(path, "1", 12).values == pytest.approx([10.5])
+
+    @pytest.mark.parametrize("column", [1, None, b"value"])
+    def test_a_column_that_is_not_a_string_is_invalid_params(self, column):
+        with pytest.raises(InvalidParamsError) as exc:
+            load_csv(MILK, column)
+        assert str(exc.value) == f"column must be a str, got {type(column).__name__}"
 
     def test_parse_error_reports_row(self, tmp_path):
         path = tmp_path / "small.csv"
@@ -196,6 +202,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "rescale the series" in captured.err
+
+    def test_check_passes_a_zero_actual_in_the_test_block(self, tmp_path, capsys):
+        # check shows no MAPE, so a zero it would divide by is no error there.
+        values = np.round(np.random.default_rng(0).normal(10.0, 2.0, 300), 1)
+        values[-5] = 0.0
+        path = tmp_path / "zero.csv"
+        path.write_text(series_to_csv(values))
+        assert main(["check", "--input", str(path), "--p", "2", "--k", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "overall coverage" in captured.out and captured.err == ""
 
     def test_overflowing_width_is_recorded_per_spec(self, tmp_path, capsys):
         # Finite scores near the largest float: the seasonal-naive half-widths
@@ -468,9 +484,9 @@ class TestScoringWork:
         made = []
 
         def counting(forecast_at):
-            def counted(spec, values, ends, n):
+            def counted(spec, series, ends, n):
                 made.append(spec)
-                return forecast_at(spec, values, ends, n)
+                return forecast_at(spec, series, ends, n)
 
             return counted
 

@@ -173,6 +173,29 @@ class TestSplitSizes:
         with pytest.raises(InvalidParamsError, match=r"delta must lie in \(0, 1\)"):
             min_calibration_count(delta)
 
+    @pytest.mark.parametrize(
+        "h",
+        [0, -5, 2.5, True, None, "3", [1, 2], np.array(3), np.array([[3]]), np.array([2.0]),
+         np.array([True]), np.array([4, 0]), np.array([np.iinfo(np.int64).max])],
+        ids=["0", "-5", "2.5", "True", "None", "str", "list", "0-D", "2-D", "float array",
+             "bool array", "zero entry", "int64 max"],
+    )
+    def test_rank_for_reads_its_h(self, h):
+        with pytest.raises(InvalidParamsError, match="h must be a positive integer"):
+            rank_for(0.5, h)
+
+    def test_rank_for_rejects_an_h_whose_rank_overflows(self):
+        assert rank_for(0.5, 10**300) == int(np.floor(0.5 * (10**300 + 1)))
+        with pytest.raises(InvalidParamsError, match=r"delta\*\(h\+1\) overflows"):
+            rank_for(0.5, 10**400)
+
+    def test_rank_for_takes_integer_arrays_empty_included(self):
+        assert rank_for(0.5, np.int64(7)) == 4
+        assert rank_for(0.5, np.array([], dtype=int)).shape == (0,)
+        for dtype in (np.int64, np.int32, np.uint8):
+            ranks = rank_for(0.5, np.arange(1, 6, dtype=dtype))
+            assert ranks.tolist() == [1, 1, 2, 2, 3]
+
     def test_a_delta_too_small_for_any_count_is_invalid(self):
         # 1/delta overflows to inf, which has no ceiling
         with pytest.raises(InvalidParamsError, match="too small for any calibration count"):

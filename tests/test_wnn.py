@@ -239,42 +239,42 @@ class TestPointForecast:
     def test_seasonal_naive_repeats_last_period(self):
         ts = TimeSeries(np.array([9.0, 9.0, 9.0, 9.0, 1.0, 2.0, 3.0, 4.0]), 4)
         spec = ForecasterSpec.seasonal_naive(4)
-        assert spec.forecast_at(ts.values, [8], 2)[0] == pytest.approx([1.0, 2.0])
+        assert spec.forecast_at(ts, [8], 2)[0] == pytest.approx([1.0, 2.0])
 
     def test_seasonal_naive_cyclic_extension(self):
         ts = TimeSeries(np.array([1.0, 2.0, 3.0, 4.0]), 4)
         spec = ForecasterSpec.seasonal_naive(4)
-        got = spec.forecast_at(ts.values, [4], 6)[0]
+        got = spec.forecast_at(ts, [4], 6)[0]
         assert got == pytest.approx([1.0, 2.0, 3.0, 4.0, 1.0, 2.0])
 
     def test_seasonal_naive_many_ends_match_each_prefix(self):
         values = np.random.default_rng(6).normal(10.0, 2.0, size=30)
         spec = ForecasterSpec.seasonal_naive(3)
         ends = [3, 5, 11, 24, 30]
-        got = spec.forecast_at(values, ends, 7)
+        got = spec.forecast_at(TimeSeries(values), ends, 7)
         assert got.shape == (5, 7)
         for row, e in zip(got, ends):
             assert np.array_equal(row, np.resize(values[:e][-3:], 7))
         with pytest.raises(SeriesTooShortError, match=r"at t=2 \(needs history of at least 3\)"):
-            spec.forecast_at(values, [30, 2], 7)
+            spec.forecast_at(TimeSeries(values), [30, 2], 7)
 
     def test_wnn_dispatch_identity(self):
         rng = np.random.default_rng(5)
         ts = TimeSeries(rng.normal(20.0, 1.0, size=40), 4)
         config = HorizonConfig(n=2, p=3, k=2)
         ends = [20, 31, 40]
-        got = ForecasterSpec.wnn(config).forecast_at(ts.values, ends, 2)
+        got = ForecasterSpec.wnn(config).forecast_at(ts, ends, 2)
         for row, e in zip(got, ends):
             assert np.array_equal(row, wnn_forecast(TimeSeries(ts.values[:e], 4), config))
 
     @pytest.mark.parametrize("shortest", [7, 8])
     def test_wnn_checks_the_shortest_end(self, shortest):
         # window 6 + n 2 needs 8 values (7 is short); k = 2 candidates need 9 (8 is short)
-        values = np.arange(1.0, 41.0)
+        ts = TimeSeries(np.arange(1.0, 41.0))
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=3, k=2))
-        spec.forecast_at(values, [40, 9], 2)
+        spec.forecast_at(ts, [40, 9], 2)
         with pytest.raises(SeriesTooShortError) as exc:
-            spec.forecast_at(values, [40, shortest, 30], 2)
+            spec.forecast_at(ts, [40, shortest, 30], 2)
         assert str(exc.value) == (
             f"series of length 40 cannot seed the earliest scored pair at t={shortest} "
             "(needs history of at least 9)"
@@ -284,7 +284,7 @@ class TestPointForecast:
         ts = TimeSeries(np.arange(1.0, 41.0), 4)
         spec = ForecasterSpec.wnn(HorizonConfig(n=2, p=3, k=2))
         with pytest.raises(InvalidParamsError):
-            spec.forecast_at(ts.values, [40], 3)
+            spec.forecast_at(ts, [40], 3)
 
     @pytest.mark.parametrize(
         "ends",
@@ -297,33 +297,18 @@ class TestPointForecast:
         ids=["wnn", "seasonal-naive"],
     )
     def test_bad_ends_are_invalid_params(self, spec, ends):
-        values = np.arange(1.0, 41.0)
-        assert spec.forecast_at(values, [40], 1).shape == (1, 1)
+        ts = TimeSeries(np.arange(1.0, 41.0))
+        assert spec.forecast_at(ts, [40], 1).shape == (1, 1)
         with pytest.raises(InvalidParamsError, match="ends must be"):
-            spec.forecast_at(values, ends, 1)
+            spec.forecast_at(ts, ends, 1)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [ForecasterSpec.wnn(HorizonConfig(1, 2, 1)), ForecasterSpec.seasonal_naive(4)],
-        ids=["wnn", "seasonal-naive"],
-    )
-    def test_values_are_read_as_a_1d_float_array(self, spec):
-        values = np.random.default_rng(7).normal(20.0, 1.0, size=50)
-        ends = np.array([40, 45])
-        want = spec.forecast_at(values, ends, 1)
-        assert np.array_equal(spec.forecast_at(values.tolist(), ends, 1), want)
-        with pytest.raises(InvalidParamsError, match="do not form a numeric array"):
-            spec.forecast_at(["x"] * 50, ends, 1)
-        with pytest.raises(InvalidParamsError, match="one-dimensional"):
-            spec.forecast_at(values.reshape(5, 10), ends, 1)
-
-    def test_a_float64_array_reaches_the_forecaster_uncopied(self, monkeypatch):
+    def test_the_series_own_array_reaches_the_forecaster(self, monkeypatch):
         spec = ForecasterSpec.seasonal_naive(4)
         seen = []
         monkeypatch.setattr(type(spec), "_forecast", lambda self, v, ends, n: seen.append(v))
-        values = np.arange(1.0, 51.0)
-        spec.forecast_at(values, [40], 1)
-        assert len(seen) == 1 and seen[0] is values
+        ts = TimeSeries(np.arange(1.0, 51.0))
+        spec.forecast_at(ts, [40], 1)
+        assert len(seen) == 1 and np.shares_memory(seen[0], ts.values)
 
     @pytest.mark.parametrize("period", [2.5, True, 0, -3])
     def test_seasonal_naive_rejects_a_bad_period(self, period):
@@ -347,8 +332,7 @@ class TestPointForecast:
         assert spec.weighting is Weighting(weighting)
         assert spec == member and hash(spec) == hash(member)
         ends = [40, 50, 60]
-        assert np.array_equal(spec.forecast_at(ts.values, ends, 2),
-                              member.forecast_at(ts.values, ends, 2))
+        assert np.array_equal(spec.forecast_at(ts, ends, 2), member.forecast_at(ts, ends, 2))
         conformal.score_rows(ts, spec, 2, 5)
         conformal.score_rows(ts, member, 2, 5)
         assert len(conformal._FORECASTS[ts]) == 1
@@ -361,13 +345,13 @@ class TestPointForecast:
     )
     def test_a_bad_n_is_invalid_params(self, spec, n):
         with pytest.raises(InvalidParamsError, match="n must be a positive integer"):
-            spec.forecast_at(np.arange(1.0, 51.0), [50], n)
+            spec.forecast_at(TimeSeries(np.arange(1.0, 51.0)), [50], n)
 
     @pytest.mark.parametrize("config", ["x", None, (1, 2, 1)], ids=["text", "none", "tuple"])
     def test_a_config_other_than_a_horizon_config_is_invalid(self, config):
         ts = TimeSeries(np.random.default_rng(3).normal(20.0, 1.0, size=40), 4)
         calls = [
-            lambda: ForecasterSpec.wnn(config).forecast_at(ts.values, [40], 1),
+            lambda: ForecasterSpec.wnn(config).forecast_at(ts, [40], 1),
             lambda: check_cp(ts, config, SplitSpec(4, 2, 0.2)),
         ]
         for call in calls:
@@ -524,9 +508,9 @@ class TestOneHistoryRule:
     def test_forecast_at_and_scoring_share_the_boundary(self, spec, n):
         values = np.random.default_rng(8).normal(30.0, 3.0, size=40)
         least = spec.min_history
-        spec.forecast_at(values, [40, least], n)
+        spec.forecast_at(TimeSeries(values), [40, least], n)
         with pytest.raises(SeriesTooShortError, match=rf"at t={least - 1} \(needs"):
-            spec.forecast_at(values, [40, least - 1], n)
+            spec.forecast_at(TimeSeries(values), [40, least - 1], n)
         # The earliest scored step of h steps ends at 40 - h*n.
         h = (40 - least) // n
         scorers = [lambda ts, h: run_backtest(ts, spec, n, SplitSpec(h - 1, 1, 0.5))]
@@ -619,7 +603,7 @@ class TestBatchedSearchIsBitIdentical:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         spec = ForecasterSpec.wnn(HorizonConfig(n=n, p=window, k=kmax), weighting)
         want_forecasts = wnn._neighbor_average(*want, kmax, weighting)
-        assert np.array_equal(spec.forecast_at(values, ends, n), want_forecasts)
+        assert np.array_equal(spec.forecast_at(TimeSeries(values), ends, n), want_forecasts)
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     @pytest.mark.parametrize("kind", ["random", "rounded"])
@@ -939,7 +923,7 @@ class TestBatchedRanking:
         assert 1 < len(queries) <= len(ends) // 5
         spec = ForecasterSpec.wnn(HorizonConfig(n=1, p=12, k=5), weighting)
         want_forecasts = wnn._neighbor_average(*want, 5, weighting)
-        assert np.array_equal(spec.forecast_at(values, ends, 1), want_forecasts)
+        assert np.array_equal(spec.forecast_at(TimeSeries(values), ends, 1), want_forecasts)
 
     def test_every_block_ranks_its_own_pairs(self, monkeypatch):
         # At 24 floats a block holds one row, and a batch 24 // 4 = 6 pairs,
